@@ -1,5 +1,7 @@
 """Decide, construct, and certify spectra and frame spectra of measures."""
 
+import importlib
+
 from .errors import InconsistencyError, InvalidInputError
 from .exact import (
     CycSum,
@@ -31,29 +33,44 @@ from .arrows import (
     rationality_obstruction,
     symbol,
 )
-from .measures import (
-    AtomicMeasure,
-    FrameReport,
-    IFSMeasure,
-    atomic_transform,
-    cantor4_measure,
-    completeness_defect,
-    frame_bounds,
-    gram_matrix,
-    ifs_transform,
-    jp_spectrum,
-)
-from .representation import (
-    FiniteRep,
-    WanderingReport,
-    correlation,
-    evaluate_group_element,
-    generator_shift,
-    is_wandering,
-    measure_from_representation,
-    multiplication_representation,
-    permutation_representation,
-    shift_for_time,
-)
+
+# The numpy-backed layers load on first use, so exact-only work never
+# imports numpy (PEP 562).
+_LAZY = {
+    "AtomicMeasure": "measures",
+    "FrameReport": "measures",
+    "IFSMeasure": "measures",
+    "atomic_transform": "measures",
+    "cantor4_measure": "measures",
+    "completeness_defect": "measures",
+    "frame_bounds": "measures",
+    "gram_matrix": "measures",
+    "ifs_transform": "measures",
+    "jp_spectrum": "measures",
+    "FiniteRep": "representation",
+    "WanderingReport": "representation",
+    "correlation": "representation",
+    "evaluate_group_element": "representation",
+    "generator_shift": "representation",
+    "is_wandering": "representation",
+    "measure_from_representation": "representation",
+    "multiplication_representation": "representation",
+    "permutation_representation": "representation",
+    "shift_for_time": "representation",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"

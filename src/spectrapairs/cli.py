@@ -13,26 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .arrows import close, new_session
 from .errors import InconsistencyError, InvalidInputError
-from .measures import (
-    AtomicMeasure,
-    IFSMeasure,
-    completeness_defect,
-    frame_bounds,
-    gram_matrix,
-    jp_spectrum,
-)
-from .representation import (
-    generator_shift,
-    is_wandering,
-    measure_from_representation,
-    multiplication_representation,
-    permutation_representation,
-    shift_for_time,
-)
 from .serialize import load_measure, load_set
 from .sets import Irrational, fraction_str, parse_fraction
 from .spectral import certify_spectral_pair, decide_line_set, search_spectrum
@@ -73,6 +55,13 @@ def _cmd_arrow_close(args) -> dict:
 
 
 def _cmd_rep_roundtrip(args) -> dict:
+    from .measures import AtomicMeasure
+    from .representation import (
+        is_wandering,
+        measure_from_representation,
+        multiplication_representation,
+    )
+
     mu = load_measure(args.measure)
     if not isinstance(mu, AtomicMeasure):
         raise InvalidInputError("rep-roundtrip needs an atomic measure")
@@ -92,6 +81,13 @@ def _cmd_rep_roundtrip(args) -> dict:
 
 
 def _cmd_perm_rep(args) -> dict:
+    from .representation import (
+        generator_shift,
+        measure_from_representation,
+        permutation_representation,
+        shift_for_time,
+    )
+
     rep = permutation_representation(args.n, args.p, args.q)
     s = generator_shift(args.n, args.p, args.q)
     return {
@@ -106,6 +102,10 @@ def _cmd_perm_rep(args) -> dict:
 
 
 def _cmd_cantor(args) -> dict:
+    import numpy as np
+
+    from .measures import IFSMeasure, completeness_defect, gram_matrix, jp_spectrum
+
     mu = IFSMeasure(4, (0, 2))
     lam = jp_spectrum(args.level)
     if args.check == "orthogonality":
@@ -145,6 +145,8 @@ def _cmd_cantor(args) -> dict:
 
 
 def _cmd_frame_bounds(args) -> dict:
+    from .measures import AtomicMeasure, frame_bounds
+
     mu = load_measure(args.measure)
     if not isinstance(mu, AtomicMeasure):
         raise InvalidInputError("frame-bounds needs an atomic measure")

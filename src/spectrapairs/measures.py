@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInputError
+from .exact import RationalPhases, root_sum_is_zero
 from .sets import fraction_str
 
 __all__ = [
@@ -140,8 +141,7 @@ def _vanishing_depth(mu: IFSMeasure, t: Fraction, max_depth: int) -> int:
 
     For a two-digit set the factor at level k vanishes iff
     (d2 - d1) * t / R^k = 1/2 (mod 1); checked in integer arithmetic.
-    Larger digit sets are out of the fast path and handled by the exact
-    root-of-unity test.
+    Larger digit sets go through the exact root-of-unity test.
     """
     if len(mu.digits) == 2:
         x = (mu.digits[1] - mu.digits[0]) * t  # factor zero iff x/R^k = 1/2 mod 1
@@ -154,20 +154,13 @@ def _vanishing_depth(mu: IFSMeasure, t: Fraction, max_depth: int) -> int:
             if 2 * abs(u) < denom:  # |x/R^k| < 1/2: no further zeros possible
                 break
         return 0
-    from .exact import CycSum, root_sum_is_zero
-
+    phases = RationalPhases(mu.digits)
+    spread = mu.digits[-1] - mu.digits[0]
     for k in range(1, max_depth + 1):
-        exps = [d * t / mu.scale**k for d in mu.digits]
-        if 2 * abs(exps[-1] - exps[0]) * math.pi < 1.0 and k > 1:
+        s = t / mu.scale**k
+        if 2 * abs(spread * s) * math.pi < 1.0 and k > 1:
             break
-        N = 1
-        for e in exps:
-            N = N * e.denominator // math.gcd(N, e.denominator)
-        coeffs: dict[int, int] = {}
-        for e in exps:
-            key = int(e * N) % N
-            coeffs[key] = coeffs.get(key, 0) + 1
-        if root_sum_is_zero(CycSum(N, coeffs)):
+        if root_sum_is_zero(phases.at(s)):
             return k
     return 0
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import InvalidInputError
-from .measures import AtomicMeasure, IFSMeasure
 from .sets import FiniteRationalSet, parse_fraction
+
+if TYPE_CHECKING:
+    from .measures import AtomicMeasure, IFSMeasure
 
 __all__ = [
     "load_set",
@@ -37,6 +39,8 @@ def dump_set(A: FiniteRationalSet, path: str) -> None:
 
 
 def measure_from_json(data) -> Union[AtomicMeasure, IFSMeasure]:
+    from .measures import AtomicMeasure, IFSMeasure
+
     if not isinstance(data, dict):
         raise InvalidInputError("measure file must be a JSON object")
     if "scale" in data:

@@ -16,20 +16,17 @@ bounded brute-force oracle.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidInputError
-from .exact import CycSum, root_sum_is_zero
+from .exact import RationalPhases, root_sum_is_zero
 from .sets import ElementInput, FiniteRationalSet, Irrational, scale_translate
 
 __all__ = [
-    "EXACT_DENOMINATOR_CAP",
     "PairCertificate",
     "certify_spectral_pair",
     "is_spectral_pair",
@@ -41,53 +38,27 @@ __all__ = [
     "scale_translate",
 ]
 
-# Column sums whose common denominator exceeds this cap fall back to a
-# flagged floating-point test instead of the exact cyclotomic one.
-EXACT_DENOMINATOR_CAP = 10**6
 
-_FLOAT_TOL = 1e-9
-
-
-def _column_sum_is_zero(A: FiniteRationalSet, d: Fraction) -> tuple[bool, bool]:
-    """Whether sum_{a in A} e^{2 pi i a d} = 0.  Returns (zero, exact)."""
-    if d == 0:
-        return False, True
-    exponents = [a * d for a in A]
-    N = 1
-    for e in exponents:
-        N = N * e.denominator // math.gcd(N, e.denominator)
-    if N > EXACT_DENOMINATOR_CAP:
-        warnings.warn(
-            f"common denominator {N} exceeds cap; using floating-point test",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        total = sum(cmath.exp(2j * math.pi * float(e % 1)) for e in exponents)
-        return abs(total) < _FLOAT_TOL, False
-    coeffs: dict[int, int] = {}
-    for e in exponents:
-        k = int(e * N) % N
-        coeffs[k] = coeffs.get(k, 0) + 1
-    return root_sum_is_zero(CycSum(N, coeffs)), True
+def _column_sum_is_zero(phases: RationalPhases, d: Fraction) -> bool:
+    """Whether sum_{a in A} e^{2 pi i a d} = 0, decided exactly."""
+    return root_sum_is_zero(phases.at(d))
 
 
 @dataclass(frozen=True)
 class PairCertificate:
     is_pair: bool
-    exact: bool  # False when any column test hit the denominator cap
+    exact: bool = True  # every column sum is decided exactly
 
 
 def certify_spectral_pair(A: FiniteRationalSet, B: FiniteRationalSet) -> PairCertificate:
     """Column-orthogonality certification of the exponential matrix."""
     if len(A) != len(B):
         raise InvalidInputError("sets must have equal size")
-    exact = True
+    phases = RationalPhases(A)
     for b1, b2 in itertools.combinations(B.elements, 2):
-        zero, column_exact = _column_sum_is_zero(A, b2 - b1)
-        exact = exact and column_exact
-        if not zero:
-            return PairCertificate(False, exact)
-    return PairCertificate(True, exact)
+        if not _column_sum_is_zero(phases, b2 - b1):
+            return PairCertificate(False)
+    return PairCertificate(True)
 
 
 def is_spectral_pair(A: FiniteRationalSet, B: FiniteRationalSet) -> bool:
@@ -163,17 +134,13 @@ def search_spectrum(
     if q_max < 1 or span <= 0:
         raise InvalidInputError("q_max must be >= 1 and span positive")
 
+    phases = RationalPhases(A)
     zero_cache: dict[Fraction, bool] = {}
 
     def sum_vanishes(d: Fraction) -> bool:
         hit = zero_cache.get(d)
         if hit is None:
-            # Cheap numeric screen; values >= 1e-6 cannot be exact zeros
-            # (accumulated rounding is ~|A| ulps).  Near-zeros are confirmed
-            # by the exact cyclotomic test.
-            total = sum(cmath.exp(2j * math.pi * float((a * d) % 1)) for a in A)
-            hit = abs(total) < 1e-6 and _column_sum_is_zero(A, d)[0]
-            zero_cache[d] = hit
+            hit = zero_cache[d] = _column_sum_is_zero(phases, d)
         return hit
 
     candidates = sorted(

@@ -132,3 +132,25 @@ def test_tsv_goes_to_stderr():
     assert proc.returncode == 0
     json.loads(proc.stdout)  # stdout stays pure JSON
     assert proc.stderr.splitlines()[0] == "t\tq"
+
+
+def test_exact_only_work_does_not_import_numpy():
+    script = """
+import sys
+import spectrapairs
+from spectrapairs import arrows, serialize, spectral
+from spectrapairs.cli import run
+A = serialize.load_set(sys.argv[1])
+assert spectral.is_spectral_pair(A, spectral.construct_line_spectrum(3, 2, 1))
+arrows.close(arrows.new_session(A, [1, 2], round_budget=2))
+assert run(["check-pair", "--set-a", sys.argv[1], "--set-b", sys.argv[1]])[0] == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, data("set_012.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr

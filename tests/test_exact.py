@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from spectrapairs import (
     CycSum,
@@ -16,6 +17,7 @@ from spectrapairs import (
     reduce_rational,
     root_sum_is_zero,
 )
+from spectrapairs.exact import _split_order
 
 
 def test_reduce_rational_examples():
@@ -150,3 +152,79 @@ def test_zero_test_agrees_with_float_evaluation():
             assert magnitude < 1e-9
         else:
             assert magnitude > 1e-9
+
+
+def _phi_divides(s):
+    # Oracle: Phi_N divides sum_e c_e x^e, by schoolbook long division.
+    if not s.coeffs:
+        return True
+    phi = cyclotomic_polynomial(s.order)
+    dd = len(phi) - 1
+    rem = [0] * s.order
+    for e, c in s.coeffs.items():
+        rem[e] = c
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            for j, b in enumerate(phi):
+                rem[i - dd + j] -= c * b
+    return not any(rem[:dd])
+
+
+@st.composite
+def _cyc_sums(draw):
+    # Shifted full-period blocks c * zeta^s * (1 + zeta_d + ... + zeta_d^{d-1})
+    # vanish, so sums of them, with or without single terms, hit both
+    # verdicts often.
+    order = draw(st.integers(1, 500))
+    divisors = [d for d in range(2, order + 1) if order % d == 0]
+    coeffs: dict[int, int] = {}
+    for _ in range(draw(st.integers(0, 5))):
+        if divisors and draw(st.booleans()):
+            d = draw(st.sampled_from(divisors))
+            shift = draw(st.integers(0, order - 1))
+            c = draw(st.integers(-2, 2))
+            for j in range(d):
+                e = (shift + j * (order // d)) % order
+                coeffs[e] = coeffs.get(e, 0) + c
+        else:
+            e = draw(st.integers(0, order - 1))
+            coeffs[e] = coeffs.get(e, 0) + draw(st.integers(-3, 3))
+    return CycSum(order, coeffs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cyc_sums())
+def test_zero_test_agrees_with_phi_division(s):
+    assert root_sum_is_zero(s) == _phi_divides(s)
+
+
+def test_zero_test_builds_no_cyclotomic_polynomial():
+    misses = cyclotomic_polynomial.cache_info().misses
+    sums = [
+        CycSum(45045, {0: 1, 15015: 1, 30030: 1}),
+        CycSum(45045, {0: 1, 15015: 1, 30031: 1}),
+        CycSum(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19, {0: 2, 1: -1, 7: 3}),
+        CycSum(2**61 - 1, {0: 1, 1: 1}),
+    ]
+    assert [root_sum_is_zero(s) for s in sums] == [True, False, False, False]
+    assert cyclotomic_polynomial.cache_info().misses == misses
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        45045,
+        3 * 33333333333333331,
+        2**61 - 1,
+        3 * (2**61 - 1),
+        2147483647 * 2147483629,
+        2 * 2147483647 * 2147483629,
+    ],
+)
+@pytest.mark.parametrize("bound", [2, 3, 5, 20, 2000])
+def test_split_order_matches_sympy(order, bound):
+    primes, rest = _split_order(order, bound)
+    expected = sympy.factorint(order)
+    assert primes == sorted(p for p in expected if p <= bound)
+    assert rest == math.prod(p**a for p, a in expected.items() if p > bound)

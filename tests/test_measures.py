@@ -3,8 +3,10 @@ bounds, and the completeness diagnostic."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -89,6 +91,24 @@ class TestIFSTransform:
         # 1 + zeta_3 + zeta_3^2 = 0 for scale 3, digits {0,1,2}.
         mu = IFSMeasure(3, (0, 1, 2))
         assert ifs_transform(mu, 1, 1e-10).value == 0
+
+    def test_general_digit_set_large_denominator(self):
+        # Level k tests a 3-term sum of order 30000 * 4^k exactly; Phi_N of
+        # that order is far too large to build, so this must stay fast.
+        mu = IFSMeasure(4, (0, 1, 2))
+        t = Fraction(1, 30000)
+        start = time.perf_counter()
+        v = ifs_transform(mu, t, 1e-12)
+        elapsed = time.perf_counter() - start
+        with mpmath.workdps(40):
+            ref = mpmath.mpf(1)
+            for k in range(1, 60):
+                s = mpmath.mpf(t.numerator) / (t.denominator * 4**k)
+                ref *= sum(mpmath.expjpi(2 * d * s) for d in (0, 1, 2)) / 3
+        assert abs(v.value - complex(ref)) <= 2e-12
+        assert elapsed < 2.0
+        zero = ifs_transform(mu, Fraction(4 * 30001, 3), 1e-12)
+        assert zero.value == 0 and zero.depth == 1
 
 
 class TestJpSpectrum:

@@ -3,6 +3,7 @@ oracle."""
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -78,13 +79,38 @@ class TestIsSpectralPair:
     def test_exact_flag(self):
         assert certify_spectral_pair(fset(0, 1), fset(0, "1/2")).exact
 
-    def test_denominator_cap_fallback_warns(self):
-        big = 10**7 + 1  # prime-ish denominator beyond the cap
+    def test_large_denominator_certified_exactly(self):
         A = fset(0, 1)
-        B = fset(0, Fraction(1, big))
-        with pytest.warns(RuntimeWarning):
+        B = fset(0, Fraction(1, 10**7 + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cert = certify_spectral_pair(A, B)
-        assert not cert.exact
+        assert not cert.is_pair
+        assert cert.exact
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            (5, 9009),  # N = 45045
+            (3, 33333333333333331),  # N ~ 1e17
+            (3, 2**61 - 1),  # a Mersenne prime
+            (2, 2147483647 * 2147483629),  # two 31-bit primes
+        ],
+    )
+    def test_shifted_pairs_certified_exactly(self, n, m):
+        # A + 1/m against {0, 1/n, ..., (n-1)/n}: the column sums are sums
+        # of N-th roots of unity with N = n * m.
+        A = FiniteRationalSet(Fraction(1, m) + j for j in range(n))
+        B = FiniteRationalSet(Fraction(k, n) for k in range(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify_spectral_pair(A, B)
+            perturbed = certify_spectral_pair(
+                A, FiniteRationalSet([*B.elements[:-1], B.elements[-1] + Fraction(1, m)])
+            )
+        assert cert.is_pair and cert.exact
+        assert not perturbed.is_pair and perturbed.exact
+        assert all(abs(z) < 1e-9 for z in _column_sums(A, B))
 
     def test_duality(self):
         pairs = [
