@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InconsistencyError, InvalidInputError
@@ -102,8 +104,25 @@ class ArrowFact:
     target: frozenset[int]
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices set in a bitmask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _mask(indices: Iterable[int]) -> int:
+    return sum(1 << i for i in set(indices))
+
+
 class Session:
-    """Single-owner mutable deduction state over a fixed ground set."""
+    """Single-owner mutable deduction state over a fixed ground set.
+
+    The store keys each fact by its source and move.  Sources and targets
+    are int bitmasks over the element indices.  A move c0 + c1*alpha is the
+    integer pair (c0*D, c1*D), where D is a common denominator of the
+    elements and the generating moves; since D > 0, the pairs sort as
+    ``Affine._key`` does.  ``facts`` and ``trace`` are built from the store
+    when read.
+    """
 
     def __init__(
         self,
@@ -114,40 +133,91 @@ class Session:
         self.elements = tuple(elements)
         self.moves = moves
         self.round_budget = round_budget
-        # Minimal known target per (source, move).
-        self.facts: dict[tuple[frozenset[int], Affine], frozenset[int]] = {}
-        self.trace: list[dict] = []
         self.closed = False
         self.rounds_used = 0
+        self._den = 1
+        for value in (*self.elements, *moves):
+            self._den = lcm(self._den, value.const.denominator, value.sym.denominator)
+        self._full = (1 << len(self.elements)) - 1
+        # Minimal known target per (source, move), in insertion order.
+        self._facts: dict[tuple[int, tuple[int, int]], int] = {}
+        # (rule, source, move, target, parents), each parent a (source,
+        # move, target) triple of the store.
+        self._trace: list[tuple] = []
 
     @property
     def full(self) -> frozenset[int]:
         return frozenset(range(len(self.elements)))
 
-    def fact_list(self) -> list[ArrowFact]:
+    @property
+    def facts(self) -> dict[tuple[frozenset[int], Affine], frozenset[int]]:
+        """Minimal known target per (source, move), in insertion order.
+        Built on each read; writing to it does not change the session."""
+        affine = cache(self._affine)
+        return {
+            (frozenset(_bits(s)), affine(m)): frozenset(_bits(t))
+            for (s, m), t in self._facts.items()
+        }
+
+    @property
+    def trace(self) -> list[dict]:
+        """One entry per recorded derivation, in the order they were made."""
+        name = self._names()
         return [
-            ArrowFact(s, m, t)
-            for (s, m), t in sorted(
-                self.facts.items(),
-                key=lambda kv: (sorted(kv[0][0]), kv[0][1]._key(), sorted(kv[1])),
-            )
+            {
+                "rule": rule,
+                "source": _bits(s),
+                "move": name(m),
+                "target": _bits(t),
+                "parents": [[_bits(ps), name(pm), _bits(pt)] for ps, pm, pt in parents],
+            }
+            for rule, s, m, t, parents in self._trace
+        ]
+
+    def _affine(self, pair: tuple[int, int]) -> Affine:
+        return Affine(Fraction(pair[0], self._den), Fraction(pair[1], self._den))
+
+    def _names(self):
+        """str of the Affine of a move pair, memoized for one formatting pass."""
+        return cache(lambda pair: str(self._affine(pair)))
+
+    def _pair(self, move: Affine) -> Optional[tuple[int, int]]:
+        """The move as (c0*D, c1*D); None when it is not on that grid."""
+        c0, c1 = move.const * self._den, move.sym * self._den
+        if c0.denominator == 1 and c1.denominator == 1:
+            return c0.numerator, c1.numerator
+        return None
+
+    def _widen(self, move: Affine) -> None:
+        """Refine D until the move is on the grid, rescaling stored moves."""
+        k = lcm(self._den, move.const.denominator, move.sym.denominator) // self._den
+        if k == 1:
+            return
+
+        def scale(m):
+            return m[0] * k, m[1] * k
+
+        self._den *= k
+        self._facts = {(s, scale(m)): t for (s, m), t in self._facts.items()}
+        self._trace = [
+            (rule, s, scale(m), t, tuple((ps, scale(pm), pt) for ps, pm, pt in parents))
+            for rule, s, m, t, parents in self._trace
+        ]
+
+    def _sorted_facts(self) -> list[tuple[list[int], tuple[int, int], list[int]]]:
+        return sorted((_bits(s), m, _bits(t)) for (s, m), t in self._facts.items())
+
+    def fact_list(self) -> list[ArrowFact]:
+        affine = cache(self._affine)
+        return [
+            ArrowFact(frozenset(s), affine(m), frozenset(t))
+            for s, m, t in self._sorted_facts()
         ]
 
     def has_fact(self, source: Iterable[int], move, target: Iterable[int]) -> bool:
         """True when the stored fact for (source, move) implies the given one."""
-        known = self.facts.get((frozenset(source), _coerce(move)))
-        return known is not None and known <= frozenset(target)
-
-    def _record(self, rule: str, source, move, target, parents) -> None:
-        self.trace.append(
-            {
-                "rule": rule,
-                "source": sorted(source),
-                "move": str(move),
-                "target": sorted(target),
-                "parents": [list(p) for p in parents],
-            }
-        )
+        known = self._facts.get((_mask(source), self._pair(_coerce(move))))
+        return known is not None and known & ~_mask(target) == 0
 
     def add_fact(
         self,
@@ -158,39 +228,50 @@ class Session:
         parents: Optional[list] = None,
     ) -> bool:
         """Insert a fact, eagerly intersecting targets (R4).  Returns True
-        when knowledge grew."""
+        when knowledge grew.  ``parents`` lists the (source, move, target)
+        facts it was derived from, for the trace."""
         if not source or not target:
             raise InvalidInputError("source and target must be nonempty")
-        key = (source, move)
-        known = self.facts.get(key)
-        new = target if known is None else (known & target)
-        if known is not None and new == known:
-            return False
+        parents = [(s, _coerce(m), t) for s, m, t in parents or ()]
+        move = _coerce(move)
+        for m in (move, *(m for _, m, _ in parents)):
+            self._widen(m)
+        return self._add(
+            rule,
+            _mask(source),
+            self._pair(move),
+            _mask(target),
+            tuple((_mask(s), self._pair(m), _mask(t)) for s, m, t in parents),
+        )
+
+    def _add(self, rule: str, s: int, m: tuple[int, int], t: int, parents=()) -> bool:
+        """``add_fact`` on the store's own types, for a nonempty s and t."""
+        key = (s, m)
+        known = self._facts.get(key)
         if known is not None:
-            rule = f"{rule}+R4"
-        if len(new) < len(source):
-            self._record(rule, source, move, new, parents or [])
+            t &= known
+            if t == known:
+                return False
+            rule += "+R4"
+        self._trace.append((rule, s, m, t, parents))
+        if t.bit_count() < s.bit_count():
             raise InconsistencyError(
-                f"target {sorted(new)} smaller than source {sorted(source)} "
-                f"at move {move}",
+                f"target {_bits(t)} smaller than source {_bits(s)} "
+                f"at move {self._affine(m)}",
                 trace=self.trace,
             )
-        self.facts[key] = new
-        self._record(rule, source, move, new, parents or [])
+        self._facts[key] = t
         return True
 
     def to_json(self) -> dict:
+        name = self._names()
         return {
             "elements": [str(e) for e in self.elements],
             "closed": self.closed,
             "rounds_used": self.rounds_used,
             "facts": [
-                {
-                    "source": sorted(f.source),
-                    "move": str(f.move),
-                    "target": sorted(f.target),
-                }
-                for f in self.fact_list()
+                {"source": s, "move": name(m), "target": t}
+                for s, m, t in self._sorted_facts()
             ],
         }
 
@@ -210,29 +291,25 @@ def new_session(
     move_set = frozenset(_coerce(m) for m in moves)
     if not move_set:
         raise InvalidInputError("moves must be nonempty")
+    if round_budget < 1:
+        raise InvalidInputError("round budget must be at least 1")
     session = Session(elements, move_set, round_budget)
-    n = len(elements)
-    zero = Affine(Fraction(0))
-    for i in range(n):
-        session.add_fact(frozenset({i}), zero, frozenset({i}), rule="base")
-        for j in range(n):
+    points = [session._pair(e) for e in elements]
+    for i, (a0, a1) in enumerate(points):
+        session._add("base", 1 << i, (0, 0), 1 << i)
+        for j, (b0, b1) in enumerate(points):
             if i != j:
-                session.add_fact(
-                    frozenset({i}),
-                    elements[j] - elements[i],
-                    frozenset({j}),
-                    rule="base",
-                )
+                session._add("base", 1 << i, (b0 - a0, b1 - a1), 1 << j)
     return session
 
 
-def _allowed_moves(session: Session) -> set[Affine]:
+def _allowed_moves(session: Session) -> set[tuple[int, int]]:
     """Closure of the generating moves under addition, up to round_budget
     summands; caps which compositions R3 may produce."""
-    base = set(session.moves) | {Affine(Fraction(0))}
+    base = {session._pair(m) for m in session.moves} | {(0, 0)}
     current = set(base)
     for _ in range(session.round_budget):
-        extended = current | {m + g for m in current for g in base}
+        extended = current | {(a0 + b0, a1 + b1) for a0, a1 in current for b0, b1 in base}
         if extended == current:
             break
         current = extended
@@ -240,66 +317,73 @@ def _allowed_moves(session: Session) -> set[Affine]:
 
 
 def close(session: Session) -> Session:
-    """Saturate the fact set under R1-R4 (budgeted rounds)."""
+    """Saturate the fact set under R1-R4 (budgeted rounds).
+
+    Rounds are semi-naive: a rule fires on a fact, or on a pair of facts,
+    only when one of them was added or shrank since the previous round's
+    snapshot.  A pair of unchanged facts fired on the same inputs a round
+    earlier, and targets only shrink, so it could record nothing now.  The
+    facts, ``rounds_used`` and the trace are those of joining every pair.
+    """
     allowed = _allowed_moves(session)
-    full = session.full
+    facts = session._facts
+    full = session._full
+    singletons = [1 << i for i in range(len(session.elements))]
+    generators = {session._pair(m) for m in session.moves}
+    covered: set = set()  # moves whose trivial facts are all present
+    delta: set = set()  # keys added or shrunk since the last snapshot
+
+    def derive(rule, s, m, t, parents=()) -> bool:
+        known = facts.get((s, m))
+        if known is not None and known & t == known:
+            return False  # what _add would return, skipping the call
+        if session._add(rule, s, m, t, parents):
+            delta.add((s, m))
+            return True
+        return False
+
     for round_index in range(session.round_budget):
         changed = False
         # Trivial facts: every singleton maps into the whole space at every
         # move currently in play.  R2 cancels known images out of these.
-        moves_in_play = {m for (_, m) in session.facts} | set(session.moves)
-        for m in sorted(moves_in_play, key=Affine._key):
-            for i in sorted(full):
-                src = frozenset({i})
-                if (src, m) not in session.facts:
-                    changed |= session.add_fact(src, m, full, rule="trivial")
+        in_play = {m for _, m in facts} | generators
+        for m in sorted(in_play - covered):
+            for i in singletons:
+                if (i, m) not in facts:
+                    changed |= derive("trivial", i, m, full)
+        covered = in_play
 
-        snapshot = list(session.facts.items())
-        by_move: dict[Affine, list] = {}
+        snapshot = list(facts.items())
+        fresh = delta if round_index else facts.keys()
+        delta = set()
+        # R2 partners (dimension-preserving facts) by move and R3 partners
+        # by source, in snapshot order: from every fact, and from the fresh
+        # ones only, which is all an unchanged fact needs.
+        every: tuple[dict, dict] = ({}, {})
+        recent: tuple[dict, dict] = ({}, {})
         for (s, m), t in snapshot:
-            by_move.setdefault(m, []).append((s, t))
-        by_source: dict[frozenset, list] = {}
-        for (s, m), t in snapshot:
-            by_source.setdefault(s, []).append((m, t))
+            for by_move, by_source in (every, recent) if (s, m) in fresh else (every,):
+                if s.bit_count() == t.bit_count():
+                    by_move.setdefault(m, []).append((s, t))
+                by_source.setdefault(s, []).append((m, t))
 
         for (s, m), t in snapshot:
+            is_fresh = (s, m) in fresh
+            by_move, by_source = every if is_fresh else recent
+            square = s.bit_count() == t.bit_count()
             # R1 complement.
-            if len(s) == len(t) and s != full:
-                changed |= session.add_fact(
-                    full - s,
-                    m,
-                    full - t,
-                    rule="R1",
-                    parents=[(sorted(s), str(m), sorted(t))],
-                )
-            # R2 cancellation.
+            if is_fresh and square and s != full:
+                changed |= derive("R1", full ^ s, m, full ^ t, ((s, m, t),))
+            # R2 cancellation: c is a proper subset of t.
             for s2, c in by_move.get(m, ()):
-                if s2.isdisjoint(s) and len(s2) == len(c) and c <= t and c < t:
-                    changed |= session.add_fact(
-                        s,
-                        m,
-                        t - c,
-                        rule="R2",
-                        parents=[
-                            (sorted(s), str(m), sorted(t)),
-                            (sorted(s2), str(m), sorted(c)),
-                        ],
-                    )
+                if not s2 & s and c & t == c and c != t:
+                    changed |= derive("R2", s, m, t ^ c, ((s, m, t), (s2, m, c)))
             # R3 composition (first fact must be dimension-preserving).
-            if len(s) == len(t):
+            if square:
                 for m2, r in by_source.get(t, ()):
-                    total = m + m2
+                    total = (m[0] + m2[0], m[1] + m2[1])
                     if total in allowed:
-                        changed |= session.add_fact(
-                            s,
-                            total,
-                            r,
-                            rule="R3",
-                            parents=[
-                                (sorted(s), str(m), sorted(t)),
-                                (sorted(t), str(m2), sorted(r)),
-                            ],
-                        )
+                        changed |= derive("R3", s, total, r, ((s, m, t), (t, m2, r)))
         session.rounds_used = round_index + 1
         if not changed:
             break
@@ -322,12 +406,13 @@ def extract_permutation(session: Session, move) -> Optional[PermutationAction]:
     if not session.closed:
         raise InvalidInputError("session must be closed first")
     move = _coerce(move)
+    pair = session._pair(move)
     images = []
     for i in range(len(session.elements)):
-        t = session.facts.get((frozenset({i}), move))
-        if t is None or len(t) != 1:
+        t = session._facts.get((1 << i, pair))
+        if t is None or t.bit_count() != 1:
             return None
-        images.append(next(iter(t)))
+        images.append(t.bit_length() - 1)
     if len(set(images)) != len(images):
         raise InconsistencyError(
             f"U({move}) maps two basis lines onto the same line",

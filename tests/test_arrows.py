@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import naive_arrows
 from spectrapairs import (
     Affine,
     AtomicMeasure,
@@ -13,6 +15,7 @@ from spectrapairs import (
     InvalidInputError,
     Irrational,
     PermutationAction,
+    arrows,
     atomic_transform,
     close,
     construct_line_spectrum,
@@ -53,6 +56,10 @@ class TestNewSession:
             new_session([0], [1], round_budget=1)
         with pytest.raises(InvalidInputError):
             new_session([0, 1], [], round_budget=1)
+        # Below one round, "closed" would be a claim no round checked.
+        for budget in (0, -2):
+            with pytest.raises(InvalidInputError):
+                new_session([0, 1, 2], [1, -1], round_budget=budget)
 
 
 class TestClose:
@@ -202,3 +209,89 @@ class TestSerialization:
     def test_irrational_tag_coerces_to_symbol(self):
         s = new_session([Fraction(0), Fraction(1), Irrational("alpha")], [1], 1)
         assert s.elements[2] == symbol()
+
+
+def _outcome(engine, ground, moves, budget, seeds=()):
+    """What ``close`` yields: the payload and trace, or the error's message
+    and trace."""
+    session = engine.new_session(ground, moves, round_budget=budget)
+    for source, move, target in seeds:
+        session.add_fact(frozenset(source), move, frozenset(target))
+    try:
+        closed = engine.close(session)
+    except InconsistencyError as exc:
+        return "inconsistent", str(exc), exc.trace
+    return "closed", closed.to_json(), closed.trace, closed.facts
+
+
+def _assert_matches_naive_engine(ground, budget, seeds=()):
+    moves = [b - a for a in ground for b in ground if a != b]
+    got = _outcome(arrows, ground, moves, budget, seeds)
+    assert got == _outcome(naive_arrows, ground, moves, budget, seeds)
+    return got[0]
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _ground_and_budget(draw):
+    if draw(st.booleans()):
+        ground = [Affine(x) for x in draw(st.lists(_SMALL, min_size=3, max_size=5, unique=True))]
+    else:
+        shift = Affine(draw(_SMALL))
+        ground = [ZERO + shift, ONE + shift, A_SYM + shift]
+    return ground, draw(st.integers(1, len(ground) + 2))
+
+
+class TestAgainstNaiveEngine:
+    """The engine against the naive loop it replaced (tests/naive_arrows.py):
+    same facts, rounds, trace and error, byte for byte."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_ground_and_budget())
+    def test_random_sets_and_shifted_symbolic_set(self, case):
+        _assert_matches_naive_engine(*case)
+
+    @pytest.mark.parametrize(
+        "n,p,q", [(3, 2, 1), (3, 1, 2), (3, -1, 1), (4, 3, 1), (4, 1, 3), (5, 4, 1), (6, 5, 1)]
+    )
+    def test_line_sets_closed_in_acceptance_suite(self, n, p, q):
+        # The criterion-2 instances that criterion 7 and the plus/minus
+        # cycle test close, at the same budget n + 2.
+        ground = [Fraction(k) for k in range(n - 1)] + [Fraction(p, q)]
+        assert _assert_matches_naive_engine(ground, n + 2) == "closed"
+
+    def test_nonspectral_set_raises_the_same_error(self):
+        assert _assert_matches_naive_engine([Fraction(0), Fraction(1), Fraction(3)], 5) == (
+            "inconsistent"
+        )
+
+    def test_seeded_fact_off_the_common_denominator(self):
+        # A seeded move of 1/7 refines the common denominator of {0, 1, 2}.
+        seeds = [({0}, Affine(Fraction(1, 7)), {1, 2}), ({1}, Affine(Fraction(-1, 7)), {0, 2})]
+        assert _assert_matches_naive_engine([Fraction(k) for k in range(3)], 4, seeds) == "closed"
+
+
+def test_saturation_does_no_affine_arithmetic_or_formatting(monkeypatch):
+    # Moves in the closure loop are integer pairs; a slide back to Fraction
+    # arithmetic, or to formatting every derivation, shows up as calls here.
+    session = new_session([0, 1, 2, 3], [1, -1, 2, -2, 3, -3], round_budget=6)
+    calls = {"add": 0, "str": 0}
+    add, to_str = Affine.__add__, Affine.__str__
+
+    def counted_add(self, other):
+        calls["add"] += 1
+        return add(self, other)
+
+    def counted_str(self):
+        calls["str"] += 1
+        return to_str(self)
+
+    monkeypatch.setattr(Affine, "__add__", counted_add)
+    monkeypatch.setattr(Affine, "__str__", counted_str)
+    close(session)
+    assert calls == {"add": 0, "str": 0}
+    assert len(session.facts) > 100
+    assert session.trace[-1]["move"]  # formatting still works when asked
+    assert calls["str"] > 0

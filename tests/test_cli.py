@@ -120,6 +120,16 @@ def test_missing_file_is_domain_error():
     assert result["reason"] == "file_not_found"
 
 
+@pytest.mark.parametrize("budget", ["0", "-2"])
+def test_arrow_close_budget_below_one_is_invalid_input(budget):
+    # With no round run, "closed": true would be a claim nothing checked.
+    code, result = run(
+        ["arrow-close", "--set", data("set_012.json"), "--moves", "1,-1", "--budget", budget]
+    )
+    assert code == 1
+    assert result["reason"] == "invalid_input"
+
+
 def test_tsv_goes_to_stderr():
     proc = subprocess.run(
         [
