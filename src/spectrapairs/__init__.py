@@ -2,7 +2,7 @@
 
 import importlib
 
-from .errors import InconsistencyError, InvalidInputError
+from .errors import InconsistencyError, InvalidInputError, TooLargeError
 from .exact import (
     CycSum,
     cyclotomic_polynomial,
@@ -46,6 +46,8 @@ _LAZY = {
     "frame_bounds": "measures",
     "gram_matrix": "measures",
     "ifs_transform": "measures",
+    "ifs_transforms": "measures",
+    "IFSTransforms": "measures",
     "jp_spectrum": "measures",
     "FiniteRep": "representation",
     "WanderingReport": "representation",

@@ -14,12 +14,17 @@ import sys
 from fractions import Fraction
 
 from .arrows import close, new_session
-from .errors import InconsistencyError, InvalidInputError
+from .errors import InconsistencyError, InvalidInputError, TooLargeError
 from .serialize import load_measure, load_set
 from .sets import Irrational, fraction_str, parse_fraction
 from .spectral import certify_spectral_pair, decide_line_set, search_spectrum
 
 __all__ = ["run", "main"]
+
+# Work budget of ``cantor``, in Gram entries or in transforms of the
+# completeness sweep, both known from --level and --grid before anything is
+# computed: a few seconds of work and a few tens of MB at the budget.
+CANTOR_WORK_BUDGET = 2**20
 
 
 def _cmd_decide_line_set(args) -> dict:
@@ -106,6 +111,16 @@ def _cmd_cantor(args) -> dict:
 
     from .measures import IFSMeasure, completeness_defect, gram_matrix, jp_spectrum
 
+    if args.grid < 1:
+        raise InvalidInputError("grid must be positive")
+    if args.level >= 0:
+        size = 2 ** (args.level + 1)  # the points of jp_spectrum(level)
+        work = size * size if args.check == "orthogonality" else args.grid * size
+        if work > CANTOR_WORK_BUDGET:
+            raise TooLargeError(
+                f"cantor --level {args.level} --check {args.check} needs {work} "
+                f"units of work, over the budget of {CANTOR_WORK_BUDGET}"
+            )
     mu = IFSMeasure(4, (0, 2))
     lam = jp_spectrum(args.level)
     if args.check == "orthogonality":
@@ -224,6 +239,12 @@ def run(argv) -> tuple[int, dict]:
     args = _build_parser().parse_args(argv)
     try:
         payload = args.handler(args)
+    except TooLargeError as exc:
+        return 1, {
+            "status": "too_large",
+            "reason": "too_large",
+            "message": str(exc),
+        }
     except InvalidInputError as exc:
         return 1, {
             "status": "invalid_input",

@@ -5,6 +5,10 @@ class InvalidInputError(ValueError):
     """Raised when an operation's preconditions are violated."""
 
 
+class TooLargeError(InvalidInputError):
+    """Raised when the work an input asks for exceeds a stated budget."""
+
+
 class InconsistencyError(RuntimeError):
     """Raised when a deduction derives a dimension contradiction.
 

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .exact import extended_gcd
-from .measures import AtomicMeasure
+from .exact import RationalPhases, extended_gcd
+from .measures import AtomicMeasure, _unit_roots
 from .sets import FiniteRationalSet, fraction_str
 
 __all__ = [
@@ -83,25 +83,22 @@ def multiplication_representation(mu: AtomicMeasure) -> FiniteRep:
     return FiniteRep(mu.points, np.eye(n, dtype=complex), v0)
 
 
-def _phase(t: Fraction, g: Fraction) -> complex:
-    return cmath.exp(2j * math.pi * float((t * g) % 1))
+def _phases(rep: FiniteRep, t) -> np.ndarray:
+    """e^{2 pi i t g_j} for the eigenvalues g_j, phases reduced exactly."""
+    t = Fraction(t)
+    return _unit_roots(RationalPhases(rep.eigenvalues), [t.numerator], t.denominator)[:, 0]
 
 
 def evaluate_group_element(rep: FiniteRep, t) -> np.ndarray:
     """U(t) = V diag(e^{2 pi i t g_j}) V*."""
-    t = Fraction(t)
-    phases = np.array([_phase(t, g) for g in rep.eigenvalues])
     V = rep.eigenvectors
-    return (V * phases) @ V.conj().T
+    return (V * _phases(rep, t)) @ V.conj().T
 
 
 def correlation(rep: FiniteRep, xi) -> complex:
     """<v0, U(xi) v0> = sum_j |<col_j, v0>|^2 e^{2 pi i xi g_j}."""
-    xi = Fraction(xi)
     amps = np.abs(rep.eigenvectors.conj().T @ rep.v0) ** 2
-    return complex(
-        sum(a * _phase(xi, g) for a, g in zip(amps, rep.eigenvalues))
-    )
+    return complex(amps @ _phases(rep, xi))
 
 
 def measure_from_representation(rep: FiniteRep) -> AtomicMeasure:

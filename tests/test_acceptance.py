@@ -26,6 +26,7 @@ from spectrapairs import (
     frame_bounds,
     gram_matrix,
     ifs_transform,
+    ifs_transforms,
     is_spectral_pair,
     is_wandering,
     jp_spectrum,
@@ -168,10 +169,9 @@ def test_criterion_6_completeness_monotone_bessel():
     min_q_at_12 = math.inf
     for k in range(37):
         t = Fraction(k, 37)
-        terms = {
-            l: abs(ifs_transform(mu, t - l, per_term_eps).value) ** 2
-            for l in lam12
-        }
+        # One batched call for the |lam12| terms mu_hat(t - l), l in lam12.
+        values = ifs_transforms(mu, [Fraction(k - 37 * l, 37) for l in lam12], per_term_eps).values
+        terms = {l: abs(v) ** 2 for l, v in zip(lam12, values.tolist())}
         q_by_level = [math.fsum(terms[l] for l in lam) for lam in levels]
         for lo, hi in zip(q_by_level, q_by_level[1:]):
             assert hi >= lo  # exact: adding nonnegative terms

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from spectrapairs import cli, measures
 from spectrapairs.cli import run
 
 HERE = os.path.dirname(__file__)
@@ -164,3 +165,30 @@ assert "numpy" not in sys.modules, "numpy was imported"
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cantor_over_work_budget_is_too_large(monkeypatch):
+    # The budget is checked from --level and --grid before the spectrum is
+    # built; a small declared budget stands in for --level 20.
+    def unreachable(level):
+        raise AssertionError("jp_spectrum called over budget")
+
+    monkeypatch.setattr(cli, "CANTOR_WORK_BUDGET", 100)
+    monkeypatch.setattr(measures, "jp_spectrum", unreachable)
+    for argv in (
+        ["cantor", "--level", "3", "--check", "orthogonality"],  # 16^2 Gram entries
+        ["cantor", "--level", "3", "--check", "completeness", "--grid", "7"],  # 7 * 16
+    ):
+        code, result = run(argv)
+        assert code == 1
+        assert (result["status"], result["reason"]) == ("too_large", "too_large")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "CANTOR_WORK_BUDGET", 100)
+    assert run(["cantor", "--level", "2", "--check", "orthogonality"])[0] == 0  # 64
+    assert run(["cantor", "--level", "3", "--check", "completeness", "--grid", "6"])[0] == 0  # 96
+
+
+def test_cantor_grid_below_one_is_invalid_input():
+    code, result = run(["cantor", "--level", "1", "--check", "completeness", "--grid", "0"])
+    assert code == 1
+    assert result["reason"] == "invalid_input"

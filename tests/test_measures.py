@@ -1,6 +1,7 @@
 """Atomic and IFS transforms, the 4^k spectrum, Gram matrices, frame
 bounds, and the completeness diagnostic."""
 
+import cmath
 import math
 import random
 import time
@@ -9,6 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectrapairs import (
     AtomicMeasure,
@@ -20,6 +22,7 @@ from spectrapairs import (
     frame_bounds,
     gram_matrix,
     ifs_transform,
+    ifs_transforms,
     is_spectral_pair,
     FiniteRationalSet,
     jp_spectrum,
@@ -111,6 +114,89 @@ class TestIFSTransform:
         assert zero.value == 0 and zero.depth == 1
 
 
+def mp_transform(digits, scale, t) -> complex:
+    """Reference mu_hat(t) = prod_k mean_d e^{2 pi i d t / R^k}: every
+    phase reduced mod 1 in exact arithmetic, evaluated in mpmath at 40
+    digits until the remaining factors are within 1e-30 of 1."""
+    t = Fraction(t)
+    top = max(abs(Fraction(d)) for d in digits)
+    with mpmath.workdps(40):
+        value = mpmath.mpc(1)
+        k = 1
+        while 2 * math.pi * float(top * abs(t)) / scale**k >= 1e-31:
+            phases = [(Fraction(d) * t / scale**k) % 1 for d in digits]
+            value *= mpmath.fsum(
+                mpmath.expjpi(2 * mpmath.mpf(x.numerator) / x.denominator) for x in phases
+            ) / len(digits)
+            k += 1
+        return complex(value)
+
+
+# Rationals for the batch tests: small and up to ~4^31, denominators up to
+# 10^6, a few exact zeros of the Cantor transform, and numerators or
+# denominators past int64, which the kernel holds as Python ints.
+RATIONALS = st.one_of(
+    st.integers(-(4**31), 4**31),
+    st.builds(Fraction, st.integers(-(4**31), 4**31), st.integers(1, 10**6)),
+    st.builds(lambda p: Fraction(3 * 2**70 + p, 2**70), st.integers(-(2**69), 2**69)),
+    st.sampled_from([0, 1, -5, 4**20 * 3, Fraction(4 * 30001, 3), 2**63 + 1]),
+)
+BATCH_MEASURES = [
+    cantor4_measure(),
+    IFSMeasure(4, (0, 1, 2)),
+    IFSMeasure(3, (-1, Fraction(1, 2), 2)),
+    IFSMeasure(5, (Fraction(-1, 3), Fraction(2, 3))),
+]
+
+
+class TestTransformKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        digits=st.sampled_from([(0, 2), (0, 1, 2)]),
+        e=st.integers(0, 29),
+        q=st.integers(1, 60),
+        sign=st.sampled_from([1, -1]),
+        eps_exp=st.floats(-12, -6),
+        data=st.data(),
+    )
+    def test_within_eps_of_exact_phase_reference(self, digits, e, q, sign, eps_exp, data):
+        # |t| in [4^e, 4^(e+1)) up to 4^30; the bound must hold after
+        # rounding.
+        t = Fraction(sign * data.draw(st.integers(q * 4**e, q * 4 ** (e + 1) - 1)), q)
+        eps = 10.0**eps_exp
+        mu = IFSMeasure(4, digits)
+        assert abs(ifs_transform(mu, t, eps).value - mp_transform(digits, 4, t)) <= eps
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mu=st.sampled_from(BATCH_MEASURES),
+        ts=st.lists(RATIONALS, min_size=1, max_size=12),
+        eps_exp=st.floats(-13, -4),
+        symbolic=st.booleans(),
+    )
+    def test_batch_equals_single_bit_for_bit(self, mu, ts, eps_exp, symbolic):
+        eps = 10.0**eps_exp
+        batch = ifs_transforms(mu, ts, eps, symbolic)
+        for t, value, depth in zip(ts, batch.values.tolist(), batch.depths.tolist()):
+            single = ifs_transform(mu, t, eps, symbolic)
+            assert value == single.value and depth == single.depth
+            assert (value == 0) == (single.value == 0)
+
+    def test_negative_argument_is_exact_conjugate(self):
+        mu = cantor4_measure()
+        for t in (Fraction(7, 3), Fraction(4**25 + 1, 7), 123456789):
+            assert ifs_transform(mu, -t, 1e-12).value == ifs_transform(mu, t, 1e-12).value.conjugate()
+
+    def test_atomic_phases_reduced_exactly_past_int64(self):
+        mu = AtomicMeasure([0, "1/3", "5/7"], [0.25, 0.25, 0.5])
+        for t in (Fraction(2**80 + 1, 3), Fraction(-(3**50), 2**66 + 1), 10**30 + 7):
+            ref = sum(
+                w * cmath.exp(2j * math.pi * float((b * t) % 1))
+                for b, w in zip(mu.points, mu.weights)
+            )
+            assert abs(atomic_transform(mu, t) - ref) <= 1e-15
+
+
 class TestJpSpectrum:
     def test_examples(self):
         assert jp_spectrum(0) == (0, 1)
@@ -142,6 +228,26 @@ class TestGramMatrix:
         G = gram_matrix(uniform(0, "1/3", "5/7"), [0, 1, "1/2"])
         assert np.allclose(G, G.conj().T)
         assert np.allclose(np.diag(G), 1.0)
+
+    @pytest.mark.parametrize("symbolic", [True, False])
+    def test_distinct_differences_match_pairwise(self, symbolic):
+        # A shuffled rational set, not a Jorgensen-Pedersen spectrum:
+        # differences of both signs, many repeated.
+        rng = random.Random(7)
+        lam = list({Fraction(rng.randrange(-60, 60), rng.choice([1, 2, 3, 6])) for _ in range(30)})
+        rng.shuffle(lam)
+        eps = 1e-12
+        for mu in (cantor4_measure(), IFSMeasure(4, (0, 1, 2)), uniform(0, "1/3", "5/7")):
+            G = gram_matrix(mu, lam, eps=eps, symbolic=symbolic)
+            assert np.array_equal(G, G.conj().T) and np.all(np.diag(G) == 1)
+            for i, li in enumerate(lam):
+                for j, lj in enumerate(lam):
+                    if i != j:
+                        if isinstance(mu, AtomicMeasure):
+                            ref = atomic_transform(mu, lj - li)
+                        else:
+                            ref = ifs_transform(mu, lj - li, eps, symbolic).value
+                        assert abs(G[i, j] - ref) <= eps
 
 
 class TestFrameBounds:
