@@ -47,6 +47,7 @@ _LAZY = {
     "gram_matrix": "measures",
     "ifs_transform": "measures",
     "ifs_transforms": "measures",
+    "IFSTransformValue": "measures",
     "IFSTransforms": "measures",
     "jp_spectrum": "measures",
     "FiniteRep": "representation",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -21,10 +22,24 @@ from .spectral import certify_spectral_pair, decide_line_set, search_spectrum
 
 __all__ = ["run", "main"]
 
-# Work budget of ``cantor``, in Gram entries or in transforms of the
-# completeness sweep, both known from --level and --grid before anything is
-# computed: a few seconds of work and a few tens of MB at the budget.
+# Work budgets, each derived from the arguments before anything is
+# computed; at a budget a run takes a few seconds and at most a few hundred
+# MB.  ``cantor``: Gram entries or transforms of the completeness sweep.
 CANTOR_WORK_BUDGET = 2**20
+# ``arrow-close``: |A|^3, the R2 pairs of a round over the |A|^2 base facts,
+# times C(budget + k, k), the number of multisets of at most --budget of
+# the k moves, which bounds the moves R3 may compose.
+ARROW_CLOSE_WORK_BUDGET = 2**22
+# ``perm-rep``: entries of the n x n eigenvector matrix (whose unitarity
+# check is an n^3 product).
+PERM_REP_WORK_BUDGET = 2**20
+
+
+def _check_work(command: str, work: int, budget: int) -> None:
+    if work > budget:
+        raise TooLargeError(
+            f"{command} needs {work} units of work, over the budget of {budget}"
+        )
 
 
 def _cmd_decide_line_set(args) -> dict:
@@ -55,6 +70,9 @@ def _cmd_find_spectrum(args) -> dict:
 def _cmd_arrow_close(args) -> dict:
     A = load_set(args.set)
     moves = [parse_fraction(m) for m in args.moves.split(",") if m.strip()]
+    k = len(set(moves) - {0})
+    work = len(A) ** 3 * math.comb(max(args.budget, 0) + k, k)
+    _check_work(f"arrow-close --budget {args.budget}", work, ARROW_CLOSE_WORK_BUDGET)
     session = close(new_session(A, moves, round_budget=args.budget))
     return session.to_json()
 
@@ -90,15 +108,15 @@ def _cmd_perm_rep(args) -> dict:
         generator_shift,
         measure_from_representation,
         permutation_representation,
-        shift_for_time,
     )
 
-    rep = permutation_representation(args.n, args.p, args.q)
     s = generator_shift(args.n, args.p, args.q)
+    _check_work(f"perm-rep --n {args.n}", args.n**2, PERM_REP_WORK_BUDGET)
+    rep = permutation_representation(args.n, args.p, args.q)
     return {
         "generator_shift": s,
-        "shift_at_1": shift_for_time(args.n, args.p, args.q, args.q),
-        "shift_at_a": shift_for_time(args.n, args.p, args.q, args.p),
+        "shift_at_1": args.q * s % args.n,  # U(j/q) = (cyclic shift)^j
+        "shift_at_a": args.p * s % args.n,
         "eigenvalues": [fraction_str(g) for g in rep.eigenvalues],
         "spectrum_points": sorted(
             fraction_str(p) for p in measure_from_representation(rep).points
@@ -116,11 +134,7 @@ def _cmd_cantor(args) -> dict:
     if args.level >= 0:
         size = 2 ** (args.level + 1)  # the points of jp_spectrum(level)
         work = size * size if args.check == "orthogonality" else args.grid * size
-        if work > CANTOR_WORK_BUDGET:
-            raise TooLargeError(
-                f"cantor --level {args.level} --check {args.check} needs {work} "
-                f"units of work, over the budget of {CANTOR_WORK_BUDGET}"
-            )
+        _check_work(f"cantor --level {args.level} --check {args.check}", work, CANTOR_WORK_BUDGET)
     mu = IFSMeasure(4, (0, 2))
     lam = jp_spectrum(args.level)
     if args.check == "orthogonality":

@@ -27,6 +27,7 @@ __all__ = [
     "AtomicMeasure",
     "IFSMeasure",
     "FrameReport",
+    "cantor4_measure",
     "atomic_transform",
     "IFSTransformValue",
     "IFSTransforms",
@@ -319,10 +320,11 @@ def ifs_transform(mu: IFSMeasure, t, eps: float, symbolic: bool = True) -> IFSTr
     """Truncated infinite-product transform with certified error <= eps.
 
     mu_hat(t) = prod_{k>=1} m_D(t / R^k) with m_D(s) = mean_d e^{2 pi i d s}.
-    With ``symbolic`` (and rational t), an exactly vanishing factor is
-    detected in exact arithmetic and short-circuits to an exact zero.
+    With ``symbolic``, an exactly vanishing factor is detected in exact
+    arithmetic and short-circuits to an exact zero; a float t is taken at
+    its binary value, as in ``ifs_transforms``.
     """
-    values, depths = ifs_transforms(mu, [t], eps, symbolic and not isinstance(t, float))
+    values, depths = ifs_transforms(mu, [t], eps, symbolic)
     return IFSTransformValue(complex(values[0]), int(depths[0]))
 
 

@@ -11,9 +11,8 @@ criterion on l2({0, ..., n-1}).
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,6 +22,7 @@ from .errors import InvalidInputError
 from .exact import RationalPhases, extended_gcd
 from .measures import AtomicMeasure, _unit_roots
 from .sets import FiniteRationalSet, fraction_str
+from .spectral import _check_line_set
 
 __all__ = [
     "FiniteRep",
@@ -83,30 +83,39 @@ def multiplication_representation(mu: AtomicMeasure) -> FiniteRep:
     return FiniteRep(mu.points, np.eye(n, dtype=complex), v0)
 
 
-def _phases(rep: FiniteRep, t) -> np.ndarray:
-    """e^{2 pi i t g_j} for the eigenvalues g_j, phases reduced exactly."""
-    t = Fraction(t)
-    return _unit_roots(RationalPhases(rep.eigenvalues), [t.numerator], t.denominator)[:, 0]
+def _phases(rep: FiniteRep, ts) -> np.ndarray:
+    """e^{2 pi i t g_j} for the eigenvalues g_j (rows) and the times t
+    (columns), phases reduced exactly over one common denominator."""
+    ts = RationalPhases(Fraction(t) for t in ts)
+    return _unit_roots(RationalPhases(rep.eigenvalues), ts.numerators, ts.denominator)
+
+
+def _coefficients(rep: FiniteRep) -> np.ndarray:
+    """c = V* v0, the eigenbasis coordinates of v0: U(t) v0 = V (c e^{2 pi i t g})."""
+    return rep.eigenvectors.conj().T @ rep.v0
+
+
+def _orbit(rep: FiniteRep, S) -> np.ndarray:
+    """The vectors U(gamma) v0 for gamma in S, as columns V (c e^{2 pi i gamma g})."""
+    return rep.eigenvectors @ (_coefficients(rep)[:, None] * _phases(rep, S))
 
 
 def evaluate_group_element(rep: FiniteRep, t) -> np.ndarray:
     """U(t) = V diag(e^{2 pi i t g_j}) V*."""
     V = rep.eigenvectors
-    return (V * _phases(rep, t)) @ V.conj().T
+    return (V * _phases(rep, [t])[:, 0]) @ V.conj().T
 
 
 def correlation(rep: FiniteRep, xi) -> complex:
-    """<v0, U(xi) v0> = sum_j |<col_j, v0>|^2 e^{2 pi i xi g_j}."""
-    amps = np.abs(rep.eigenvectors.conj().T @ rep.v0) ** 2
-    return complex(amps @ _phases(rep, xi))
+    """<v0, U(xi) v0> = sum_j |c_j|^2 e^{2 pi i xi g_j}."""
+    return complex(np.abs(_coefficients(rep)) ** 2 @ _phases(rep, [xi])[:, 0])
 
 
 def measure_from_representation(rep: FiniteRep) -> AtomicMeasure:
     """Measure w(g) = ||P_g v0||^2 on the distinct eigenvalues; repeated
     eigenvalues merge their eigenspace weights."""
-    amps = np.abs(rep.eigenvectors.conj().T @ rep.v0) ** 2
     weights: dict[Fraction, float] = {}
-    for g, a in zip(rep.eigenvalues, amps):
+    for g, a in zip(rep.eigenvalues, np.abs(_coefficients(rep)) ** 2):
         weights[g] = weights.get(g, 0.0) + float(a)
     total = math.fsum(weights.values())
     points = [g for g, w in weights.items() if w > 0.0]
@@ -122,20 +131,12 @@ class WanderingReport:
     spans_space: bool
 
     def to_json(self) -> dict:
-        return {
-            "is_orthonormal_family": self.is_orthonormal_family,
-            "max_offdiagonal": self.max_offdiagonal,
-            "min_norm": self.min_norm,
-            "max_norm": self.max_norm,
-            "spans_space": self.spans_space,
-        }
+        return asdict(self)
 
 
 def is_wandering(rep: FiniteRep, S: FiniteRationalSet, tol: float = 1e-10) -> WanderingReport:
     """Gram-matrix report on the orbit {U(gamma) v0 : gamma in S}."""
-    vectors = np.column_stack(
-        [evaluate_group_element(rep, g) @ rep.v0 for g in S]
-    )
+    vectors = _orbit(rep, S)
     G = vectors.conj().T @ vectors
     norms = np.sqrt(np.abs(np.diag(G)))
     off = G - np.diag(np.diag(G))
@@ -155,15 +156,8 @@ def generator_shift(n: int, p: int, q: int) -> int:
     """Shift amount s of the generator U(1/q) on l2({0, ..., n-1}):
     s = (l - k) mod n where k p + l q = 1.  Well-defined because n divides
     p + q."""
-    if n < 3:
-        raise InvalidInputError("n must be at least 3")
-    if q < 1:
-        raise InvalidInputError("q must be positive")
-    g, k, l = extended_gcd(p, q)
-    if g != 1:
-        raise InvalidInputError("p/q must be in reduced form")
-    if (p + q) % n != 0:
-        raise InvalidInputError("(p + q) must be divisible by n")
+    _check_line_set(n, p, q)
+    _, k, l = extended_gcd(p, q)
     return (l - k) % n
 
 def shift_for_time(n: int, p: int, q: int, j: int) -> int:
@@ -177,14 +171,12 @@ def permutation_representation(n: int, p: int, q: int) -> FiniteRep:
     U(1/q) delta_i = delta_{(i+s) mod n} with s = (l - k) mod n; then
     U(1) shifts by +1 and U(p/q) by -1 (exact integer identities:
     q s = 1 - k(p+q), p s = l(p+q) - 1).  Eigenvectors are the Fourier
-    basis f_m[i] = omega^{m i}/sqrt(n); the spectral point of f_m is
-    (-m s mod n) * q / n, placed in [0, q).
+    basis f_m[i] = e^{2 pi i m i / n}/sqrt(n), each phase m i reduced mod n
+    exactly; the spectral point of f_m is (-m s mod n) * q / n, placed in
+    [0, q).
     """
     s = generator_shift(n, p, q)
-    omega = 2 * math.pi / n
-    V = np.array(
-        [[cmath.exp(1j * omega * m * i) / math.sqrt(n) for m in range(n)] for i in range(n)]
-    )
+    V = _unit_roots(RationalPhases(range(n)), range(n), n) / math.sqrt(n)
     eigenvalues = [Fraction(((-m * s) % n) * q, n) for m in range(n)]
     v0 = np.zeros(n, dtype=complex)
     v0[0] = 1.0

@@ -80,8 +80,9 @@ class SpectralDecision:
         return out
 
 
-def construct_line_spectrum(n: int, p: int, q: int) -> FiniteRationalSet:
-    """Witness spectrum {0, q/n, ..., (n-1) q/n} for {0, ..., n-2, p/q}."""
+def _check_line_set(n: int, p: int, q: int) -> None:
+    """Preconditions of the line-set constructions for {0, ..., n-2, p/q}:
+    the spectral case of the criterion, with p/q in reduced form."""
     if n < 3:
         raise InvalidInputError("n must be at least 3")
     if q < 1:
@@ -90,6 +91,11 @@ def construct_line_spectrum(n: int, p: int, q: int) -> FiniteRationalSet:
         raise InvalidInputError("p/q must be in reduced form")
     if (p + q) % n != 0:
         raise InvalidInputError("(p + q) must be divisible by n")
+
+
+def construct_line_spectrum(n: int, p: int, q: int) -> FiniteRationalSet:
+    """Witness spectrum {0, q/n, ..., (n-1) q/n} for {0, ..., n-2, p/q}."""
+    _check_line_set(n, p, q)
     # Implied by the preconditions: a common prime of q and n would divide p.
     assert math.gcd(q, n) == 1
     return FiniteRationalSet(Fraction(j * q, n) for j in range(n))
@@ -148,7 +154,6 @@ def search_spectrum(
             Fraction(p, q)
             for q in range(1, q_max + 1)
             for p in range(1, math.ceil(span * q))
-            if Fraction(p, q) < span
         }
     )
     viable = [b for b in candidates if sum_vanishes(b)]

@@ -4,6 +4,7 @@ The golden files pin the full JSON payload of every subcommand; repeated
 runs must be byte-identical.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ import sys
 
 import pytest
 
-from spectrapairs import cli, measures
+import spectrapairs
+from spectrapairs import cli, measures, representation
 from spectrapairs.cli import run
 
 HERE = os.path.dirname(__file__)
@@ -165,6 +167,57 @@ assert "numpy" not in sys.modules, "numpy was imported"
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_lazy_exports_are_the_public_names_of_the_numpy_layers():
+    assert set(spectrapairs._LAZY) == set(measures.__all__) | set(representation.__all__)
+    for name, module in spectrapairs._LAZY.items():
+        assert name in dir(spectrapairs)
+        value = getattr(importlib.import_module(f"spectrapairs.{module}"), name)
+        assert getattr(spectrapairs, name) is value
+
+
+def test_arrow_close_over_work_budget_is_too_large(monkeypatch):
+    # |A|^3 C(budget + k, k) is checked before the session is seeded; a small
+    # declared budget stands in for a large --budget.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("new_session called over budget")
+
+    argv = ["arrow-close", "--set", data("set_012.json"), "--moves", "1,-1,2,-2", "--budget"]
+    monkeypatch.setattr(cli, "ARROW_CLOSE_WORK_BUDGET", 27 * 35)  # |A| = 3, k = 4, budget 3
+    monkeypatch.setattr(cli, "new_session", unreachable)
+    code, result = run(argv + ["4"])  # 27 * C(8, 4) = 1890
+    assert code == 1
+    assert (result["status"], result["reason"]) == ("too_large", "too_large")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "ARROW_CLOSE_WORK_BUDGET", 27 * 35)
+    assert run(argv + ["3"]) == run(CASES["arrow_close"])
+    # Repeated moves and the move 0 add nothing to k.
+    assert run(argv[:-2] + ["1,-1,2,-2,2,0", "--budget", "3"])[0] == 0
+    monkeypatch.undo()
+    code, result = run(argv + ["100000"])
+    assert (code, result["reason"]) == (1, "too_large")
+
+
+def test_perm_rep_over_work_budget_is_too_large(monkeypatch):
+    # The n x n matrix is counted before it is built.
+    def unreachable(n, p, q):
+        raise AssertionError("permutation_representation called over budget")
+
+    monkeypatch.setattr(cli, "PERM_REP_WORK_BUDGET", 15)
+    monkeypatch.setattr(representation, "permutation_representation", unreachable)
+    code, result = run(["perm-rep", "--n", "4", "--p", "3", "--q", "1"])  # 16 entries
+    assert code == 1
+    assert (result["status"], result["reason"]) == ("too_large", "too_large")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "PERM_REP_WORK_BUDGET", 16)
+    assert run(["perm-rep", "--n", "4", "--p", "3", "--q", "1"])[0] == 0
+    monkeypatch.undo()
+    code, result = run(["perm-rep", "--n", "20000", "--p", "19999", "--q", "1"])
+    assert (code, result["reason"]) == (1, "too_large")
+    # Preconditions are checked first.
+    code, result = run(["perm-rep", "--n", "20000", "--p", "2", "--q", "1"])
+    assert (code, result["reason"]) == (1, "invalid_input")
 
 
 def test_cantor_over_work_budget_is_too_large(monkeypatch):

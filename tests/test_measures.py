@@ -70,6 +70,17 @@ class TestIFSTransform:
         with pytest.raises(InvalidInputError):
             ifs_transform(cantor4_measure(), 1, 0.0)
 
+    def test_float_argument_is_its_binary_value(self):
+        # A float t is the rational at its binary value in ifs_transform as
+        # in ifs_transforms: 1.0 gives the exact zero that 1 gives.
+        mu = cantor4_measure()
+        assert ifs_transform(mu, 1.0, 1e-12) == ifs_transform(mu, 1, 1e-12) == (0j, 1)
+        for t in (1.0, 4.0, 0.5, 2.25, -3.0):
+            single = ifs_transform(mu, t, 1e-12)
+            assert single == ifs_transform(mu, Fraction(t), 1e-12)
+            batch = ifs_transforms(mu, [t], 1e-12)
+            assert (batch.values[0], batch.depths[0]) == single
+
     def test_symbolic_matches_float(self):
         mu = cantor4_measure()
         # Where no factor vanishes, symbolic and plain float evaluation

@@ -1,6 +1,7 @@
 """Finite-dimensional representations, wandering vectors, and the
 measure round trip."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from spectrapairs import (
     permutation_representation,
     shift_for_time,
 )
+from spectrapairs.representation import _orbit
 
 
 def uniform(*points):
@@ -154,6 +156,61 @@ class TestIsWandering:
         assert is_spectral_pair(S, support)
 
 
+def random_unitary(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+
+class TestBatchedOrbit:
+    """The orbit of v0 over all of S at once against the per-gamma
+    U(gamma) v0 through evaluate_group_element."""
+
+    MIXED = FiniteRationalSet(
+        [0, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7), 3, Fraction(11, 12), Fraction(-7, 4)]
+    )
+
+    def assert_orbit_matches(self, rep, S):
+        batched = _orbit(rep, S)
+        assert batched.shape == (rep.dim, len(S))
+        for j, g in enumerate(S):
+            reference = evaluate_group_element(rep, g) @ rep.v0
+            assert np.max(np.abs(batched[:, j] - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("n,p,q", [(3, 2, 1), (4, 3, 1), (5, 1, 4), (6, 5, 7), (12, 7, 5)])
+    def test_permutation_representations(self, n, p, q):
+        rep = permutation_representation(n, p, q)
+        S = FiniteRationalSet(Fraction(j, q) for j in range(-n, 2 * n))
+        self.assert_orbit_matches(rep, S)
+        self.assert_orbit_matches(rep, self.MIXED)
+
+    def test_random_unitary_with_repeated_eigenvalue(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 5, 9):
+            eigenvalues = [Fraction(k * k % 11, 6) for k in range(n - 1)]
+            eigenvalues.append(eigenvalues[0])  # a repeated eigenvalue
+            v0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+            rep = FiniteRep(eigenvalues, random_unitary(rng, n), v0 / np.linalg.norm(v0))
+            self.assert_orbit_matches(rep, self.MIXED)
+
+    def test_report_matches_per_element_gram(self):
+        rng = np.random.default_rng(8)
+        v0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rep = FiniteRep(
+            [0, Fraction(1, 3), Fraction(1, 3), Fraction(-2, 5)],
+            random_unitary(rng, 4),
+            v0 / np.linalg.norm(v0),
+        )
+        S = FiniteRationalSet([0, Fraction(1, 2), Fraction(5, 3), Fraction(-9, 10)])
+        vectors = np.column_stack([evaluate_group_element(rep, g) @ rep.v0 for g in S])
+        G = vectors.conj().T @ vectors
+        report = is_wandering(rep, S)
+        norms = np.sqrt(np.abs(np.diag(G)))
+        assert report.max_offdiagonal == pytest.approx(
+            np.max(np.abs(G - np.diag(np.diag(G)))), abs=1e-12
+        )
+        assert report.min_norm == pytest.approx(norms.min(), abs=1e-12)
+        assert report.max_norm == pytest.approx(norms.max(), abs=1e-12)
+
+
 class TestPermutationRepresentation:
     @pytest.mark.parametrize("n,p,q", [(3, 2, 1), (3, 1, 2), (4, 3, 1)])
     def test_shift_identities_examples(self, n, p, q):
@@ -179,6 +236,18 @@ class TestPermutationRepresentation:
         mu = measure_from_representation(rep)
         A = FiniteRationalSet(list(range(n - 1)) + [Fraction(p, q)])
         assert is_spectral_pair(A, FiniteRationalSet(mu.points))
+
+    def test_fourier_basis_matches_float_phase_reference(self):
+        for n in range(3, 65):
+            V = permutation_representation(n, n - 1, 1).eigenvectors
+            reference = np.array(
+                [[cmath.exp(2j * math.pi * m * i / n) for m in range(n)] for i in range(n)]
+            )
+            assert np.max(np.abs(V - reference / math.sqrt(n))) <= 1e-12, n
+
+    def test_fourier_basis_is_unitary_to_rounding_at_n_1024(self):
+        V = permutation_representation(1024, 1023, 1).eigenvectors
+        assert np.max(np.abs(V.conj().T @ V - np.eye(1024))) <= 1e-14
 
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):
