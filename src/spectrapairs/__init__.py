@@ -8,7 +8,6 @@ from .exact import (
     cyclotomic_polynomial,
     evaluate_cyc,
     extended_gcd,
-    reduce_rational,
     root_sum_is_zero,
 )
 from .sets import FiniteRationalSet, Irrational, fraction_str, parse_fraction

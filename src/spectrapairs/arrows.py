@@ -116,12 +116,14 @@ def _mask(indices: Iterable[int]) -> int:
 class Session:
     """Single-owner mutable deduction state over a fixed ground set.
 
-    The store keys each fact by its source and move.  Sources and targets
-    are int bitmasks over the element indices.  A move c0 + c1*alpha is the
-    integer pair (c0*D, c1*D), where D is a common denominator of the
-    elements and the generating moves; since D > 0, the pairs sort as
-    ``Affine._key`` does.  ``facts`` and ``trace`` are built from the store
-    when read.
+    Sources and targets are int bitmasks over the element indices.  A move
+    c0 + c1*alpha is the integer pair (c0*D, c1*D), where D is a common
+    denominator of the elements and the generating moves; since D > 0, the
+    pairs sort as ``Affine._key`` does.  Each pair is interned once as a
+    small int id in the move table, so refining D rescales the table and
+    nothing else.  The store keys each fact by its source and move id, and
+    a per-source ``{move id: target}`` index is kept in step with it.
+    ``facts`` and ``trace`` are built from the store when read.
     """
 
     def __init__(
@@ -139,10 +141,15 @@ class Session:
         for value in (*self.elements, *moves):
             self._den = lcm(self._den, value.const.denominator, value.sym.denominator)
         self._full = (1 << len(self.elements)) - 1
-        # Minimal known target per (source, move), in insertion order.
-        self._facts: dict[tuple[int, tuple[int, int]], int] = {}
-        # (rule, source, move, target, parents), each parent a (source,
-        # move, target) triple of the store.
+        # Move table: id -> (c0*D, c1*D), and its inverse.
+        self._pairs: list[tuple[int, int]] = []
+        self._ids: dict[tuple[int, int], int] = {}
+        # Minimal known target per (source, move id), in insertion order,
+        # and the same facts grouped by source.
+        self._facts: dict[tuple[int, int], int] = {}
+        self._by_source: dict[int, dict[int, int]] = {}
+        # (rule, source, move id, target, parents), each parent a (source,
+        # move id, target) triple of the store.
         self._trace: list[tuple] = []
 
     @property
@@ -174,12 +181,13 @@ class Session:
             for rule, s, m, t, parents in self._trace
         ]
 
-    def _affine(self, pair: tuple[int, int]) -> Affine:
-        return Affine(Fraction(pair[0], self._den), Fraction(pair[1], self._den))
+    def _affine(self, move_id: int) -> Affine:
+        c0, c1 = self._pairs[move_id]
+        return Affine(Fraction(c0, self._den), Fraction(c1, self._den))
 
     def _names(self):
-        """str of the Affine of a move pair, memoized for one formatting pass."""
-        return cache(lambda pair: str(self._affine(pair)))
+        """str of the Affine of a move id, memoized for one formatting pass."""
+        return cache(lambda move_id: str(self._affine(move_id)))
 
     def _pair(self, move: Affine) -> Optional[tuple[int, int]]:
         """The move as (c0*D, c1*D); None when it is not on that grid."""
@@ -188,24 +196,34 @@ class Session:
             return c0.numerator, c1.numerator
         return None
 
+    def _intern(self, pair: tuple[int, int]) -> int:
+        """The id of a move pair, the next free one if the pair is new."""
+        move_id = self._ids.get(pair)
+        if move_id is None:
+            move_id = self._ids[pair] = len(self._pairs)
+            self._pairs.append(pair)
+        return move_id
+
+    def _lookup(self, move) -> Optional[int]:
+        """The id of a move; None, and no new id, when it has none yet."""
+        return self._ids.get(self._pair(_coerce(move)))
+
     def _widen(self, move: Affine) -> None:
-        """Refine D until the move is on the grid, rescaling stored moves."""
+        """Refine D until the move is on the grid, rescaling the move table."""
         k = lcm(self._den, move.const.denominator, move.sym.denominator) // self._den
         if k == 1:
             return
-
-        def scale(m):
-            return m[0] * k, m[1] * k
-
         self._den *= k
-        self._facts = {(s, scale(m)): t for (s, m), t in self._facts.items()}
-        self._trace = [
-            (rule, s, scale(m), t, tuple((ps, scale(pm), pt) for ps, pm, pt in parents))
-            for rule, s, m, t, parents in self._trace
-        ]
+        self._pairs = [(c0 * k, c1 * k) for c0, c1 in self._pairs]
+        self._ids = {pair: move_id for move_id, pair in enumerate(self._pairs)}
 
-    def _sorted_facts(self) -> list[tuple[list[int], tuple[int, int], list[int]]]:
-        return sorted((_bits(s), m, _bits(t)) for (s, m), t in self._facts.items())
+    def _sorted_facts(self) -> list[tuple[list[int], int, list[int]]]:
+        """(source, move id, target) per fact, sorted by source, then move."""
+        pairs = self._pairs
+        return sorted(
+            ((_bits(s), m, _bits(t)) for (s, m), t in self._facts.items()),
+            key=lambda fact: (fact[0], pairs[fact[1]]),
+        )
 
     def fact_list(self) -> list[ArrowFact]:
         affine = cache(self._affine)
@@ -216,7 +234,7 @@ class Session:
 
     def has_fact(self, source: Iterable[int], move, target: Iterable[int]) -> bool:
         """True when the stored fact for (source, move) implies the given one."""
-        known = self._facts.get((_mask(source), self._pair(_coerce(move))))
+        known = self._facts.get((_mask(source), self._lookup(move)))
         return known is not None and known & ~_mask(target) == 0
 
     def add_fact(
@@ -236,15 +254,19 @@ class Session:
         move = _coerce(move)
         for m in (move, *(m for _, m, _ in parents)):
             self._widen(m)
+
+        def intern(m):
+            return self._intern(self._pair(m))
+
         return self._add(
             rule,
             _mask(source),
-            self._pair(move),
+            intern(move),
             _mask(target),
-            tuple((_mask(s), self._pair(m), _mask(t)) for s, m, t in parents),
+            tuple((_mask(s), intern(m), _mask(t)) for s, m, t in parents),
         )
 
-    def _add(self, rule: str, s: int, m: tuple[int, int], t: int, parents=()) -> bool:
+    def _add(self, rule: str, s: int, m: int, t: int, parents=()) -> bool:
         """``add_fact`` on the store's own types, for a nonempty s and t."""
         key = (s, m)
         known = self._facts.get(key)
@@ -261,6 +283,7 @@ class Session:
                 trace=self.trace,
             )
         self._facts[key] = t
+        self._by_source.setdefault(s, {})[m] = t
         return True
 
     def to_json(self) -> dict:
@@ -295,17 +318,19 @@ def new_session(
         raise InvalidInputError("round budget must be at least 1")
     session = Session(elements, move_set, round_budget)
     points = [session._pair(e) for e in elements]
+    zero = session._intern((0, 0))
     for i, (a0, a1) in enumerate(points):
-        session._add("base", 1 << i, (0, 0), 1 << i)
+        session._add("base", 1 << i, zero, 1 << i)
         for j, (b0, b1) in enumerate(points):
             if i != j:
-                session._add("base", 1 << i, (b0 - a0, b1 - a1), 1 << j)
+                session._add("base", 1 << i, session._intern((b0 - a0, b1 - a1)), 1 << j)
     return session
 
 
 def _allowed_moves(session: Session) -> set[tuple[int, int]]:
-    """Closure of the generating moves under addition, up to round_budget
-    summands; caps which compositions R3 may produce."""
+    """Closure of the generating moves under addition, up to
+    round_budget + 1 summands (one from the start, one more per pass);
+    caps which compositions R3 may produce."""
     base = {session._pair(m) for m in session.moves} | {(0, 0)}
     current = set(base)
     for _ in range(session.round_budget):
@@ -324,30 +349,46 @@ def close(session: Session) -> Session:
     snapshot.  A pair of unchanged facts fired on the same inputs a round
     earlier, and targets only shrink, so it could record nothing now.  The
     facts, ``rounds_used`` and the trace are those of joining every pair.
+
+    R3 looks up m + m2 once per pair of move ids, and before it derives
+    anything it checks the live per-source index for a stored fact that
+    already implies the result, which most compositions are.
     """
     allowed = _allowed_moves(session)
     facts = session._facts
+    store = session._by_source
+    pairs = session._pairs
     full = session._full
     singletons = [1 << i for i in range(len(session.elements))]
-    generators = {session._pair(m) for m in session.moves}
+    generators = {session._intern(session._pair(m)) for m in session.moves}
     covered: set = set()  # moves whose trivial facts are all present
     delta: set = set()  # keys added or shrunk since the last snapshot
+    # sums[m][m2]: the id of m + m2, or -1 when R3 may not compose it.
+    sums: dict[int, dict[int, int]] = {}
+
+    def total(m: int, m2: int) -> int:
+        (a0, a1), (b0, b1) = pairs[m], pairs[m2]
+        pair = (a0 + b0, a1 + b1)
+        return session._intern(pair) if pair in allowed else -1
+
+    def record(rule, s, m, t, parents=()) -> bool:
+        if session._add(rule, s, m, t, parents):
+            delta.add((s, m))
+            return True
+        return False
 
     def derive(rule, s, m, t, parents=()) -> bool:
         known = facts.get((s, m))
         if known is not None and known & t == known:
             return False  # what _add would return, skipping the call
-        if session._add(rule, s, m, t, parents):
-            delta.add((s, m))
-            return True
-        return False
+        return record(rule, s, m, t, parents)
 
     for round_index in range(session.round_budget):
         changed = False
         # Trivial facts: every singleton maps into the whole space at every
         # move currently in play.  R2 cancels known images out of these.
         in_play = {m for _, m in facts} | generators
-        for m in sorted(in_play - covered):
+        for m in sorted(in_play - covered, key=pairs.__getitem__):
             for i in singletons:
                 if (i, m) not in facts:
                     changed |= derive("trivial", i, m, full)
@@ -357,15 +398,19 @@ def close(session: Session) -> Session:
         fresh = delta if round_index else facts.keys()
         delta = set()
         # R2 partners (dimension-preserving facts) by move and R3 partners
-        # by source, in snapshot order: from every fact, and from the fresh
-        # ones only, which is all an unchanged fact needs.
-        every: tuple[dict, dict] = ({}, {})
+        # by source, in snapshot order: from every fact (for R3, a copy of
+        # the per-source index), and from the fresh ones only, which is all
+        # an unchanged fact needs (in the first round every fact is fresh).
+        every: tuple[dict, dict] = ({}, {s: row.copy() for s, row in store.items()})
         recent: tuple[dict, dict] = ({}, {})
         for (s, m), t in snapshot:
-            for by_move, by_source in (every, recent) if (s, m) in fresh else (every,):
-                if s.bit_count() == t.bit_count():
-                    by_move.setdefault(m, []).append((s, t))
-                by_source.setdefault(s, []).append((m, t))
+            square = s.bit_count() == t.bit_count()
+            if square:
+                every[0].setdefault(m, []).append((s, t))
+            if round_index and (s, m) in fresh:
+                if square:
+                    recent[0].setdefault(m, []).append((s, t))
+                recent[1].setdefault(s, {})[m] = t
 
         for (s, m), t in snapshot:
             is_fresh = (s, m) in fresh
@@ -379,11 +424,18 @@ def close(session: Session) -> Session:
                 if not s2 & s and c & t == c and c != t:
                     changed |= derive("R2", s, m, t ^ c, ((s, m, t), (s2, m, c)))
             # R3 composition (first fact must be dimension-preserving).
-            if square:
-                for m2, r in by_source.get(t, ()):
-                    total = (m[0] + m2[0], m[1] + m2[1])
-                    if total in allowed:
-                        changed |= derive("R3", s, total, r, ((s, m, t), (t, m2, r)))
+            if square and t in by_source:
+                known_for_s = store[s]
+                row = sums.setdefault(m, {})
+                for m2, r in by_source[t].items():
+                    m3 = row.get(m2)
+                    if m3 is None:
+                        m3 = row[m2] = total(m, m2)
+                    if m3 < 0:
+                        continue
+                    known = known_for_s.get(m3)
+                    if known is None or known & r != known:
+                        changed |= record("R3", s, m3, r, ((s, m, t), (t, m2, r)))
         session.rounds_used = round_index + 1
         if not changed:
             break
@@ -406,10 +458,10 @@ def extract_permutation(session: Session, move) -> Optional[PermutationAction]:
     if not session.closed:
         raise InvalidInputError("session must be closed first")
     move = _coerce(move)
-    pair = session._pair(move)
+    move_id = session._lookup(move)
     images = []
     for i in range(len(session.elements)):
-        t = session._facts.get((1 << i, pair))
+        t = session._facts.get((1 << i, move_id))
         if t is None or t.bit_count() != 1:
             return None
         images.append(t.bit_length() - 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -27,9 +28,9 @@ __all__ = ["run", "main"]
 # MB.  ``cantor``: Gram entries or transforms of the completeness sweep.
 CANTOR_WORK_BUDGET = 2**20
 # ``arrow-close``: |A|^3, the R2 pairs of a round over the |A|^2 base facts,
-# times C(budget + k, k), the number of multisets of at most --budget of
-# the k moves, which bounds the moves R3 may compose.
-ARROW_CLOSE_WORK_BUDGET = 2**22
+# times C(budget + 1 + k, k), the number of multisets of at most
+# --budget + 1 of the k moves, which bounds the moves R3 may compose.
+ARROW_CLOSE_WORK_BUDGET = 2**23
 # ``perm-rep``: entries of the n x n eigenvector matrix (whose unitarity
 # check is an n^3 product).
 PERM_REP_WORK_BUDGET = 2**20
@@ -71,7 +72,7 @@ def _cmd_arrow_close(args) -> dict:
     A = load_set(args.set)
     moves = [parse_fraction(m) for m in args.moves.split(",") if m.strip()]
     k = len(set(moves) - {0})
-    work = len(A) ** 3 * math.comb(max(args.budget, 0) + k, k)
+    work = len(A) ** 3 * math.comb(max(args.budget, 0) + 1 + k, k)
     _check_work(f"arrow-close --budget {args.budget}", work, ARROW_CLOSE_WORK_BUDGET)
     session = close(new_session(A, moves, round_budget=args.budget))
     return session.to_json()
@@ -284,7 +285,12 @@ def run(argv) -> tuple[int, dict]:
 
 def main(argv=None) -> int:
     code, result = run(sys.argv[1:] if argv is None else argv)
-    print(json.dumps(result))
+    try:
+        print(json.dumps(result), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so that the
+        # flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

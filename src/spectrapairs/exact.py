@@ -1,4 +1,4 @@
-"""Exact arithmetic: reduced rationals, cyclotomic polynomials, and a
+"""Exact arithmetic: extended gcd, cyclotomic polynomials, and a
 certified zero-test for integer combinations of roots of unity.
 
 The central primitive is ``root_sum_is_zero``: a sum sum_e c_e zeta_N^e of
@@ -22,7 +22,6 @@ from typing import Iterable, Mapping
 from .errors import InvalidInputError
 
 __all__ = [
-    "reduce_rational",
     "extended_gcd",
     "cyclotomic_polynomial",
     "CycSum",
@@ -30,13 +29,6 @@ __all__ = [
     "RationalPhases",
     "evaluate_cyc",
 ]
-
-
-def reduce_rational(p: int, q: int) -> Fraction:
-    """Return p/q as a reduced fraction with positive denominator."""
-    if q == 0:
-        raise InvalidInputError("zero denominator")
-    return Fraction(p, q)
 
 
 def extended_gcd(p: int, q: int) -> tuple[int, int, int]:

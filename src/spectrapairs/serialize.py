@@ -15,7 +15,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "load_set",
-    "dump_set",
     "load_measure",
     "set_from_json",
     "measure_from_json",
@@ -31,11 +30,6 @@ def set_from_json(data) -> FiniteRationalSet:
 def load_set(path: str) -> FiniteRationalSet:
     with open(path) as fh:
         return set_from_json(json.load(fh))
-
-
-def dump_set(A: FiniteRationalSet, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(A.to_strings(), fh)
 
 
 def measure_from_json(data) -> Union[AtomicMeasure, IFSMeasure]:

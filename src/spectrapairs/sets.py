@@ -20,7 +20,6 @@ __all__ = [
     "Irrational",
     "ElementInput",
     "parse_fraction",
-    "parse_element",
     "fraction_str",
     "scale_translate",
 ]
@@ -48,10 +47,6 @@ class Irrational:
 
 
 ElementInput = Union[Fraction, Irrational]
-
-
-def parse_element(text: str) -> ElementInput:
-    return parse_fraction(text)
 
 
 class FiniteRationalSet:

@@ -211,6 +211,17 @@ class TestSerialization:
         assert s.elements[2] == symbol()
 
 
+def _assert_index_matches_store(session):
+    # The per-source index holds exactly the store's facts, each source's
+    # moves in the store's order.
+    regrouped = {}
+    for (s, m), t in session._facts.items():
+        regrouped.setdefault(s, {})[m] = t
+    assert {s: list(row.items()) for s, row in session._by_source.items()} == {
+        s: list(row.items()) for s, row in regrouped.items()
+    }
+
+
 def _outcome(engine, ground, moves, budget, seeds=()):
     """What ``close`` yields: the payload and trace, or the error's message
     and trace."""
@@ -221,6 +232,9 @@ def _outcome(engine, ground, moves, budget, seeds=()):
         closed = engine.close(session)
     except InconsistencyError as exc:
         return "inconsistent", str(exc), exc.trace
+    finally:
+        if engine is arrows:
+            _assert_index_matches_store(session)
     return "closed", closed.to_json(), closed.trace, closed.facts
 
 
@@ -271,6 +285,56 @@ class TestAgainstNaiveEngine:
         # A seeded move of 1/7 refines the common denominator of {0, 1, 2}.
         seeds = [({0}, Affine(Fraction(1, 7)), {1, 2}), ({1}, Affine(Fraction(-1, 7)), {0, 2})]
         assert _assert_matches_naive_engine([Fraction(k) for k in range(3)], 4, seeds) == "closed"
+
+
+class TestMoveTable:
+    """Moves are interned as ids in a per-session table; reading a move the
+    session has never seen must not add one."""
+
+    UNSEEN = (Affine(Fraction(7)), Affine(Fraction(1, 7)), Affine(Fraction(0), Fraction(9)))
+
+    def test_unseen_moves_read_as_absent_and_add_no_id(self):
+        s = close(three_point_session(budget=3))
+        before = (s.to_json(), s.trace, list(s._pairs))
+        naive = naive_arrows.close(
+            naive_arrows.new_session(s.elements, s.moves, round_budget=3)
+        )
+        for move in self.UNSEEN:
+            assert not s.has_fact({0}, move, {0, 1, 2})
+            assert not naive.has_fact({0}, move, {0, 1, 2})
+            assert extract_permutation(s, move) is None
+            assert (frozenset({0}), move) not in s.facts
+            assert (s.to_json(), s.trace, list(s._pairs)) == before
+
+    def test_off_grid_fact_after_close_matches_naive_engine(self):
+        # 1/7 refines the common denominator of {0, 1, 2} after closing, in
+        # the fact's move and in a parent's; the second fact shrinks the
+        # first's target (R4).
+        ground = [Fraction(k) for k in range(3)]
+        moves = [b - a for a in ground for b in ground if a != b]
+        seventh = Affine(Fraction(1, 7))
+        outcomes = []
+        for engine in (arrows, naive_arrows):
+            s = engine.close(engine.new_session(ground, moves, round_budget=3))
+            grew = [
+                s.add_fact(frozenset({0}), seventh, frozenset({1, 2}), parents=[([1], "-1/7", [0])]),
+                s.add_fact(frozenset({0}), seventh, frozenset({0, 2})),
+                s.add_fact(frozenset({0}), seventh, frozenset({0, 2})),
+            ]
+            # Copies: the naive session's trace and facts are live.
+            outcomes.append((grew, s.to_json(), list(s.trace), dict(s.facts)))
+            s = engine.close(s)
+            outcomes.append((s.to_json(), list(s.trace), dict(s.facts)))
+        assert outcomes[0] == outcomes[2]
+        assert outcomes[1] == outcomes[3]
+        assert outcomes[0][0] == [True, True, False]
+
+
+def test_compositions_are_capped_at_budget_plus_one_summands():
+    # The generators themselves are one summand and each pass adds one.
+    for budget, top in ((1, 2), (3, 4)):
+        session = new_session([0, 1, 2], [1], round_budget=budget)
+        assert arrows._allowed_moves(session) == {(k, 0) for k in range(top + 1)}
 
 
 def test_saturation_does_no_affine_arithmetic_or_formatting(monkeypatch):

@@ -117,6 +117,30 @@ def test_exit_codes_via_subprocess():
     assert usage.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["perm-rep", "--n", "4", "--p", "3", "--q", "1"], 0),
+        (["decide-line-set", "--n", "2", "--a", "5/1"], 1),
+    ],
+)
+def test_closed_stdout_exits_with_the_commands_code_and_no_traceback(argv, code):
+    # The read end is closed before the interpreter has started, so the
+    # one write to stdout meets a broken pipe.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spectrapairs.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == code
+    assert stderr == ""
+
+
 def test_missing_file_is_domain_error():
     code, result = run(["check-pair", "--set-a", "/nonexistent.json", "--set-b", "/nonexistent.json"])
     assert code == 1
@@ -178,19 +202,19 @@ def test_lazy_exports_are_the_public_names_of_the_numpy_layers():
 
 
 def test_arrow_close_over_work_budget_is_too_large(monkeypatch):
-    # |A|^3 C(budget + k, k) is checked before the session is seeded; a small
-    # declared budget stands in for a large --budget.
+    # |A|^3 C(budget + 1 + k, k) is checked before the session is seeded; a
+    # small declared budget stands in for a large --budget.
     def unreachable(*args, **kwargs):
         raise AssertionError("new_session called over budget")
 
     argv = ["arrow-close", "--set", data("set_012.json"), "--moves", "1,-1,2,-2", "--budget"]
-    monkeypatch.setattr(cli, "ARROW_CLOSE_WORK_BUDGET", 27 * 35)  # |A| = 3, k = 4, budget 3
+    monkeypatch.setattr(cli, "ARROW_CLOSE_WORK_BUDGET", 27 * 70)  # |A| = 3, k = 4, budget 3
     monkeypatch.setattr(cli, "new_session", unreachable)
-    code, result = run(argv + ["4"])  # 27 * C(8, 4) = 1890
+    code, result = run(argv + ["4"])  # 27 * C(9, 4) = 3402
     assert code == 1
     assert (result["status"], result["reason"]) == ("too_large", "too_large")
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "ARROW_CLOSE_WORK_BUDGET", 27 * 35)
+    monkeypatch.setattr(cli, "ARROW_CLOSE_WORK_BUDGET", 27 * 70)
     assert run(argv + ["3"]) == run(CASES["arrow_close"])
     # Repeated moves and the move 0 add nothing to k.
     assert run(argv[:-2] + ["1,-1,2,-2,2,0", "--budget", "3"])[0] == 0

@@ -1,8 +1,7 @@
-"""Exact arithmetic layer: reduced fractions, cyclotomics, zero-test."""
+"""Exact arithmetic layer: extended gcd, cyclotomics, zero-test."""
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -14,29 +13,9 @@ from spectrapairs import (
     cyclotomic_polynomial,
     evaluate_cyc,
     extended_gcd,
-    reduce_rational,
     root_sum_is_zero,
 )
 from spectrapairs.exact import _split_order
-
-
-def test_reduce_rational_examples():
-    assert reduce_rational(4, 6) == Fraction(2, 3)
-    assert reduce_rational(2, 1) == Fraction(2, 1)
-    assert reduce_rational(-3, -6) == Fraction(1, 2)
-
-
-def test_reduce_rational_zero_denominator():
-    with pytest.raises(InvalidInputError):
-        reduce_rational(1, 0)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(lambda q: q != 0))
-def test_reduce_rational_properties(p, q):
-    r = reduce_rational(p, q)
-    assert r.denominator >= 1
-    assert math.gcd(abs(r.numerator), r.denominator) == 1
-    assert r * q == p
 
 
 def test_extended_gcd_examples():
