@@ -7,7 +7,6 @@ from .exact import (
     CycSum,
     cyclotomic_polynomial,
     evaluate_cyc,
-    extended_gcd,
     root_sum_is_zero,
 )
 from .sets import FiniteRationalSet, Irrational, fraction_str, parse_fraction

@@ -33,6 +33,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InconsistencyError, InvalidInputError
+from .exact import rational
 from .sets import FiniteRationalSet, Irrational
 
 __all__ = [
@@ -94,7 +95,7 @@ def _coerce(value) -> Affine:
         return value
     if isinstance(value, Irrational):
         return symbol()
-    return Affine(Fraction(value))
+    return Affine(rational(value))
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,13 @@ class Session:
         self.round_budget = round_budget
         self.closed = False
         self.rounds_used = 0
-        self._den = 1
-        for value in (*self.elements, *moves):
-            self._den = lcm(self._den, value.const.denominator, value.sym.denominator)
         self._full = (1 << len(self.elements)) - 1
         # Move table: id -> (c0*D, c1*D), and its inverse.
+        self._den = 1
         self._pairs: list[tuple[int, int]] = []
         self._ids: dict[tuple[int, int], int] = {}
+        for value in (*self.elements, *moves):
+            self._widen(value)
         # Minimal known target per (source, move id), in insertion order,
         # and the same facts grouped by source.
         self._facts: dict[tuple[int, int], int] = {}
@@ -151,10 +152,6 @@ class Session:
         # (rule, source, move id, target, parents), each parent a (source,
         # move id, target) triple of the store.
         self._trace: list[tuple] = []
-
-    @property
-    def full(self) -> frozenset[int]:
-        return frozenset(range(len(self.elements)))
 
     @property
     def facts(self) -> dict[tuple[frozenset[int], Affine], frozenset[int]]:
@@ -217,21 +214,6 @@ class Session:
         self._pairs = [(c0 * k, c1 * k) for c0, c1 in self._pairs]
         self._ids = {pair: move_id for move_id, pair in enumerate(self._pairs)}
 
-    def _sorted_facts(self) -> list[tuple[list[int], int, list[int]]]:
-        """(source, move id, target) per fact, sorted by source, then move."""
-        pairs = self._pairs
-        return sorted(
-            ((_bits(s), m, _bits(t)) for (s, m), t in self._facts.items()),
-            key=lambda fact: (fact[0], pairs[fact[1]]),
-        )
-
-    def fact_list(self) -> list[ArrowFact]:
-        affine = cache(self._affine)
-        return [
-            ArrowFact(frozenset(s), affine(m), frozenset(t))
-            for s, m, t in self._sorted_facts()
-        ]
-
     def has_fact(self, source: Iterable[int], move, target: Iterable[int]) -> bool:
         """True when the stored fact for (source, move) implies the given one."""
         known = self._facts.get((_mask(source), self._lookup(move)))
@@ -287,15 +269,18 @@ class Session:
         return True
 
     def to_json(self) -> dict:
+        """The session as JSON, its facts sorted by source, then move."""
         name = self._names()
+        pairs = self._pairs
+        facts = sorted(
+            ((_bits(s), m, _bits(t)) for (s, m), t in self._facts.items()),
+            key=lambda fact: (fact[0], pairs[fact[1]]),
+        )
         return {
             "elements": [str(e) for e in self.elements],
             "closed": self.closed,
             "rounds_used": self.rounds_used,
-            "facts": [
-                {"source": s, "move": name(m), "target": t}
-                for s, m, t in self._sorted_facts()
-            ],
+            "facts": [{"source": s, "move": name(m), "target": t} for s, m, t in facts],
         }
 
 

@@ -1,5 +1,6 @@
-"""Exact arithmetic: extended gcd, cyclotomic polynomials, and a
-certified zero-test for integer combinations of roots of unity.
+"""Exact arithmetic: cyclotomic polynomials, a certified zero-test for
+integer combinations of roots of unity, and the common-denominator grid of
+a finite point set.
 
 The central primitive is ``root_sum_is_zero``: a sum sum_e c_e zeta_N^e of
 N-th roots of unity with integer coefficients vanishes exactly when the
@@ -8,7 +9,8 @@ Phi_N over the integers.  The test decides this prime by prime down the
 cyclotomic tower, without building Phi_N; ``cyclotomic_polynomial`` is the
 independent oracle.  Everything downstream that claims an *exact*
 orthogonality certificate bottoms out here, with phases put over a common
-denominator by ``RationalPhases``.
+denominator by ``RationalPhases``.  Every point set takes its rationals
+through ``rational``, so no numpy integer reaches an exact product.
 """
 
 from __future__ import annotations
@@ -22,30 +24,13 @@ from typing import Iterable, Mapping
 from .errors import InvalidInputError
 
 __all__ = [
-    "extended_gcd",
+    "rational",
     "cyclotomic_polynomial",
     "CycSum",
     "root_sum_is_zero",
     "RationalPhases",
     "evaluate_cyc",
 ]
-
-
-def extended_gcd(p: int, q: int) -> tuple[int, int, int]:
-    """Return (g, k, l) with g = gcd(p, q) > 0 and k*p + l*q = g."""
-    if p == 0 and q == 0:
-        raise InvalidInputError("gcd(0, 0) is undefined")
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _divisors(n: int) -> list[int]:
@@ -217,17 +202,28 @@ def root_sum_is_zero(s: CycSum) -> bool:
     return _vanishes(s.order, s.coeffs)
 
 
+def rational(x) -> Fraction:
+    """x as an exact Fraction of Python ints: the one rule by which every
+    point set takes its inputs.  ``Fraction(x)`` alone keeps a numpy
+    integer as it is, and exact products of one wrap around silently."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    if type(x.numerator) is int and type(x.denominator) is int:
+        return x
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
 class RationalPhases:
-    """A finite list of rationals x over one common denominator, for exact
-    exponential sums sum_x e^{2 pi i x t} at rational t."""
+    """A finite list of rationals x as Python-int numerators over one
+    common denominator, for exact exponential sums sum_x e^{2 pi i x t}
+    at rational t.  Python ints are read as they are, every other point
+    through ``rational``."""
 
     __slots__ = ("denominator", "numerators")
 
-    def __init__(self, points: Iterable[Fraction]):
-        points = list(points)
-        D = 1
-        for x in points:
-            D = D * x.denominator // math.gcd(D, x.denominator)
+    def __init__(self, points: Iterable):
+        points = [x if type(x) is int else rational(x) for x in points]
+        D = math.lcm(*(x.denominator for x in points))
         self.denominator = D
         self.numerators = [x.numerator * (D // x.denominator) for x in points]
 

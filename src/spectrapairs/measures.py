@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .exact import RationalPhases, root_sum_is_zero
+from .exact import RationalPhases, rational, root_sum_is_zero
 from .sets import fraction_str
 
 __all__ = [
@@ -42,12 +42,12 @@ __all__ = [
 
 class AtomicMeasure:
     """Finite support of distinct rationals with positive weights summing
-    to one."""
+    to one, and the support's grid over one common denominator."""
 
-    __slots__ = ("points", "weights")
+    __slots__ = ("points", "weights", "phases")
 
     def __init__(self, points: Iterable, weights: Iterable[float]):
-        pairs = sorted(zip((Fraction(p) for p in points), weights))
+        pairs = sorted(zip((rational(p) for p in points), weights))
         pts = tuple(p for p, _ in pairs)
         wts = tuple(float(w) for _, w in pairs)
         if not pts:
@@ -60,6 +60,7 @@ class AtomicMeasure:
             raise InvalidInputError("weights must sum to 1")
         self.points = pts
         self.weights = wts
+        self.phases = RationalPhases(pts)
 
     @classmethod
     def uniform(cls, points: Iterable) -> "AtomicMeasure":
@@ -93,7 +94,7 @@ class IFSMeasure:
     phases: RationalPhases = field(init=False, repr=False, compare=False)
 
     def __init__(self, scale: int, digits: Iterable):
-        digs = tuple(sorted(Fraction(d) for d in digits))
+        digs = tuple(sorted(rational(d) for d in digits))
         if scale < 2:
             raise InvalidInputError("scale must be at least 2")
         if len(digs) < 2 or len(set(digs)) != len(digs):
@@ -156,13 +157,13 @@ def _unit_roots(x: RationalPhases, nums: Sequence[int], den: int) -> np.ndarray:
 
 
 def _atomic_transforms(mu: AtomicMeasure, nums: Sequence[int], den: int) -> np.ndarray:
-    return np.array(mu.weights) @ _unit_roots(RationalPhases(mu.points), nums, den)
+    return np.array(mu.weights) @ _unit_roots(mu.phases, nums, den)
 
 
 def atomic_transform(mu: AtomicMeasure, t) -> complex:
     """mu_hat(t) = sum_b w_b e^{2 pi i b t} (phases exact mod 1 for
     rational t)."""
-    t = Fraction(t)
+    t = rational(t)
     return complex(_atomic_transforms(mu, [t.numerator], t.denominator)[0])
 
 
@@ -312,7 +313,7 @@ def ifs_transforms(mu: IFSMeasure, ts: Iterable, eps: float, symbolic: bool = Tr
     """
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
-    ts = [t if isinstance(t, Fraction) else Fraction(t) for t in ts]
+    ts = [rational(t) for t in ts]
     return _ifs_kernel(mu, [t.numerator for t in ts], [t.denominator for t in ts], eps, symbolic)
 
 
@@ -358,7 +359,7 @@ def gram_matrix(
     conjugate of mu_hat(x), so the transform runs once per distinct
     |lambda_j - lambda_i|.
     """
-    lam = RationalPhases([Fraction(x) for x in Lambda])
+    lam = RationalPhases(Lambda)
     n = len(lam.numerators)
     G = np.eye(n, dtype=complex)
     if n < 2:
@@ -382,10 +383,10 @@ def frame_bounds(mu: AtomicMeasure, Lambda: Sequence) -> FrameReport:
     """
     if not isinstance(mu, AtomicMeasure):
         raise InvalidInputError("frame bounds require an atomic measure")
-    lam = RationalPhases([Fraction(x) for x in Lambda])
+    lam = RationalPhases(Lambda)
     if not lam.numerators:
         return FrameReport(0.0, 0.0)
-    roots = _unit_roots(RationalPhases(mu.points), lam.numerators, lam.denominator)
+    roots = _unit_roots(mu.phases, lam.numerators, lam.denominator)
     E = np.sqrt(np.array(mu.weights))[:, None] * roots
     eigs = np.linalg.eigvalsh(E @ E.conj().T)
     return FrameReport(float(eigs[0]), float(eigs[-1]))
@@ -397,10 +398,10 @@ def completeness_defect(mu: Measure, Lambda: Sequence, t, eps: float = 1e-10) ->
     Equals 1 for all t exactly when {e_lambda} is an orthonormal basis;
     each transform is evaluated to accuracy eps / |Lambda|.
     """
-    lam = RationalPhases([Fraction(x) for x in Lambda])
+    lam = RationalPhases(Lambda)
     if not lam.numerators:
         return 0.0
-    t = Fraction(t)
+    t = rational(t)
     u, v, D = t.numerator, t.denominator, lam.denominator
     # t - lambda over the common denominator v D
     values = _transforms(

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .exact import RationalPhases, extended_gcd
+from .exact import RationalPhases, rational
 from .measures import AtomicMeasure, _unit_roots
 from .sets import FiniteRationalSet, fraction_str
 from .spectral import _check_line_set
@@ -38,16 +38,18 @@ __all__ = [
 ]
 
 _UNITARY_TOL = 1e-12
+# Orthonormality and spanning tolerance of ``is_wandering``.
+_WANDERING_TOL = 1e-10
 
 
 class FiniteRep:
-    """Eigenvalues (rational spectral points), orthonormal eigenvector
-    columns, and a unit vector v0."""
+    """Eigenvalues (rational spectral points) and their grid, orthonormal
+    eigenvector columns, and a unit vector v0."""
 
-    __slots__ = ("eigenvalues", "eigenvectors", "v0")
+    __slots__ = ("eigenvalues", "phases", "eigenvectors", "v0")
 
     def __init__(self, eigenvalues: Sequence, eigenvectors: np.ndarray, v0: np.ndarray):
-        eigs = tuple(Fraction(g) for g in eigenvalues)
+        eigs = tuple(rational(g) for g in eigenvalues)
         V = np.asarray(eigenvectors, dtype=complex)
         v0 = np.asarray(v0, dtype=complex)
         n = len(eigs)
@@ -58,6 +60,7 @@ class FiniteRep:
         if abs(np.linalg.norm(v0) - 1.0) > _UNITARY_TOL:
             raise InvalidInputError("v0 must be a unit vector")
         self.eigenvalues = eigs
+        self.phases = RationalPhases(eigs)
         self.eigenvectors = V
         self.v0 = v0
 
@@ -83,11 +86,10 @@ def multiplication_representation(mu: AtomicMeasure) -> FiniteRep:
     return FiniteRep(mu.points, np.eye(n, dtype=complex), v0)
 
 
-def _phases(rep: FiniteRep, ts) -> np.ndarray:
-    """e^{2 pi i t g_j} for the eigenvalues g_j (rows) and the times t
-    (columns), phases reduced exactly over one common denominator."""
-    ts = RationalPhases(Fraction(t) for t in ts)
-    return _unit_roots(RationalPhases(rep.eigenvalues), ts.numerators, ts.denominator)
+def _phases(rep: FiniteRep, ts: RationalPhases) -> np.ndarray:
+    """e^{2 pi i t g_j} for the eigenvalues g_j (rows) and the times t of a
+    grid (columns), phases reduced exactly over one common denominator."""
+    return _unit_roots(rep.phases, ts.numerators, ts.denominator)
 
 
 def _coefficients(rep: FiniteRep) -> np.ndarray:
@@ -97,18 +99,18 @@ def _coefficients(rep: FiniteRep) -> np.ndarray:
 
 def _orbit(rep: FiniteRep, S) -> np.ndarray:
     """The vectors U(gamma) v0 for gamma in S, as columns V (c e^{2 pi i gamma g})."""
-    return rep.eigenvectors @ (_coefficients(rep)[:, None] * _phases(rep, S))
+    return rep.eigenvectors @ (_coefficients(rep)[:, None] * _phases(rep, S.phases))
 
 
 def evaluate_group_element(rep: FiniteRep, t) -> np.ndarray:
     """U(t) = V diag(e^{2 pi i t g_j}) V*."""
     V = rep.eigenvectors
-    return (V * _phases(rep, [t])[:, 0]) @ V.conj().T
+    return (V * _phases(rep, RationalPhases([t]))[:, 0]) @ V.conj().T
 
 
 def correlation(rep: FiniteRep, xi) -> complex:
     """<v0, U(xi) v0> = sum_j |c_j|^2 e^{2 pi i xi g_j}."""
-    return complex(np.abs(_coefficients(rep)) ** 2 @ _phases(rep, [xi])[:, 0])
+    return complex(np.abs(_coefficients(rep)) ** 2 @ _phases(rep, RationalPhases([xi]))[:, 0])
 
 
 def measure_from_representation(rep: FiniteRep) -> AtomicMeasure:
@@ -134,15 +136,15 @@ class WanderingReport:
         return asdict(self)
 
 
-def is_wandering(rep: FiniteRep, S: FiniteRationalSet, tol: float = 1e-10) -> WanderingReport:
+def is_wandering(rep: FiniteRep, S: FiniteRationalSet) -> WanderingReport:
     """Gram-matrix report on the orbit {U(gamma) v0 : gamma in S}."""
     vectors = _orbit(rep, S)
     G = vectors.conj().T @ vectors
     norms = np.sqrt(np.abs(np.diag(G)))
     off = G - np.diag(np.diag(G))
     max_off = float(np.max(np.abs(off))) if len(S) > 1 else 0.0
-    orthonormal = max_off <= tol and bool(np.all(np.abs(norms - 1.0) <= tol))
-    spans = len(S) == rep.dim and float(np.linalg.svd(vectors, compute_uv=False)[-1]) > tol
+    orthonormal = max_off <= _WANDERING_TOL and bool(np.all(np.abs(norms - 1.0) <= _WANDERING_TOL))
+    spans = len(S) == rep.dim and np.linalg.svd(vectors, compute_uv=False)[-1] > _WANDERING_TOL
     return WanderingReport(
         is_orthonormal_family=orthonormal,
         max_offdiagonal=max_off,
@@ -154,11 +156,10 @@ def is_wandering(rep: FiniteRep, S: FiniteRationalSet, tol: float = 1e-10) -> Wa
 
 def generator_shift(n: int, p: int, q: int) -> int:
     """Shift amount s of the generator U(1/q) on l2({0, ..., n-1}):
-    s = (l - k) mod n where k p + l q = 1.  Well-defined because n divides
-    p + q."""
+    s = q^{-1} mod n, which exists because n divides p + q and p/q is
+    reduced, so q is prime to n."""
     _check_line_set(n, p, q)
-    _, k, l = extended_gcd(p, q)
-    return (l - k) % n
+    return pow(q, -1, n)
 
 def shift_for_time(n: int, p: int, q: int, j: int) -> int:
     """Shift amount of U(j/q) = (cyclic shift)^j, exactly."""
@@ -168,12 +169,11 @@ def shift_for_time(n: int, p: int, q: int, j: int) -> int:
 def permutation_representation(n: int, p: int, q: int) -> FiniteRep:
     """The cyclic-shift representation of (1/q)Z on l2({0, ..., n-1}).
 
-    U(1/q) delta_i = delta_{(i+s) mod n} with s = (l - k) mod n; then
-    U(1) shifts by +1 and U(p/q) by -1 (exact integer identities:
-    q s = 1 - k(p+q), p s = l(p+q) - 1).  Eigenvectors are the Fourier
-    basis f_m[i] = e^{2 pi i m i / n}/sqrt(n), each phase m i reduced mod n
-    exactly; the spectral point of f_m is (-m s mod n) * q / n, placed in
-    [0, q).
+    U(1/q) delta_i = delta_{(i+s) mod n} with s = q^{-1} mod n; then
+    U(1) shifts by q s = +1 and U(p/q) by p s = -1 mod n, as p = -q mod n.
+    Eigenvectors are the Fourier basis f_m[i] = e^{2 pi i m i / n}/sqrt(n),
+    each phase m i reduced mod n exactly; the spectral point of f_m is
+    (-m s mod n) * q / n, placed in [0, q).
     """
     s = generator_shift(n, p, q)
     V = _unit_roots(RationalPhases(range(n)), range(n), n) / math.sqrt(n)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import InvalidInputError
+from .exact import RationalPhases, rational
 
 __all__ = [
     "FiniteRationalSet",
@@ -50,18 +51,20 @@ ElementInput = Union[Fraction, Irrational]
 
 
 class FiniteRationalSet:
-    """Nonempty strictly increasing tuple of distinct rationals."""
+    """Nonempty strictly increasing tuple of distinct rationals, and their
+    grid over one common denominator, built once here."""
 
-    __slots__ = ("elements",)
+    __slots__ = ("elements", "phases")
 
     def __init__(self, elements: Iterable) -> None:
-        elems = sorted(Fraction(e) for e in elements)
+        elems = sorted(rational(e) for e in elements)
         if not elems:
             raise InvalidInputError("set must be nonempty")
         for a, b in zip(elems, elems[1:]):
             if a == b:
                 raise InvalidInputError(f"set has repeated element {a}")
         self.elements = tuple(elems)
+        self.phases = RationalPhases(self.elements)
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "FiniteRationalSet":
@@ -93,8 +96,8 @@ class FiniteRationalSet:
 
 def scale_translate(A: FiniteRationalSet, c, t) -> FiniteRationalSet:
     """Return c*A + t (sorted).  Spectrality is invariant under this map."""
-    c = Fraction(c)
-    t = Fraction(t)
+    c = rational(c)
+    t = rational(t)
     if c == 0:
         raise InvalidInputError("scale factor must be nonzero")
     return FiniteRationalSet(c * a + t for a in A)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidInputError
-from .exact import RationalPhases, root_sum_is_zero
+from .exact import RationalPhases, rational, root_sum_is_zero
 from .sets import ElementInput, FiniteRationalSet, Irrational, scale_translate
 
 __all__ = [
@@ -54,9 +54,8 @@ def certify_spectral_pair(A: FiniteRationalSet, B: FiniteRationalSet) -> PairCer
     """Column-orthogonality certification of the exponential matrix."""
     if len(A) != len(B):
         raise InvalidInputError("sets must have equal size")
-    phases = RationalPhases(A)
     for b1, b2 in itertools.combinations(B.elements, 2):
-        if not _column_sum_is_zero(phases, b2 - b1):
+        if not _column_sum_is_zero(A.phases, b2 - b1):
             return PairCertificate(False)
     return PairCertificate(True)
 
@@ -107,7 +106,7 @@ def decide_line_set(n: int, a: ElementInput) -> SpectralDecision:
         raise InvalidInputError("n must be at least 3")
     if isinstance(a, Irrational):
         return SpectralDecision("not_spectral", reason="irrational")
-    a = Fraction(a)
+    a = rational(a)
     if a.denominator == 1 and 0 <= a.numerator <= n - 2:
         raise InvalidInputError(f"a = {a} repeats an element of the set")
     p, q = a.numerator, a.denominator
@@ -140,13 +139,12 @@ def search_spectrum(
     if q_max < 1 or span <= 0:
         raise InvalidInputError("q_max must be >= 1 and span positive")
 
-    phases = RationalPhases(A)
     zero_cache: dict[Fraction, bool] = {}
 
     def sum_vanishes(d: Fraction) -> bool:
         hit = zero_cache.get(d)
         if hit is None:
-            hit = zero_cache[d] = _column_sum_is_zero(phases, d)
+            hit = zero_cache[d] = _column_sum_is_zero(A.phases, d)
         return hit
 
     candidates = sorted(

@@ -1,8 +1,10 @@
-"""Exact arithmetic layer: extended gcd, cyclotomics, zero-test."""
+"""Exact arithmetic layer: cyclotomics, zero-test, common-denominator grids."""
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -11,29 +13,15 @@ from spectrapairs import (
     CycSum,
     InvalidInputError,
     cyclotomic_polynomial,
+    AtomicMeasure,
+    FiniteRationalSet,
+    IFSMeasure,
     evaluate_cyc,
-    extended_gcd,
+    multiplication_representation,
+    permutation_representation,
     root_sum_is_zero,
 )
-from spectrapairs.exact import _split_order
-
-
-def test_extended_gcd_examples():
-    for p, q, g in [(2, 1, 1), (3, 5, 1), (6, 4, 2)]:
-        gg, k, l = extended_gcd(p, q)
-        assert gg == g
-        assert k * p + l * q == g
-
-
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_extended_gcd_identity(p, q):
-    if p == 0 and q == 0:
-        with pytest.raises(InvalidInputError):
-            extended_gcd(p, q)
-        return
-    g, k, l = extended_gcd(p, q)
-    assert g == math.gcd(p, q) > 0
-    assert k * p + l * q == g
+from spectrapairs.exact import RationalPhases, _split_order, rational
 
 
 def _poly_div(num, den):
@@ -207,3 +195,56 @@ def test_split_order_matches_sympy(order, bound):
     expected = sympy.factorint(order)
     assert primes == sorted(p for p in expected if p <= bound)
     assert rest == math.prod(p**a for p, a in expected.items() if p > bound)
+
+
+_BIG = 29714666491209  # below 2^53, so a float holds it exactly
+
+
+@pytest.mark.parametrize(
+    "points, denominator, numerators",
+    [
+        ([0, -3, _BIG], 1, [0, -3, _BIG]),
+        (np.array([0, -3, _BIG]), 1, [0, -3, _BIG]),
+        ([np.int32(0), np.int32(-3), np.uint64(_BIG)], 1, [0, -3, _BIG]),
+        ([Fraction(0), Fraction(-3), Fraction(np.int64(_BIG))], 1, [0, -3, _BIG]),
+        (["0", "-3", str(_BIG)], 1, [0, -3, _BIG]),
+        ([0.0, -3.0, float(_BIG)], 1, [0, -3, _BIG]),
+        ([Fraction(1, 2), Fraction(np.int64(-3), np.int64(4)), 5], 4, [2, -3, 20]),
+        (["1/2", "-3/4", "5"], 4, [2, -3, 20]),
+        ([0.5, -0.75, np.float64(5)], 4, [2, -3, 20]),
+    ],
+)
+def test_grid_holds_python_ints_whatever_the_input(points, denominator, numerators):
+    grid = RationalPhases(points)
+    assert (grid.denominator, grid.numerators) == (denominator, numerators)
+    assert type(grid.denominator) is int
+    assert all(type(n) is int for n in grid.numerators)
+    for x in points:
+        r = rational(x)
+        assert type(r) is Fraction and type(r.numerator) is int and type(r.denominator) is int
+
+
+def _point_sets():
+    points = [0, "1/3", Fraction(-5, 6), np.int64(7)]
+    S = FiniteRationalSet(points)
+    mu = AtomicMeasure.uniform(points)
+    ifs = IFSMeasure(3, (-1, "1/2", np.int64(2)))
+    rep = multiplication_representation(mu)
+    perm = permutation_representation(6, 5, 7)
+    return [
+        (S, S.elements),
+        (mu, mu.points),
+        (ifs, ifs.digits),
+        (rep, rep.eigenvalues),
+        (perm, perm.eigenvalues),
+    ]
+
+
+@pytest.mark.parametrize("obj, points", _point_sets())
+def test_point_sets_carry_the_grid_of_their_points(obj, points):
+    fresh = RationalPhases(points)
+    assert (obj.phases.denominator, obj.phases.numerators) == (
+        fresh.denominator,
+        fresh.numerators,
+    )
+    assert all(type(n) is int for n in (obj.phases.denominator, *obj.phases.numerators))

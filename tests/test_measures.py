@@ -207,6 +207,12 @@ class TestTransformKernel:
             )
             assert abs(atomic_transform(mu, t) - ref) <= 1e-15
 
+    def test_numpy_integer_support_reduced_exactly(self):
+        # np.int64 support points once made the phases wrap around in
+        # int64: this read 0.188-0.391j.
+        mu = AtomicMeasure.uniform(np.array([0, 29714666491209]))
+        assert abs(atomic_transform(mu, Fraction(8001465, 14))) <= 1e-15
+
 
 class TestJpSpectrum:
     def test_examples(self):
@@ -303,6 +309,20 @@ class TestCompletenessDefect:
         ]
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-12
+
+    def test_builds_no_fraction_per_lambda(self, monkeypatch):
+        mu, lam, t = cantor4_measure(), jp_spectrum(8), Fraction(3, 7)
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        completeness_defect(mu, lam, t)
+        monkeypatch.undo()
+        assert len(built) < 10
 
     def test_bessel_bound(self):
         mu = cantor4_measure()

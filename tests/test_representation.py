@@ -212,7 +212,7 @@ class TestBatchedOrbit:
 
 
 class TestPermutationRepresentation:
-    @pytest.mark.parametrize("n,p,q", [(3, 2, 1), (3, 1, 2), (4, 3, 1)])
+    @pytest.mark.parametrize("n,p,q", [(3, 2, 1), (3, 1, 2), (4, 3, 1), (6, 5, 7), (7, -3, 10)])
     def test_shift_identities_examples(self, n, p, q):
         assert shift_for_time(n, p, q, q) == 1  # U(1) shifts by +1
         assert shift_for_time(n, p, q, p) == n - 1  # U(p/q) shifts by -1

@@ -6,6 +6,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -87,6 +88,15 @@ class TestIsSpectralPair:
             cert = certify_spectral_pair(A, B)
         assert not cert.is_pair
         assert cert.exact
+
+    def test_numpy_integer_points_certified_exactly(self):
+        # np.int64 numerators once made the phase products wrap around in
+        # int64, and this pair read is_pair=False, exact=True.
+        A = FiniteRationalSet(np.array([0, 29714666491209]))
+        B = FiniteRationalSet([0, Fraction(8001465, 14)])
+        for cert in (certify_spectral_pair(A, B), certify_spectral_pair(B, A)):
+            assert cert.is_pair and cert.exact
+        assert is_spectral_pair(FiniteRationalSet([0, 29714666491209]), B)
 
     @pytest.mark.parametrize(
         "n, m",
