@@ -77,8 +77,7 @@ class Affine:
         sym = "a" if self.sym == 1 else ("-a" if self.sym == -1 else f"{self.sym}a")
         if self.const == 0:
             return sym
-        sign = "+" if self.sym > 0 else ""
-        return f"{self.const}{sign}{sym.lstrip('+')}" if self.sym > 0 else f"{self.const}{sym}"
+        return f"{self.const}{'+' if self.sym > 0 else ''}{sym}"
 
     # Sort key for deterministic serialization.
     def _key(self):
@@ -362,12 +361,6 @@ def close(session: Session) -> Session:
             return True
         return False
 
-    def derive(rule, s, m, t, parents=()) -> bool:
-        known = facts.get((s, m))
-        if known is not None and known & t == known:
-            return False  # what _add would return, skipping the call
-        return record(rule, s, m, t, parents)
-
     for round_index in range(session.round_budget):
         changed = False
         # Trivial facts: every singleton maps into the whole space at every
@@ -376,7 +369,7 @@ def close(session: Session) -> Session:
         for m in sorted(in_play - covered, key=pairs.__getitem__):
             for i in singletons:
                 if (i, m) not in facts:
-                    changed |= derive("trivial", i, m, full)
+                    changed |= record("trivial", i, m, full)
         covered = in_play
 
         snapshot = list(facts.items())
@@ -403,11 +396,11 @@ def close(session: Session) -> Session:
             square = s.bit_count() == t.bit_count()
             # R1 complement.
             if is_fresh and square and s != full:
-                changed |= derive("R1", full ^ s, m, full ^ t, ((s, m, t),))
+                changed |= record("R1", full ^ s, m, full ^ t, ((s, m, t),))
             # R2 cancellation: c is a proper subset of t.
             for s2, c in by_move.get(m, ()):
                 if not s2 & s and c & t == c and c != t:
-                    changed |= derive("R2", s, m, t ^ c, ((s, m, t), (s2, m, c)))
+                    changed |= record("R2", s, m, t ^ c, ((s, m, t), (s2, m, c)))
             # R3 composition (first fact must be dimension-preserving).
             if square and t in by_source:
                 known_for_s = store[s]

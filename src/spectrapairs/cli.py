@@ -79,7 +79,6 @@ def _cmd_arrow_close(args) -> dict:
 
 
 def _cmd_rep_roundtrip(args) -> dict:
-    from .measures import AtomicMeasure
     from .representation import (
         is_wandering,
         measure_from_representation,
@@ -87,8 +86,6 @@ def _cmd_rep_roundtrip(args) -> dict:
     )
 
     mu = load_measure(args.measure)
-    if not isinstance(mu, AtomicMeasure):
-        raise InvalidInputError("rep-roundtrip needs an atomic measure")
     S = load_set(args.spectrum)
     rep = multiplication_representation(mu)
     back = measure_from_representation(rep)
@@ -175,11 +172,9 @@ def _cmd_cantor(args) -> dict:
 
 
 def _cmd_frame_bounds(args) -> dict:
-    from .measures import AtomicMeasure, frame_bounds
+    from .measures import frame_bounds
 
     mu = load_measure(args.measure)
-    if not isinstance(mu, AtomicMeasure):
-        raise InvalidInputError("frame-bounds needs an atomic measure")
     lam = load_set(getattr(args, "lambda"))
     report = frame_bounds(mu, lam.elements)
     return {"lower": report.lower, "upper": report.upper}
@@ -254,25 +249,11 @@ def run(argv) -> tuple[int, dict]:
     args = _build_parser().parse_args(argv)
     try:
         payload = args.handler(args)
-    except TooLargeError as exc:
-        return 1, {
-            "status": "too_large",
-            "reason": "too_large",
-            "message": str(exc),
-        }
-    except InvalidInputError as exc:
-        return 1, {
-            "status": "invalid_input",
-            "reason": "invalid_input",
-            "message": str(exc),
-        }
-    except InconsistencyError as exc:
-        return 1, {
-            "status": "inconsistent",
-            "reason": "inconsistent",
-            "message": str(exc),
-            "trace": exc.trace,
-        }
+    except (InvalidInputError, InconsistencyError) as exc:
+        failure = {"status": exc.reason, "reason": exc.reason, "message": str(exc)}
+        if isinstance(exc, InconsistencyError):
+            failure["trace"] = exc.trace
+        return 1, failure
     except FileNotFoundError as exc:
         return 1, {
             "status": "invalid_input",

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .exact import RationalPhases, rational, root_sum_is_zero
-from .sets import fraction_str
 
 __all__ = [
     "AtomicMeasure",
@@ -47,16 +46,20 @@ class AtomicMeasure:
     __slots__ = ("points", "weights", "phases")
 
     def __init__(self, points: Iterable, weights: Iterable[float]):
-        pairs = sorted(zip((rational(p) for p in points), weights))
+        points = [rational(p) for p in points]
+        try:
+            pairs = sorted(zip(points, map(float, weights), strict=True))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"weights must be one number per point: {exc}") from None
         pts = tuple(p for p, _ in pairs)
-        wts = tuple(float(w) for _, w in pairs)
+        wts = tuple(w for _, w in pairs)
         if not pts:
             raise InvalidInputError("measure needs nonempty support")
         if len(set(pts)) != len(pts):
             raise InvalidInputError("support points must be distinct")
-        if any(w <= 0 for w in wts):
+        if not all(w > 0 for w in wts):
             raise InvalidInputError("weights must be positive")
-        if abs(math.fsum(wts) - 1.0) > 1e-14:
+        if not abs(math.fsum(wts) - 1.0) <= 1e-14:
             raise InvalidInputError("weights must sum to 1")
         self.points = pts
         self.weights = wts
@@ -77,12 +80,6 @@ class AtomicMeasure:
     def __repr__(self):
         return f"AtomicMeasure(points={self.points}, weights={self.weights})"
 
-    def to_json(self) -> dict:
-        return {
-            "points": [fraction_str(p) for p in self.points],
-            "weights": list(self.weights),
-        }
-
 
 @dataclass(frozen=True)
 class IFSMeasure:
@@ -102,12 +99,6 @@ class IFSMeasure:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "digits", digs)
         object.__setattr__(self, "phases", RationalPhases(digs))
-
-    def to_json(self) -> dict:
-        return {
-            "scale": self.scale,
-            "digits": [fraction_str(d) for d in self.digits],
-        }
 
 
 def cantor4_measure() -> IFSMeasure:
@@ -249,6 +240,8 @@ def _ifs_kernel(
     Terms are evaluated in chunks of equal depth, and each term's value
     and depth depend on that term alone, whatever the batch.
     """
+    if not eps > 0:
+        raise InvalidInputError("eps must be positive")
     R, n = mu.scale, len(mu.digits)
     D, a = mu.phases.denominator, mu.phases.numerators
     top_digit = max(map(abs, a))
@@ -311,8 +304,6 @@ def ifs_transforms(mu: IFSMeasure, ts: Iterable, eps: float, symbolic: bool = Tr
     Each t is taken at its exact rational value (a float at its binary
     value).
     """
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
     ts = [rational(t) for t in ts]
     return _ifs_kernel(mu, [t.numerator for t in ts], [t.denominator for t in ts], eps, symbolic)
 

@@ -4,51 +4,46 @@ set elements or spectra."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError
 from .sets import FiniteRationalSet, parse_fraction
 
 if TYPE_CHECKING:
-    from .measures import AtomicMeasure, IFSMeasure
+    from .measures import AtomicMeasure
 
-__all__ = [
-    "load_set",
-    "load_measure",
-    "set_from_json",
-    "measure_from_json",
-]
+__all__ = ["load_set", "load_measure"]
+
+_MEASURE_FORMAT = 'measure file must be a JSON object {"points": [...], "weights": [...]}'
 
 
-def set_from_json(data) -> FiniteRationalSet:
-    if not isinstance(data, list):
-        raise InvalidInputError("set file must be a JSON array of fraction strings")
-    return FiniteRationalSet.from_strings(str(x) for x in data)
+def _read(path: str, kind: type, expected: str):
+    """The JSON value in the file at ``path``.  A missing file raises
+    FileNotFoundError; any other unreadable file, bad JSON, or a top-level
+    value that is not a ``kind`` is invalid input, with message
+    ``expected`` for the last."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from None
+    if not isinstance(data, kind):
+        raise InvalidInputError(expected)
+    return data
 
 
 def load_set(path: str) -> FiniteRationalSet:
-    with open(path) as fh:
-        return set_from_json(json.load(fh))
+    data = _read(path, list, "set file must be a JSON array of fraction strings")
+    return FiniteRationalSet.from_strings(str(x) for x in data)
 
 
-def measure_from_json(data) -> Union[AtomicMeasure, IFSMeasure]:
-    from .measures import AtomicMeasure, IFSMeasure
+def load_measure(path: str) -> AtomicMeasure:
+    from .measures import AtomicMeasure
 
-    if not isinstance(data, dict):
-        raise InvalidInputError("measure file must be a JSON object")
-    if "scale" in data:
-        return IFSMeasure(int(data["scale"]), [parse_fraction(str(d)) for d in data["digits"]])
-    if "points" in data:
-        points = [parse_fraction(str(p)) for p in data["points"]]
-        if "weights" in data:
-            weights = [float(w) for w in data["weights"]]
-        else:
-            weights = [1.0 / len(points)] * len(points)
-        return AtomicMeasure(points, weights)
-    raise InvalidInputError("measure file needs either points or scale/digits")
-
-
-def load_measure(path: str) -> Union[AtomicMeasure, IFSMeasure]:
-    with open(path) as fh:
-        return measure_from_json(json.load(fh))
+    data = _read(path, dict, _MEASURE_FORMAT)
+    points, weights = data.get("points"), data.get("weights")
+    if not (isinstance(points, list) and isinstance(weights, list)):
+        raise InvalidInputError(_MEASURE_FORMAT)
+    return AtomicMeasure([parse_fraction(str(p)) for p in points], weights)

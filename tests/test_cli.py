@@ -67,11 +67,11 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name):
+    # Byte for byte: key order and float formatting are part of the contract.
     code, result = run(CASES[name])
     with open(os.path.join(GOLDEN, f"{name}.json")) as fh:
-        expected = json.load(fh)
-    assert code == expected["exit_code"]
-    assert result == expected["result"]
+        expected = fh.read()
+    assert json.dumps({"exit_code": code, "result": result}, indent=2) + "\n" == expected
 
 
 def test_repeated_runs_byte_identical():
@@ -139,6 +139,61 @@ def test_closed_stdout_exits_with_the_commands_code_and_no_traceback(argv, code)
     proc.stderr.close()
     assert proc.wait() == code
     assert stderr == ""
+
+
+def _file(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
+_MEASURE_FORMAT = 'measure file must be a JSON object {"points": [...], "weights": [...]}'
+
+MALFORMED = {
+    "truncated_set": lambda tmp: [
+        "find-spectrum", "--set", _file(tmp, '["0", "1"'), "--qmax", "3", "--span", "1",
+    ],
+    "directory_as_set": lambda tmp: [
+        "find-spectrum", "--set", str(tmp), "--qmax", "3", "--span", "1",
+    ],
+    "set_nested_too_deep": lambda tmp: [
+        "find-spectrum", "--set", _file(tmp, "[" * 100000 + "]" * 100000),
+        "--qmax", "3", "--span", "1",
+    ],
+    "non_numeric_weight": lambda tmp: [
+        "frame-bounds", "--lambda", data("lambda_01.json"),
+        "--measure", _file(tmp, '{"points": ["0", "1/2"], "weights": ["x", 0.5]}'),
+    ],
+    "fewer_weights_than_points": lambda tmp: [
+        "frame-bounds", "--lambda", data("lambda_01.json"),
+        "--measure", _file(tmp, '{"points": ["0", "1/2"], "weights": [1.0]}'),
+    ],
+    "scale_digits_measure": lambda tmp: [
+        "frame-bounds", "--lambda", data("lambda_01.json"),
+        "--measure", _file(tmp, '{"scale": 4, "digits": ["0", "2"]}'),
+    ],
+    "eps_nan": lambda tmp: [
+        "cantor", "--level", "2", "--check", "completeness", "--grid", "3", "--eps", "nan",
+    ],
+    "eps_negative": lambda tmp: ["cantor", "--level", "1", "--check", "orthogonality", "--eps", "-1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_1_with_one_json_object_and_no_traceback(name, tmp_path):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectrapairs.cli", *MALFORMED[name](tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout.count("\n") == 1
+    result = json.loads(proc.stdout)
+    assert (result["status"], result["reason"]) == ("invalid_input", "invalid_input")
+    if name == "scale_digits_measure":
+        assert result["message"] == _MEASURE_FORMAT
 
 
 def test_missing_file_is_domain_error():

@@ -45,6 +45,27 @@ class TestAtomicTransform:
         assert atomic_transform(mu, 0) == pytest.approx(1.0)
 
 
+class TestAtomicMeasure:
+    @pytest.mark.parametrize(
+        "points,weights",
+        [
+            ([0, Fraction(1, 2), 3], [0.5, 0.5]),  # zip would drop the point 3
+            ([0, Fraction(1, 2)], [1.0]),  # and here the point 1/2
+            ([0], [0.5, 0.5]),
+        ],
+    )
+    def test_one_weight_per_point(self, points, weights):
+        with pytest.raises(InvalidInputError):
+            AtomicMeasure(points, weights)
+
+    @pytest.mark.parametrize(
+        "weights", [["x", 0.5], [[0.5], 0.5], [10**400, 0.5], [math.nan, 0.5], [0.5, 0.0]]
+    )
+    def test_weights_are_positive_numbers(self, weights):
+        with pytest.raises(InvalidInputError):
+            AtomicMeasure([0, Fraction(1, 2)], weights)
+
+
 class TestIFSMeasure:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -283,6 +304,22 @@ class TestFrameBounds:
         assert is_spectral_pair(lam, FiniteRationalSet(mu.points))
         r = frame_bounds(mu, lam.elements)
         assert abs(r.lower - 1.0) <= 1e-10 and abs(r.upper - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda mu, eps: ifs_transform(mu, Fraction(1, 3), eps),
+        lambda mu, eps: gram_matrix(mu, [0, 1, 4], eps=eps),
+        lambda mu, eps: completeness_defect(mu, jp_spectrum(2), Fraction(1, 3), eps=eps),
+    ],
+    ids=["ifs_transform", "gram_matrix", "completeness_defect"],
+)
+def test_eps_must_be_positive_wherever_a_transform_uses_it(evaluate, eps):
+    # NaN fails the check too: every comparison with it is false.
+    with pytest.raises(InvalidInputError, match="eps must be positive"):
+        evaluate(cantor4_measure(), eps)
 
 
 class TestCompletenessDefect:
