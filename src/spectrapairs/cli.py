@@ -31,6 +31,9 @@ CANTOR_WORK_BUDGET = 2**20
 # times C(budget + 1 + k, k), the number of multisets of at most
 # --budget + 1 of the k moves, which bounds the moves R3 may compose.
 ARROW_CLOSE_WORK_BUDGET = 2**23
+# ``find-spectrum``: span * qmax (qmax + 1) / 2, which bounds the candidate
+# spectrum elements p/q in [0, span) with q <= qmax.
+FIND_SPECTRUM_WORK_BUDGET = 2**18
 # ``perm-rep``: entries of the n x n eigenvector matrix (whose unitarity
 # check is an n^3 product).
 PERM_REP_WORK_BUDGET = 2**20
@@ -57,7 +60,10 @@ def _cmd_check_pair(args) -> dict:
 
 def _cmd_find_spectrum(args) -> dict:
     A = load_set(args.set)
-    result = search_spectrum(A, args.qmax, parse_fraction(args.span))
+    span = parse_fraction(args.span)
+    work = math.ceil(span * max(args.qmax, 0) * (args.qmax + 1) / 2)
+    _check_work(f"find-spectrum --qmax {args.qmax}", work, FIND_SPECTRUM_WORK_BUDGET)
+    result = search_spectrum(A, args.qmax, span)
     if result is None:
         return {
             "status": "not_found",

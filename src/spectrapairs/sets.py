@@ -33,7 +33,10 @@ def parse_fraction(text: str) -> Fraction:
     text = text.strip()
     if not _FRACTION_RE.match(text):
         raise InvalidInputError(f"not an exact fraction: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # a part over Python's int string-conversion limit
+        raise InvalidInputError(f"fraction too long: {len(text)} characters") from None
 
 
 def fraction_str(x: Fraction) -> str:

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .errors import InvalidInputError
 from .exact import RationalPhases, rational, root_sum_is_zero
-from .sets import ElementInput, FiniteRationalSet, Irrational, scale_translate
+from .sets import ElementInput, FiniteRationalSet, Irrational
 
 __all__ = [
     "PairCertificate",
@@ -35,7 +35,6 @@ __all__ = [
     "decide_three_point",
     "construct_line_spectrum",
     "search_spectrum",
-    "scale_translate",
 ]
 
 

@@ -12,32 +12,32 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectrapairs import (
+from spectrapairs.arrows import Affine, close, extract_permutation, new_session, symbol
+from spectrapairs.measures import (
     AtomicMeasure,
-    FiniteRationalSet,
     atomic_transform,
     cantor4_measure,
-    certify_spectral_pair,
-    close,
-    construct_line_spectrum,
-    correlation,
-    decide_three_point,
-    extract_permutation,
     frame_bounds,
     gram_matrix,
     ifs_transform,
     ifs_transforms,
-    is_spectral_pair,
-    is_wandering,
     jp_spectrum,
+)
+from spectrapairs.representation import (
+    correlation,
+    is_wandering,
     measure_from_representation,
     multiplication_representation,
-    new_session,
-    search_spectrum,
     shift_for_time,
-    symbol,
 )
-from spectrapairs.arrows import Affine
+from spectrapairs.sets import FiniteRationalSet
+from spectrapairs.spectral import (
+    certify_spectral_pair,
+    construct_line_spectrum,
+    decide_three_point,
+    is_spectral_pair,
+    search_spectrum,
+)
 
 ZERO = Affine(Fraction(0))
 ONE = Affine(Fraction(1))

@@ -8,22 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_arrows
-from spectrapairs import (
+from spectrapairs import arrows
+from spectrapairs.arrows import (
     Affine,
-    AtomicMeasure,
-    InconsistencyError,
-    InvalidInputError,
-    Irrational,
     PermutationAction,
-    arrows,
-    atomic_transform,
     close,
-    construct_line_spectrum,
     extract_permutation,
     new_session,
     rationality_obstruction,
     symbol,
 )
+from spectrapairs.errors import InconsistencyError, InvalidInputError
+from spectrapairs.measures import AtomicMeasure, atomic_transform
+from spectrapairs.sets import Irrational
+from spectrapairs.spectral import construct_line_spectrum
 
 ZERO = Affine(Fraction(0))
 ONE = Affine(Fraction(1))

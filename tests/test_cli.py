@@ -7,6 +7,7 @@ runs must be byte-identical.
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -176,6 +177,11 @@ MALFORMED = {
         "cantor", "--level", "2", "--check", "completeness", "--grid", "3", "--eps", "nan",
     ],
     "eps_negative": lambda tmp: ["cantor", "--level", "1", "--check", "orthogonality", "--eps", "-1"],
+    # An integer part past Python's 4300-digit string-conversion limit.
+    "set_element_too_long": lambda tmp: [
+        "find-spectrum", "--set", _file(tmp, json.dumps(["1" * 5000])), "--qmax", "3", "--span", "1",
+    ],
+    "line_set_a_too_long": lambda tmp: ["decide-line-set", "--n", "3", "--a", "1" * 5000],
 }
 
 
@@ -192,6 +198,7 @@ def test_malformed_input_exits_1_with_one_json_object_and_no_traceback(name, tmp
     assert proc.stdout.count("\n") == 1
     result = json.loads(proc.stdout)
     assert (result["status"], result["reason"]) == ("invalid_input", "invalid_input")
+    assert len(result["message"]) < 300  # the input is not echoed whole
     if name == "scale_digits_measure":
         assert result["message"] == _MEASURE_FORMAT
 
@@ -248,12 +255,21 @@ assert "numpy" not in sys.modules, "numpy was imported"
     assert proc.returncode == 0, proc.stderr
 
 
-def test_lazy_exports_are_the_public_names_of_the_numpy_layers():
-    assert set(spectrapairs._LAZY) == set(measures.__all__) | set(representation.__all__)
-    for name, module in spectrapairs._LAZY.items():
-        assert name in dir(spectrapairs)
-        value = getattr(importlib.import_module(f"spectrapairs.{module}"), name)
-        assert getattr(spectrapairs, name) is value
+def test_each_public_name_has_one_home():
+    # The package root loads no module; a name in __all__ is bound in its
+    # module and listed by no other.
+    script = "import sys, spectrapairs; print([m for m in sys.modules if m.startswith('spectrapairs.')])"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    homes = {}
+    for info in pkgutil.iter_modules(spectrapairs.__path__):
+        module = importlib.import_module(f"spectrapairs.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)
+            assert homes.setdefault(name, info.name) == info.name, name
 
 
 def test_arrow_close_over_work_budget_is_too_large(monkeypatch):
@@ -276,6 +292,29 @@ def test_arrow_close_over_work_budget_is_too_large(monkeypatch):
     monkeypatch.undo()
     code, result = run(argv + ["100000"])
     assert (code, result["reason"]) == (1, "too_large")
+
+
+def test_find_spectrum_over_work_budget_is_too_large(monkeypatch):
+    # ceil(span * qmax (qmax + 1) / 2) is checked before the search runs.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("search_spectrum called over budget")
+
+    argv = ["find-spectrum", "--set", data("set_012.json"), "--qmax", "3", "--span"]
+    monkeypatch.setattr(cli, "FIND_SPECTRUM_WORK_BUDGET", 6)  # qmax 3, span 1
+    monkeypatch.setattr(cli, "search_spectrum", unreachable)
+    code, result = run(argv + ["7/6"])  # ceil(7/6 * 6) = 7
+    assert code == 1
+    assert (result["status"], result["reason"]) == ("too_large", "too_large")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "FIND_SPECTRUM_WORK_BUDGET", 6)
+    assert run(argv + ["1"]) == run(CASES["find_spectrum_hit"])
+    monkeypatch.undo()
+    code, result = run(argv[:-3] + ["--qmax", "400", "--span", "10"])
+    assert (code, result["reason"]) == (1, "too_large")
+    # Preconditions are checked first.
+    for qmax, span in [("-100000", "1"), ("400", "-10")]:
+        code, result = run(argv[:-3] + ["--qmax", qmax, "--span", span])
+        assert (code, result["reason"]) == (1, "invalid_input")
 
 
 def test_perm_rep_over_work_budget_is_too_large(monkeypatch):

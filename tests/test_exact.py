@@ -9,19 +9,22 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from spectrapairs import (
+from spectrapairs.errors import InvalidInputError
+from spectrapairs.exact import (
     CycSum,
-    InvalidInputError,
+    RationalPhases,
+    _split_order,
     cyclotomic_polynomial,
-    AtomicMeasure,
-    FiniteRationalSet,
-    IFSMeasure,
     evaluate_cyc,
-    multiplication_representation,
-    permutation_representation,
+    rational,
     root_sum_is_zero,
 )
-from spectrapairs.exact import RationalPhases, _split_order, rational
+from spectrapairs.measures import AtomicMeasure, IFSMeasure
+from spectrapairs.representation import (
+    multiplication_representation,
+    permutation_representation,
+)
+from spectrapairs.sets import FiniteRationalSet
 
 
 def _poly_div(num, den):

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectrapairs import (
+from spectrapairs.errors import InvalidInputError
+from spectrapairs.measures import (
     AtomicMeasure,
     IFSMeasure,
-    InvalidInputError,
     atomic_transform,
     cantor4_measure,
     completeness_defect,
@@ -23,10 +23,10 @@ from spectrapairs import (
     gram_matrix,
     ifs_transform,
     ifs_transforms,
-    is_spectral_pair,
-    FiniteRationalSet,
     jp_spectrum,
 )
+from spectrapairs.sets import FiniteRationalSet
+from spectrapairs.spectral import is_spectral_pair
 
 
 def uniform(*points):

@@ -9,23 +9,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectrapairs import (
-    AtomicMeasure,
-    FiniteRationalSet,
+from spectrapairs.errors import InvalidInputError
+from spectrapairs.measures import AtomicMeasure, atomic_transform
+from spectrapairs.representation import (
     FiniteRep,
-    InvalidInputError,
-    atomic_transform,
+    _orbit,
     correlation,
     evaluate_group_element,
     generator_shift,
-    is_spectral_pair,
     is_wandering,
     measure_from_representation,
     multiplication_representation,
     permutation_representation,
     shift_for_time,
 )
-from spectrapairs.representation import _orbit
+from spectrapairs.sets import FiniteRationalSet
+from spectrapairs.spectral import is_spectral_pair
 
 
 def uniform(*points):

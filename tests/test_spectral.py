@@ -10,17 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectrapairs import (
+from spectrapairs.errors import InvalidInputError
+from spectrapairs.sets import (
     FiniteRationalSet,
-    InvalidInputError,
     Irrational,
+    parse_fraction,
+    scale_translate,
+)
+from spectrapairs.spectral import (
     certify_spectral_pair,
     construct_line_spectrum,
     decide_line_set,
     decide_three_point,
     is_spectral_pair,
-    parse_fraction,
-    scale_translate,
     search_spectrum,
 )
 
