@@ -39,7 +39,6 @@ from .sets import FiniteRationalSet, Irrational
 __all__ = [
     "Affine",
     "symbol",
-    "ArrowFact",
     "Session",
     "new_session",
     "close",
@@ -68,9 +67,6 @@ class Affine:
     def is_zero(self) -> bool:
         return self.const == 0 and self.sym == 0
 
-    def is_rational(self) -> bool:
-        return self.sym == 0
-
     def __str__(self) -> str:
         if self.sym == 0:
             return str(self.const)
@@ -95,13 +91,6 @@ def _coerce(value) -> Affine:
     if isinstance(value, Irrational):
         return symbol()
     return Affine(rational(value))
-
-
-@dataclass(frozen=True)
-class ArrowFact:
-    source: frozenset[int]
-    move: Affine
-    target: frozenset[int]
 
 
 def _bits(mask: int) -> list[int]:

@@ -31,9 +31,6 @@ CANTOR_WORK_BUDGET = 2**20
 # times C(budget + 1 + k, k), the number of multisets of at most
 # --budget + 1 of the k moves, which bounds the moves R3 may compose.
 ARROW_CLOSE_WORK_BUDGET = 2**23
-# ``find-spectrum``: span * qmax (qmax + 1) / 2, which bounds the candidate
-# spectrum elements p/q in [0, span) with q <= qmax.
-FIND_SPECTRUM_WORK_BUDGET = 2**18
 # ``perm-rep``: entries of the n x n eigenvector matrix (whose unitarity
 # check is an n^3 product).
 PERM_REP_WORK_BUDGET = 2**20
@@ -59,11 +56,7 @@ def _cmd_check_pair(args) -> dict:
 
 
 def _cmd_find_spectrum(args) -> dict:
-    A = load_set(args.set)
-    span = parse_fraction(args.span)
-    work = math.ceil(span * max(args.qmax, 0) * (args.qmax + 1) / 2)
-    _check_work(f"find-spectrum --qmax {args.qmax}", work, FIND_SPECTRUM_WORK_BUDGET)
-    result = search_spectrum(A, args.qmax, span)
+    result = search_spectrum(load_set(args.set), args.qmax, parse_fraction(args.span))
     if result is None:
         return {
             "status": "not_found",
@@ -112,6 +105,7 @@ def _cmd_perm_rep(args) -> dict:
         generator_shift,
         measure_from_representation,
         permutation_representation,
+        shift_for_time,
     )
 
     s = generator_shift(args.n, args.p, args.q)
@@ -119,8 +113,8 @@ def _cmd_perm_rep(args) -> dict:
     rep = permutation_representation(args.n, args.p, args.q)
     return {
         "generator_shift": s,
-        "shift_at_1": args.q * s % args.n,  # U(j/q) = (cyclic shift)^j
-        "shift_at_a": args.p * s % args.n,
+        "shift_at_1": shift_for_time(args.n, args.p, args.q, args.q),
+        "shift_at_a": shift_for_time(args.n, args.p, args.q, args.p),
         "eigenvalues": [fraction_str(g) for g in rep.eigenvalues],
         "spectrum_points": sorted(
             fraction_str(p) for p in measure_from_representation(rep).points
@@ -131,7 +125,7 @@ def _cmd_perm_rep(args) -> dict:
 def _cmd_cantor(args) -> dict:
     import numpy as np
 
-    from .measures import IFSMeasure, completeness_defect, gram_matrix, jp_spectrum
+    from .measures import cantor4_measure, completeness_defect, gram_matrix, jp_spectrum
 
     if args.grid < 1:
         raise InvalidInputError("grid must be positive")
@@ -139,7 +133,7 @@ def _cmd_cantor(args) -> dict:
         size = 2 ** (args.level + 1)  # the points of jp_spectrum(level)
         work = size * size if args.check == "orthogonality" else args.grid * size
         _check_work(f"cantor --level {args.level} --check {args.check}", work, CANTOR_WORK_BUDGET)
-    mu = IFSMeasure(4, (0, 2))
+    mu = cantor4_measure()
     lam = jp_spectrum(args.level)
     if args.check == "orthogonality":
         G = gram_matrix(mu, lam, eps=args.eps)
@@ -211,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set-b", required=True)
     p.set_defaults(handler=_cmd_check_pair)
 
-    p = sub.add_parser("find-spectrum", help="bounded brute-force spectrum search")
+    p = sub.add_parser("find-spectrum", help="bounded pruned spectrum search")
     p.add_argument("--set", required=True)
     p.add_argument("--qmax", type=int, required=True)
     p.add_argument("--span", required=True)

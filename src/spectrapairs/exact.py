@@ -15,7 +15,6 @@ through ``rational``, so no numpy integer reaches an exact product.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +28,6 @@ __all__ = [
     "CycSum",
     "root_sum_is_zero",
     "RationalPhases",
-    "evaluate_cyc",
 ]
 
 
@@ -237,11 +235,3 @@ class RationalPhases:
             e = x * u % N
             coeffs[e] = coeffs.get(e, 0) + 1
         return CycSum(N, coeffs)
-
-
-def evaluate_cyc(s: CycSum) -> complex:
-    """Floating-point value of the sum; the numeric cross-check."""
-    return sum(
-        (c * cmath.exp(2j * math.pi * e / s.order) for e, c in s.coeffs.items()),
-        complex(0),
-    )

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .exact import RationalPhases, rational
 from .measures import AtomicMeasure, _unit_roots
-from .sets import FiniteRationalSet, fraction_str
+from .sets import FiniteRationalSet
 from .spectral import _check_line_set
 
 __all__ = [
@@ -67,15 +67,6 @@ class FiniteRep:
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
-
-    def to_json(self) -> dict:
-        return {
-            "eigenvalues": [fraction_str(g) for g in self.eigenvalues],
-            "eigenvectors": [
-                [[z.real, z.imag] for z in row] for row in self.eigenvectors
-            ],
-            "v0": [[z.real, z.imag] for z in self.v0],
-        }
 
 
 def multiplication_representation(mu: AtomicMeasure) -> FiniteRep:
@@ -137,7 +128,12 @@ class WanderingReport:
 
 
 def is_wandering(rep: FiniteRep, S: FiniteRationalSet) -> WanderingReport:
-    """Gram-matrix report on the orbit {U(gamma) v0 : gamma in S}."""
+    """Gram-matrix report on the orbit {U(gamma) v0 : gamma in S}.
+
+    A diagnostic within ``_WANDERING_TOL``, not a certificate: for the
+    uniform measure on {0, 1, 2} and S = {0, d, 2d}, d = 1/3 + 1e-12, it
+    reports an orthonormal basis, though the pair is exactly not spectral
+    (``certify_spectral_pair``, the CLI's ``check-pair``)."""
     vectors = _orbit(rep, S)
     G = vectors.conj().T @ vectors
     norms = np.sqrt(np.abs(np.diag(G)))

@@ -26,13 +26,16 @@ __all__ = [
 ]
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# Characters of a rejected input that its error message shows.
+_ECHO = 20
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse an exact "p/q" or integer string; floats are rejected."""
     text = text.strip()
     if not _FRACTION_RE.match(text):
-        raise InvalidInputError(f"not an exact fraction: {text!r}")
+        shown = repr(text[:_ECHO]) + (f"... ({len(text)} characters)" if len(text) > _ECHO else "")
+        raise InvalidInputError(f"not an exact fraction: {shown}")
     try:
         return Fraction(text)
     except ValueError:  # a part over Python's int string-conversion limit

@@ -11,7 +11,7 @@ The closed-form criterion for line sets {0, 1, ..., n-2, a}: such a set is
 spectral iff a is rational and, in reduced form a = p/q with q > 0,
 (p + q) = 0 mod n.  ``construct_line_spectrum`` produces the witness
 spectrum {0, q/n, ..., (n-1) q/n} and ``search_spectrum`` is an independent
-bounded brute-force oracle.
+bounded pruned search.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, TooLargeError
 from .exact import RationalPhases, rational, root_sum_is_zero
 from .sets import ElementInput, FiniteRationalSet, Irrational
 
@@ -32,10 +32,13 @@ __all__ = [
     "is_spectral_pair",
     "SpectralDecision",
     "decide_line_set",
-    "decide_three_point",
     "construct_line_spectrum",
     "search_spectrum",
+    "SEARCH_WORK_BUDGET",
 ]
+
+# Work budget of ``search_spectrum``: its candidates plus its pair tests.
+SEARCH_WORK_BUDGET = 2**19
 
 
 def _column_sum_is_zero(phases: RationalPhases, d: Fraction) -> bool:
@@ -114,50 +117,58 @@ def decide_line_set(n: int, a: ElementInput) -> SpectralDecision:
     return SpectralDecision("not_spectral", reason="congruence_fails")
 
 
-def decide_three_point(a: ElementInput) -> SpectralDecision:
-    """Spectrality of {0, 1, a}: p + q divisible by 3."""
-    return decide_line_set(3, a)
-
-
 def search_spectrum(
     A: FiniteRationalSet, q_max: int, span
 ) -> Optional[FiniteRationalSet]:
-    """Bounded brute-force spectrum search.
+    """Bounded pruned spectrum search: the lexicographically first
+    B = {0 < b_1 < ...} with |B| = |A|, every b_i a rational of (reduced)
+    denominator <= q_max in (0, span), such that is_spectral_pair(A, B);
+    else None ("not found within bounds", never a certified negative).
 
-    Enumerates candidate sets B containing 0 with |B| = |A|, all elements
-    rationals of (reduced) denominator <= q_max in [0, span), and returns
-    the lexicographically first B with is_spectral_pair(A, B), else None.
-
-    Every valid B must satisfy the column condition individually for each
-    nonzero element and each pairwise difference, so candidates failing the
-    single-element condition are pruned up front; this cannot change the
-    first hit.  A "None" result means "not found within bounds", never a
-    certified negative.
+    Depth first in candidate order, each chosen element narrows the
+    candidates above it to those whose difference d to it passes the
+    column test.  On A's grid (numerators n_a over D) that test holds iff
+    sum_a zeta_M^{n_a} = 0 for M the order of d / D (Galois conjugation),
+    so it runs once per M.  The work is the candidate count
+    ceil(span * q_max (q_max + 1) / 2), taken before any is built, plus one
+    unit per pair test; past ``SEARCH_WORK_BUDGET`` it raises
+    ``TooLargeError``.
     """
     span = Fraction(span)
     if q_max < 1 or span <= 0:
         raise InvalidInputError("q_max must be >= 1 and span positive")
-
-    zero_cache: dict[Fraction, bool] = {}
-
-    def sum_vanishes(d: Fraction) -> bool:
-        hit = zero_cache.get(d)
-        if hit is None:
-            hit = zero_cache[d] = _column_sum_is_zero(A.phases, d)
-        return hit
-
-    candidates = sorted(
-        {
-            Fraction(p, q)
-            for q in range(1, q_max + 1)
-            for p in range(1, math.ceil(span * q))
-        }
-    )
-    viable = [b for b in candidates if sum_vanishes(b)]
-    zero = Fraction(0)
-    for combo in itertools.combinations(viable, len(A) - 1):
-        if all(
-            sum_vanishes(b2 - b1) for b1, b2 in itertools.combinations(combo, 2)
-        ):
-            return FiniteRationalSet((zero,) + combo)
-    return None
+    work = -(-span.numerator * q_max * (q_max + 1) // (2 * span.denominator))  # ceil
+    if work > SEARCH_WORK_BUDGET:
+        raise TooLargeError(
+            f"spectrum search needs {work} units of work, over the budget of {SEARCH_WORK_BUDGET}"
+        )
+    D = A.phases.denominator
+    zero_set: dict[int, bool] = {}  # A's zero set: whether the sums of order M vanish
+    candidates = {Fraction(p, q) for q in range(1, q_max + 1) for p in range(1, math.ceil(span * q))}
+    rest = sorted(candidates, reverse=True)
+    chosen = [Fraction(0)]
+    # left[k]: the candidates above chosen[k] that pass with all of
+    # chosen[: k + 1], decreasing, so that pop() takes the least.
+    left: list[list[Fraction]] = []
+    while len(chosen) < len(A):
+        work += len(rest)
+        if work > SEARCH_WORK_BUDGET:
+            raise TooLargeError(f"spectrum search passed its budget of {SEARCH_WORK_BUDGET} units")
+        kept, b = [], chosen[-1]
+        for c in rest:
+            u = c.numerator * b.denominator - b.numerator * c.denominator
+            v = D * c.denominator * b.denominator
+            M = v // math.gcd(u, v)  # the order of (c - b) / D
+            if M not in zero_set:
+                zero_set[M] = _column_sum_is_zero(A.phases, Fraction(D, M))
+            if zero_set[M]:
+                kept.append(c)
+        left.append(kept)
+        while len(left[-1]) < len(A) - len(chosen):  # too few left to complete B
+            left.pop()
+            chosen.pop()
+            if not left:
+                return None
+        rest = left[-1]
+        chosen.append(rest.pop())
+    return FiniteRationalSet(chosen)

@@ -10,12 +10,20 @@ and the exception types are shared.  Not part of the package.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from spectrapairs.arrows import Affine, ArrowFact, symbol
+from spectrapairs.arrows import Affine, symbol
 from spectrapairs.errors import InconsistencyError, InvalidInputError
 from spectrapairs.sets import Irrational
+
+
+@dataclass(frozen=True)
+class ArrowFact:
+    source: frozenset[int]
+    move: Affine
+    target: frozenset[int]
 
 
 def _coerce(value) -> Affine:

@@ -34,7 +34,7 @@ from spectrapairs.sets import FiniteRationalSet
 from spectrapairs.spectral import (
     certify_spectral_pair,
     construct_line_spectrum,
-    decide_three_point,
+    decide_line_set,
     is_spectral_pair,
     search_spectrum,
 )
@@ -66,7 +66,7 @@ def test_criterion_1_three_point_grid_agreement():
             a = Fraction(p, q)
             if a in (0, 1):
                 continue
-            decision = decide_three_point(a)
+            decision = decide_line_set(3, a)
             expected_spectral = (p + q) % 3 == 0
             assert (decision.verdict == "spectral") == expected_spectral, a
             A = FiniteRationalSet([0, 1, a])

@@ -10,11 +10,12 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import spectrapairs
-from spectrapairs import cli, measures, representation
+from spectrapairs import cli, measures, representation, spectral
 from spectrapairs.cli import run
 
 HERE = os.path.dirname(__file__)
@@ -182,6 +183,7 @@ MALFORMED = {
         "find-spectrum", "--set", _file(tmp, json.dumps(["1" * 5000])), "--qmax", "3", "--span", "1",
     ],
     "line_set_a_too_long": lambda tmp: ["decide-line-set", "--n", "3", "--a", "1" * 5000],
+    "line_set_a_long_decimal": lambda tmp: ["decide-line-set", "--n", "3", "--a", "1" * 100000 + ".5"],
 }
 
 
@@ -295,26 +297,64 @@ def test_arrow_close_over_work_budget_is_too_large(monkeypatch):
 
 
 def test_find_spectrum_over_work_budget_is_too_large(monkeypatch):
-    # ceil(span * qmax (qmax + 1) / 2) is checked before the search runs.
-    def unreachable(*args, **kwargs):
-        raise AssertionError("search_spectrum called over budget")
+    # ceil(span * qmax (qmax + 1) / 2) is counted before any candidate is
+    # built, and each pair test of the search after it.
+    def no_candidates(*args):
+        assert len(args) < 2, "a candidate was built over budget"
+        return Fraction(*args)
 
     argv = ["find-spectrum", "--set", data("set_012.json"), "--qmax", "3", "--span"]
-    monkeypatch.setattr(cli, "FIND_SPECTRUM_WORK_BUDGET", 6)  # qmax 3, span 1
-    monkeypatch.setattr(cli, "search_spectrum", unreachable)
+    monkeypatch.setattr(spectral, "SEARCH_WORK_BUDGET", 6)  # qmax 3, span 1
+    monkeypatch.setattr(spectral, "Fraction", no_candidates)
     code, result = run(argv + ["7/6"])  # ceil(7/6 * 6) = 7
     assert code == 1
     assert (result["status"], result["reason"]) == ("too_large", "too_large")
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "FIND_SPECTRUM_WORK_BUDGET", 6)
+    # The hit costs 6 for the candidates 1/2, 1/3, 2/3, then 3 pair tests
+    # against 0 and 1 against 1/3.
+    monkeypatch.setattr(spectral, "SEARCH_WORK_BUDGET", 10)
     assert run(argv + ["1"]) == run(CASES["find_spectrum_hit"])
+    monkeypatch.setattr(spectral, "SEARCH_WORK_BUDGET", 9)
+    assert run(argv + ["1"])[1]["reason"] == "too_large"
     monkeypatch.undo()
+    # A small budget stops a search partway: the 780 candidates pass it,
+    # the pair tests do not.
+    tests = []
+    column_test = spectral._column_sum_is_zero
+
+    def counted(*args):
+        tests.append(args)
+        return column_test(*args)
+
+    monkeypatch.setattr(spectral, "_column_sum_is_zero", counted)
+    monkeypatch.setattr(spectral, "SEARCH_WORK_BUDGET", 2000)
+    deep = ["find-spectrum", "--set", data("set_023568.json"), "--qmax", "12", "--span", "10"]
+    code, result = run(deep)
+    assert (code, result["reason"]) == (1, "too_large")
+    assert tests
+    monkeypatch.undo()
+    assert run(deep)[1]["status"] == "not_found"
     code, result = run(argv[:-3] + ["--qmax", "400", "--span", "10"])
     assert (code, result["reason"]) == (1, "too_large")
     # Preconditions are checked first.
     for qmax, span in [("-100000", "1"), ("400", "-10")]:
         code, result = run(argv[:-3] + ["--qmax", qmax, "--span", span])
         assert (code, result["reason"]) == (1, "invalid_input")
+
+
+def test_find_spectrum_answers_within_seconds_when_no_spectrum_is_in_bounds():
+    # 80 viable candidates for 5 places: C(80, 5) = 2.4e7 candidate sets
+    # for a search that tries every combination.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["find-spectrum", "--set", data("set_023568.json"), "--qmax", "12", "--span", "10"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectrapairs.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["status"] == "not_found"
 
 
 def test_perm_rep_over_work_budget_is_too_large(monkeypatch):

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: cyclotomics, zero-test, common-denominator grids."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,6 @@ from spectrapairs.exact import (
     RationalPhases,
     _split_order,
     cyclotomic_polynomial,
-    evaluate_cyc,
     rational,
     root_sum_is_zero,
 )
@@ -25,6 +25,14 @@ from spectrapairs.representation import (
     permutation_representation,
 )
 from spectrapairs.sets import FiniteRationalSet
+
+
+def evaluate_cyc(s):
+    """Floating-point value of the sum; the numeric cross-check."""
+    return sum(
+        (c * cmath.exp(2j * math.pi * e / s.order) for e, c in s.coeffs.items()),
+        complex(0),
+    )
 
 
 def _poly_div(num, den):

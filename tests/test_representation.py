@@ -263,9 +263,3 @@ class TestFiniteRepValidation:
     def test_rejects_non_unit_v0(self):
         with pytest.raises(InvalidInputError):
             FiniteRep([0, 1], np.eye(2), np.array([1.0, 1.0]))
-
-    def test_json(self):
-        rep = multiplication_representation(uniform(0, "1/2"))
-        data = rep.to_json()
-        assert data["eigenvalues"] == ["0", "1/2"]
-        assert len(data["eigenvectors"]) == 2

@@ -2,6 +2,7 @@
 oracle."""
 
 import cmath
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -21,7 +22,6 @@ from spectrapairs.spectral import (
     certify_spectral_pair,
     construct_line_spectrum,
     decide_line_set,
-    decide_three_point,
     is_spectral_pair,
     search_spectrum,
 )
@@ -194,9 +194,9 @@ class TestDecideLineSet:
         assert decide_line_set(3, Fraction(4, 2)).verdict == "spectral"
 
     def test_three_point_examples(self):
-        assert decide_three_point(Fraction(1, 2)).verdict == "spectral"
-        assert decide_three_point(Fraction(5, 1)).verdict == "spectral"
-        assert decide_three_point(Fraction(3, 1)).verdict == "not_spectral"
+        assert decide_line_set(3, Fraction(1, 2)).verdict == "spectral"
+        assert decide_line_set(3, Fraction(5, 1)).verdict == "spectral"
+        assert decide_line_set(3, Fraction(3, 1)).verdict == "not_spectral"
 
 
 class TestConstructLineSpectrum:
@@ -234,11 +234,30 @@ class TestSearchSpectrum:
         with pytest.raises(InvalidInputError):
             search_spectrum(fset(0, 1), 2, 0)
 
+    @given(
+        numerators=st.one_of(
+            st.sets(st.integers(0, 5), min_size=2, max_size=4),
+            # Spectral shapes, so that hits of size 3 and 4 are common.
+            st.sampled_from([(0, 1, 2), (0, 1, 2, 3), (0, 1, 3, 4), (0, 2, 3, 5), (0, 1, 4, 5)]),
+        ),
+        scale=st.sampled_from([1, 2]),
+        q_max=st.integers(3, 8),
+        span=st.fractions(min_value=1, max_value=2, max_denominator=2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_first_hit_is_the_first_spectral_combination(self, numerators, scale, q_max, span):
+        # Brute-force oracle: every (|A| - 1)-subset of the candidates in
+        # lexicographic order, each certified column by column.
+        A = FiniteRationalSet(Fraction(x, scale) for x in numerators)
+        grid = {Fraction(p, q) for q in range(1, q_max + 1) for p in range(1, math.ceil(span * q))}
+        sets = (FiniteRationalSet((0, *c)) for c in itertools.combinations(sorted(grid), len(A) - 1))
+        assert search_spectrum(A, q_max, span) == next((B for B in sets if is_spectral_pair(A, B)), None)
+
     def test_agrees_with_three_point_criterion(self):
         # Small slice of the oracle-agreement invariant (full grid lives in
         # the acceptance suite).
         for p, q in [(2, 1), (1, 2), (-1, 1), (3, 1), (1, 3), (5, 4)]:
             a = Fraction(p, q)
-            verdict = decide_three_point(a).verdict
+            verdict = decide_line_set(3, a).verdict
             found = search_spectrum(fset(0, 1, a), 3 * q, q)
             assert (found is not None) == (verdict == "spectral")
