@@ -32,7 +32,7 @@ from functools import cache
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InconsistencyError, InvalidInputError
+from .errors import InconsistencyError, InvalidInputError, TooLargeError
 from .exact import rational
 from .sets import FiniteRationalSet, Irrational
 
@@ -45,7 +45,12 @@ __all__ = [
     "extract_permutation",
     "PermutationAction",
     "rationality_obstruction",
+    "CLOSE_WORK_BUDGET",
 ]
+
+# Work budget of ``new_session`` and of each ``close`` call; at the budget a
+# closure takes a few seconds.
+CLOSE_WORK_BUDGET = 2**23
 
 
 @dataclass(frozen=True)
@@ -278,7 +283,12 @@ def new_session(
     round_budget: int = 6,
 ) -> Session:
     """Seed a session with the base facts {a} ->(b-a) {b} for a, b in A,
-    plus the identity facts {a} ->(0) {a}."""
+    plus the identity facts {a} ->(0) {a}.
+
+    Before any fact is seeded, the |A|^2 base facts are charged 1 + |A|
+    units each: the first round of ``close`` counts at least that much,
+    since it visits each one with the |A| base facts of its target as R3
+    partners.  Past ``CLOSE_WORK_BUDGET`` this raises ``TooLargeError``."""
     elements = [_coerce(e) for e in A]
     if len(elements) < 2:
         raise InvalidInputError("ground set needs at least two elements")
@@ -289,6 +299,12 @@ def new_session(
         raise InvalidInputError("moves must be nonempty")
     if round_budget < 1:
         raise InvalidInputError("round budget must be at least 1")
+    work = len(elements) ** 2 * (1 + len(elements))
+    if work > CLOSE_WORK_BUDGET:
+        raise TooLargeError(
+            f"seeding {len(elements)} points needs {work} units of work, "
+            f"over the budget of {CLOSE_WORK_BUDGET}"
+        )
     session = Session(elements, move_set, round_budget)
     points = [session._pair(e) for e in elements]
     zero = session._intern((0, 0))
@@ -300,18 +316,27 @@ def new_session(
     return session
 
 
-def _allowed_moves(session: Session) -> set[tuple[int, int]]:
+def _over_budget() -> TooLargeError:
+    return TooLargeError(f"arrow closure passed its budget of {CLOSE_WORK_BUDGET} units")
+
+
+def _allowed_moves(session: Session) -> tuple[set[tuple[int, int]], int]:
     """Closure of the generating moves under addition, up to
     round_budget + 1 summands (one from the start, one more per pass);
-    caps which compositions R3 may produce."""
+    caps which compositions R3 may produce.  Also returns the work spent,
+    |current| * |base| per pass, charged before the pass."""
     base = {session._pair(m) for m in session.moves} | {(0, 0)}
     current = set(base)
+    work = 0
     for _ in range(session.round_budget):
+        work += len(current) * len(base)
+        if work > CLOSE_WORK_BUDGET:
+            raise _over_budget()
         extended = current | {(a0 + b0, a1 + b1) for a0, a1 in current for b0, b1 in base}
         if extended == current:
             break
         current = extended
-    return current
+    return current, work
 
 
 def close(session: Session) -> Session:
@@ -326,8 +351,16 @@ def close(session: Session) -> Session:
     R3 looks up m + m2 once per pair of move ids, and before it derives
     anything it checks the live per-source index for a stored fact that
     already implies the result, which most compositions are.
+
+    The work of each call is counted as it is done: |current| * |base|
+    for each pass of the allowed sums; |A|^2 for each move whose trivial
+    facts are added, before they are, since the round visits each of them
+    as an R3 partner of the |A| base facts into its source; and for each
+    snapshot fact of a round, 1 plus the lengths of its R2 and R3 partner
+    lists.  Past ``CLOSE_WORK_BUDGET`` it raises ``TooLargeError``.
     """
-    allowed = _allowed_moves(session)
+    allowed, work = _allowed_moves(session)
+    budget = CLOSE_WORK_BUDGET
     facts = session._facts
     store = session._by_source
     pairs = session._pairs
@@ -355,7 +388,11 @@ def close(session: Session) -> Session:
         # Trivial facts: every singleton maps into the whole space at every
         # move currently in play.  R2 cancels known images out of these.
         in_play = {m for _, m in facts} | generators
-        for m in sorted(in_play - covered, key=pairs.__getitem__):
+        new_moves = sorted(in_play - covered, key=pairs.__getitem__)
+        work += len(new_moves) * len(singletons) ** 2
+        if work > budget:
+            raise _over_budget()
+        for m in new_moves:
             for i in singletons:
                 if (i, m) not in facts:
                     changed |= record("trivial", i, m, full)
@@ -383,18 +420,23 @@ def close(session: Session) -> Session:
             is_fresh = (s, m) in fresh
             by_move, by_source = every if is_fresh else recent
             square = s.bit_count() == t.bit_count()
+            r2_partners = by_move.get(m, ())
+            r3_partners = by_source.get(t, ()) if square else ()
+            work += 1 + len(r2_partners) + len(r3_partners)
+            if work > budget:
+                raise _over_budget()
             # R1 complement.
             if is_fresh and square and s != full:
                 changed |= record("R1", full ^ s, m, full ^ t, ((s, m, t),))
             # R2 cancellation: c is a proper subset of t.
-            for s2, c in by_move.get(m, ()):
+            for s2, c in r2_partners:
                 if not s2 & s and c & t == c and c != t:
                     changed |= record("R2", s, m, t ^ c, ((s, m, t), (s2, m, c)))
             # R3 composition (first fact must be dimension-preserving).
-            if square and t in by_source:
+            if r3_partners:
                 known_for_s = store[s]
                 row = sums.setdefault(m, {})
-                for m2, r in by_source[t].items():
+                for m2, r in r3_partners.items():
                     m3 = row.get(m2)
                     if m3 is None:
                         m3 = row[m2] = total(m, m2)

@@ -35,10 +35,18 @@ __all__ = [
     "construct_line_spectrum",
     "search_spectrum",
     "SEARCH_WORK_BUDGET",
+    "CERTIFY_WORK_BUDGET",
 ]
 
-# Work budget of ``search_spectrum``: its candidates plus its pair tests.
+# Work budgets; at each a call takes a few seconds.  ``search_spectrum``:
+# its candidates, its pair tests and |A| per zero test.
 SEARCH_WORK_BUDGET = 2**19
+# ``certify_spectral_pair``: |A| per column tested.
+CERTIFY_WORK_BUDGET = 2**21
+
+
+def _over_budget(work: str, budget: int) -> TooLargeError:
+    return TooLargeError(f"{work} passed its budget of {budget} units")
 
 
 def _column_sum_is_zero(phases: RationalPhases, d: Fraction) -> bool:
@@ -53,10 +61,17 @@ class PairCertificate:
 
 
 def certify_spectral_pair(A: FiniteRationalSet, B: FiniteRationalSet) -> PairCertificate:
-    """Column-orthogonality certification of the exponential matrix."""
+    """Column-orthogonality certification of the exponential matrix.
+
+    Each column tested costs |A| units of work, counted before its test, so
+    a non-pair answers at its first nonzero column; past
+    ``CERTIFY_WORK_BUDGET`` it raises ``TooLargeError``."""
     if len(A) != len(B):
         raise InvalidInputError("sets must have equal size")
-    for b1, b2 in itertools.combinations(B.elements, 2):
+    pairs = itertools.combinations(B.elements, 2)
+    for columns, (b1, b2) in enumerate(pairs, 1):
+        if columns * len(A) > CERTIFY_WORK_BUDGET:
+            raise _over_budget("pair certification", CERTIFY_WORK_BUDGET)
         if not _column_sum_is_zero(A.phases, b2 - b1):
             return PairCertificate(False)
     return PairCertificate(True)
@@ -131,8 +146,8 @@ def search_spectrum(
     sum_a zeta_M^{n_a} = 0 for M the order of d / D (Galois conjugation),
     so it runs once per M.  The work is the candidate count
     ceil(span * q_max (q_max + 1) / 2), taken before any is built, plus one
-    unit per pair test; past ``SEARCH_WORK_BUDGET`` it raises
-    ``TooLargeError``.
+    unit per pair test and |A| units per zero test; past
+    ``SEARCH_WORK_BUDGET`` it raises ``TooLargeError``.
     """
     span = Fraction(span)
     if q_max < 1 or span <= 0:
@@ -153,13 +168,16 @@ def search_spectrum(
     while len(chosen) < len(A):
         work += len(rest)
         if work > SEARCH_WORK_BUDGET:
-            raise TooLargeError(f"spectrum search passed its budget of {SEARCH_WORK_BUDGET} units")
+            raise _over_budget("spectrum search", SEARCH_WORK_BUDGET)
         kept, b = [], chosen[-1]
         for c in rest:
             u = c.numerator * b.denominator - b.numerator * c.denominator
             v = D * c.denominator * b.denominator
             M = v // math.gcd(u, v)  # the order of (c - b) / D
             if M not in zero_set:
+                work += len(A)
+                if work > SEARCH_WORK_BUDGET:
+                    raise _over_budget("spectrum search", SEARCH_WORK_BUDGET)
                 zero_set[M] = _column_sum_is_zero(A.phases, Fraction(D, M))
             if zero_set[M]:
                 kept.append(c)

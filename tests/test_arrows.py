@@ -18,7 +18,7 @@ from spectrapairs.arrows import (
     rationality_obstruction,
     symbol,
 )
-from spectrapairs.errors import InconsistencyError, InvalidInputError
+from spectrapairs.errors import InconsistencyError, InvalidInputError, TooLargeError
 from spectrapairs.measures import AtomicMeasure, atomic_transform
 from spectrapairs.sets import Irrational
 from spectrapairs.spectral import construct_line_spectrum
@@ -58,6 +58,22 @@ class TestNewSession:
         for budget in (0, -2):
             with pytest.raises(InvalidInputError):
                 new_session([0, 1, 2], [1, -1], round_budget=budget)
+
+    def test_large_ground_set_is_too_large_before_seeding(self, monkeypatch):
+        # Each of the |A|^2 base facts is charged 1 + |A| units: 202 points
+        # fit in 2^23, 203 do not.
+        def unreachable(*args):
+            raise AssertionError("a fact was seeded over budget")
+
+        monkeypatch.setattr(arrows.Session, "_add", unreachable)
+        for n in (203, 5000):
+            with pytest.raises(TooLargeError):
+                new_session(range(n), [1])
+        monkeypatch.setattr(arrows, "CLOSE_WORK_BUDGET", 3**2 * 4)
+        with pytest.raises(AssertionError):
+            new_session([0, 1, 2], [1])
+        monkeypatch.undo()
+        assert len(new_session(range(202), [1])._facts) == 202**2
 
 
 class TestClose:
@@ -332,7 +348,7 @@ def test_compositions_are_capped_at_budget_plus_one_summands():
     # The generators themselves are one summand and each pass adds one.
     for budget, top in ((1, 2), (3, 4)):
         session = new_session([0, 1, 2], [1], round_budget=budget)
-        assert arrows._allowed_moves(session) == {(k, 0) for k in range(top + 1)}
+        assert arrows._allowed_moves(session)[0] == {(k, 0) for k in range(top + 1)}
 
 
 def test_saturation_does_no_affine_arithmetic_or_formatting(monkeypatch):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import spectrapairs
-from spectrapairs import cli, measures, representation, spectral
+from spectrapairs import arrows, cli, measures, representation, spectral
 from spectrapairs.cli import run
 
 HERE = os.path.dirname(__file__)
@@ -275,25 +275,45 @@ def test_each_public_name_has_one_home():
 
 
 def test_arrow_close_over_work_budget_is_too_large(monkeypatch):
-    # |A|^3 C(budget + 1 + k, k) is checked before the session is seeded; a
-    # small declared budget stands in for a large --budget.
-    def unreachable(*args, **kwargs):
-        raise AssertionError("new_session called over budget")
-
+    # The closure counts its work as it goes; the golden counts 871 units.
     argv = ["arrow-close", "--set", data("set_012.json"), "--moves", "1,-1,2,-2", "--budget"]
-    monkeypatch.setattr(cli, "ARROW_CLOSE_WORK_BUDGET", 27 * 70)  # |A| = 3, k = 4, budget 3
-    monkeypatch.setattr(cli, "new_session", unreachable)
-    code, result = run(argv + ["4"])  # 27 * C(9, 4) = 3402
+    monkeypatch.setattr(arrows, "CLOSE_WORK_BUDGET", 871)
+    assert run(argv + ["3"]) == run(CASES["arrow_close"])
+    monkeypatch.setattr(arrows, "CLOSE_WORK_BUDGET", 870)
+    code, result = run(argv + ["3"])
     assert code == 1
     assert (result["status"], result["reason"]) == ("too_large", "too_large")
-    monkeypatch.undo()
-    monkeypatch.setattr(cli, "ARROW_CLOSE_WORK_BUDGET", 27 * 70)
-    assert run(argv + ["3"]) == run(CASES["arrow_close"])
-    # Repeated moves and the move 0 add nothing to k.
-    assert run(argv[:-2] + ["1,-1,2,-2,2,0", "--budget", "3"])[0] == 0
+    # A small budget stops a longer closure partway, after it has derived
+    # facts by composition.
+    rules = []
+    add = arrows.Session._add
+
+    def recorded(self, rule, *args):
+        rules.append(rule)
+        return add(self, rule, *args)
+
+    monkeypatch.setattr(arrows.Session, "_add", recorded)
+    monkeypatch.setattr(arrows, "CLOSE_WORK_BUDGET", 2000)
+    code, result = run(argv + ["6"])
+    assert (code, result["reason"]) == (1, "too_large")
+    assert "R3" in rules
     monkeypatch.undo()
     code, result = run(argv + ["100000"])
     assert (code, result["reason"]) == (1, "too_large")
+
+
+def test_check_pair_over_work_budget_is_too_large(monkeypatch):
+    # |A| units per column, counted as the columns are tested: the pair
+    # tests 3 columns of 3 points, the non-pair stops at its first.
+    monkeypatch.setattr(spectral, "CERTIFY_WORK_BUDGET", 9)
+    assert run(CASES["check_pair_true"]) == (0, {"status": "ok", "spectral_pair": True, "exact": True})
+    monkeypatch.setattr(spectral, "CERTIFY_WORK_BUDGET", 3)
+    assert run(CASES["check_pair_false"])[1]["spectral_pair"] is False
+    code, result = run(CASES["check_pair_true"])
+    assert code == 1
+    assert (result["status"], result["reason"]) == ("too_large", "too_large")
+    monkeypatch.setattr(spectral, "CERTIFY_WORK_BUDGET", 2)
+    assert run(CASES["check_pair_false"])[1]["reason"] == "too_large"
 
 
 def test_find_spectrum_over_work_budget_is_too_large(monkeypatch):
@@ -311,10 +331,11 @@ def test_find_spectrum_over_work_budget_is_too_large(monkeypatch):
     assert (result["status"], result["reason"]) == ("too_large", "too_large")
     monkeypatch.undo()
     # The hit costs 6 for the candidates 1/2, 1/3, 2/3, then 3 pair tests
-    # against 0 and 1 against 1/3.
-    monkeypatch.setattr(spectral, "SEARCH_WORK_BUDGET", 10)
+    # against 0 with 3 each for the zero tests of orders 2 and 3, and 1
+    # pair test against 1/3.
+    monkeypatch.setattr(spectral, "SEARCH_WORK_BUDGET", 16)
     assert run(argv + ["1"]) == run(CASES["find_spectrum_hit"])
-    monkeypatch.setattr(spectral, "SEARCH_WORK_BUDGET", 9)
+    monkeypatch.setattr(spectral, "SEARCH_WORK_BUDGET", 15)
     assert run(argv + ["1"])[1]["reason"] == "too_large"
     monkeypatch.undo()
     # A small budget stops a search partway: the 780 candidates pass it,
@@ -342,19 +363,50 @@ def test_find_spectrum_over_work_budget_is_too_large(monkeypatch):
         assert (code, result["reason"]) == (1, "invalid_input")
 
 
-def test_find_spectrum_answers_within_seconds_when_no_spectrum_is_in_bounds():
+def _line_pair(tmp_path, n, q):
+    """Files for A = {0, ..., n - 1} and B = {k/q : 0 <= k < n}."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps([str(k) for k in range(n)]))
+    b.write_text(json.dumps([f"{k}/{q}" for k in range(n)]))
+    return ["check-pair", "--set-a", str(a), "--set-b", str(b)]
+
+
+SECONDS_CASES = {
     # 80 viable candidates for 5 places: C(80, 5) = 2.4e7 candidate sets
     # for a search that tries every combination.
+    "find_spectrum_not_found": (
+        lambda tmp: [
+            "find-spectrum", "--set", data("set_023568.json"), "--qmax", "12", "--span", "10",
+        ],
+        0, {"status": "not_found"},
+    ),
+    # The closure grows about quadratically with --budget.
+    "arrow_close_too_large": (
+        lambda tmp: [
+            "arrow-close", "--set", data("set_012.json"), "--moves", "1", "--budget", "310000",
+        ],
+        1, {"reason": "too_large"},
+    ),
+    # 79,800 columns of 400 points each.
+    "check_pair_too_large": (lambda tmp: _line_pair(tmp, 400, 400), 1, {"reason": "too_large"}),
+    # The first column, 1/401, does not vanish.
+    "check_pair_false": (lambda tmp: _line_pair(tmp, 400, 401), 0, {"spectral_pair": False}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECONDS_CASES))
+def test_cli_answers_within_seconds(name, tmp_path):
+    argv, code, expected = SECONDS_CASES[name]
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(HERE), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["find-spectrum", "--set", data("set_023568.json"), "--qmax", "12", "--span", "10"]
     proc = subprocess.run(
-        [sys.executable, "-m", "spectrapairs.cli", *argv],
+        [sys.executable, "-m", "spectrapairs.cli", *argv(tmp_path)],
         capture_output=True, text=True, env=env, timeout=5,
     )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert json.loads(proc.stdout)["status"] == "not_found"
+    assert (proc.returncode, proc.stderr) == (code, "")
+    result = json.loads(proc.stdout)
+    assert {key: result[key] for key in expected} == expected
 
 
 def test_perm_rep_over_work_budget_is_too_large(monkeypatch):
