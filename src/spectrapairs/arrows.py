@@ -323,19 +323,23 @@ def _over_budget() -> TooLargeError:
 def _allowed_moves(session: Session) -> tuple[set[tuple[int, int]], int]:
     """Closure of the generating moves under addition, up to
     round_budget + 1 summands (one from the start, one more per pass);
-    caps which compositions R3 may produce.  Also returns the work spent,
-    |current| * |base| per pass, charged before the pass."""
+    caps which compositions R3 may produce.  Each pass extends only the
+    sums new in the previous one: a sum of k + 2 summands is a (k + 1)-sum
+    plus a generator, and if that (k + 1)-sum has fewer summands, so has
+    the whole.  Also returns the work spent, |new| * |base| per pass,
+    charged before the pass."""
     base = {session._pair(m) for m in session.moves} | {(0, 0)}
     current = set(base)
+    new = base
     work = 0
     for _ in range(session.round_budget):
-        work += len(current) * len(base)
+        if not new:
+            break
+        work += len(new) * len(base)
         if work > CLOSE_WORK_BUDGET:
             raise _over_budget()
-        extended = current | {(a0 + b0, a1 + b1) for a0, a1 in current for b0, b1 in base}
-        if extended == current:
-            break
-        current = extended
+        new = {(a0 + b0, a1 + b1) for a0, a1 in new for b0, b1 in base} - current
+        current |= new
     return current, work
 
 
@@ -352,8 +356,8 @@ def close(session: Session) -> Session:
     anything it checks the live per-source index for a stored fact that
     already implies the result, which most compositions are.
 
-    The work of each call is counted as it is done: |current| * |base|
-    for each pass of the allowed sums; |A|^2 for each move whose trivial
+    The work of each call is counted as it is done: |new| * |base| for
+    each pass of the allowed sums; |A|^2 for each move whose trivial
     facts are added, before they are, since the round visits each of them
     as an R3 partner of the |A| base facts into its source; and for each
     snapshot fact of a round, 1 plus the lengths of its R2 and R3 partner

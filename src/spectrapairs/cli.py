@@ -22,25 +22,24 @@ from .spectral import certify_spectral_pair, decide_line_set, search_spectrum
 
 __all__ = ["run", "main"]
 
-# Work budgets of the commands whose work their arguments fix, each derived
-# from the arguments before anything is computed; at a budget a run takes a
-# few seconds and at most a few hundred MB.  ``arrow-close``, ``check-pair``
-# and ``find-spectrum`` count their work as they go, in the library.
-# ``cantor``: Gram entries or transforms of the completeness sweep.
-CANTOR_WORK_BUDGET = 2**20
-# ``perm-rep``: entries of the n x n eigenvector matrix (whose unitarity
-# check is an n^3 product).
-PERM_REP_WORK_BUDGET = 2**20
+# The work budget of the commands whose work their input sizes fix, each
+# count taken from the sizes before anything is computed; at the budget a
+# run takes a few seconds and at most a few hundred MB.  ``arrow-close``,
+# ``check-pair`` and ``find-spectrum`` count their work as they go, in the
+# library.
+WORK_BUDGET = 2**20
 
 
-def _check_work(command: str, work: int, budget: int) -> None:
-    if work > budget:
+def _check_work(command: str, work: int) -> None:
+    if work > WORK_BUDGET:
         raise TooLargeError(
-            f"{command} needs {work} units of work, over the budget of {budget}"
+            f"{command} needs {work} units of work, over the budget of {WORK_BUDGET}"
         )
 
 
 def _cmd_decide_line_set(args) -> dict:
+    # Two units per point of the witness it may build and print.
+    _check_work(f"decide-line-set --n {args.n}", 2 * args.n)
     a = Irrational(args.irrational) if args.irrational is not None else parse_fraction(args.a)
     return decide_line_set(args.n, a).to_json()
 
@@ -80,6 +79,10 @@ def _cmd_rep_roundtrip(args) -> dict:
 
     mu = load_measure(args.measure)
     S = load_set(args.spectrum)
+    # The dim x dim unitarity check and the dim x |S| orbit, each a product
+    # over dim, and the |S| x |S| Gram matrix of the orbit.
+    dim = len(mu.points)
+    _check_work("rep-roundtrip", dim * (dim + len(S)) + len(S) ** 2)
     rep = multiplication_representation(mu)
     back = measure_from_representation(rep)
     report = is_wandering(rep, S)
@@ -103,7 +106,9 @@ def _cmd_perm_rep(args) -> dict:
     )
 
     s = generator_shift(args.n, args.p, args.q)
-    _check_work(f"perm-rep --n {args.n}", args.n**2, PERM_REP_WORK_BUDGET)
+    # Entries of the n x n eigenvector matrix, whose unitarity check is an
+    # n^3 product.
+    _check_work(f"perm-rep --n {args.n}", args.n**2)
     rep = permutation_representation(args.n, args.p, args.q)
     return {
         "generator_shift": s,
@@ -124,9 +129,10 @@ def _cmd_cantor(args) -> dict:
     if args.grid < 1:
         raise InvalidInputError("grid must be positive")
     if args.level >= 0:
+        # Gram entries, or transforms of the completeness sweep.
         size = 2 ** (args.level + 1)  # the points of jp_spectrum(level)
         work = size * size if args.check == "orthogonality" else args.grid * size
-        _check_work(f"cantor --level {args.level} --check {args.check}", work, CANTOR_WORK_BUDGET)
+        _check_work(f"cantor --level {args.level} --check {args.check}", work)
     mu = cantor4_measure()
     lam = jp_spectrum(args.level)
     if args.check == "orthogonality":
@@ -170,6 +176,10 @@ def _cmd_frame_bounds(args) -> dict:
 
     mu = load_measure(args.measure)
     lam = load_set(getattr(args, "lambda"))
+    # Two units per entry of the |mu| x |Lambda| exponentials and of the
+    # |mu| x |mu| frame operator: at |mu| = 1 each entry is a point of
+    # Lambda, read and parsed from its file.
+    _check_work("frame-bounds", 2 * len(mu.points) * (len(mu.points) + len(lam)))
     report = frame_bounds(mu, lam.elements)
     return {"lower": report.lower, "upper": report.upper}
 

@@ -8,14 +8,18 @@ polynomial sum_e c_e x^e is divisible by the N-th cyclotomic polynomial
 Phi_N over the integers.  The test decides this prime by prime down the
 cyclotomic tower, without building Phi_N; ``cyclotomic_polynomial`` is the
 independent oracle.  Everything downstream that claims an *exact*
-orthogonality certificate bottoms out here, with phases put over a common
-denominator by ``RationalPhases``.  Every point set takes its rationals
-through ``rational``, so no numpy integer reaches an exact product.
+orthogonality certificate bottoms out here, with points put over a common
+denominator D by ``RationalPhases``: an exponential sum sum_x e^{2 pi i x t}
+at t = u / v is decided as ``root_sum(M)``, the sum of zeta_M^{n_x} over
+the numerators n_x, at its least order M = D v / gcd(u, D v), which the
+caller computes in integers.  Every point set takes its rationals through
+``rational``, so no numpy integer reaches an exact product.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -225,13 +229,11 @@ class RationalPhases:
         self.denominator = D
         self.numerators = [x.numerator * (D // x.denominator) for x in points]
 
-    def at(self, t: Fraction) -> CycSum:
-        """sum_x e^{2 pi i x t} as a sum of N-th roots of unity, with
-        N = D * t.denominator (not necessarily the least order)."""
-        N = self.denominator * t.denominator
-        u = t.numerator
-        coeffs: dict[int, int] = {}
-        for x in self.numerators:
-            e = x * u % N
-            coeffs[e] = coeffs.get(e, 0) + 1
-        return CycSum(N, coeffs)
+    def root_sum(self, order: int) -> CycSum:
+        """sum_x zeta_order^{n_x}, over the numerators n_x with repeats.
+
+        By Galois conjugation sum_x e^{2 pi i x t} at t = u / v vanishes
+        iff this sum does at its least order M = D v / gcd(u, D v): the
+        sum is sum_x zeta_M^{n_x w} with w = u / gcd(u, D v) prime to M,
+        and zeta_M -> zeta_M^w is an automorphism of Q(zeta_M)."""
+        return CycSum(order, Counter(self.numerators))

@@ -199,16 +199,19 @@ def _fmod(N: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def _vanishing_level(mu: IFSMeasure, u: int, v: int, depth: int) -> int:
     """The first level k <= depth whose digit mean vanishes exactly at
-    t = u / v, or 0, by the exact root-of-unity test.  It runs level by
-    level while the digits can span half a turn,
-    2 (max d - min d) |t| >= R^k; below that they lie in an open
+    t = u / v, or 0, by the exact root-of-unity test.  With digits a / D,
+    level k sums zeta_N^{a u} for N = D v R^k, decided at its least order
+    N / gcd(u, N).  It runs level by level while the digits can span half
+    a turn, 2 (max a - min a) |u| >= N; below that they lie in an open
     half-plane and their mean is not zero."""
-    spread = mu.digits[-1] - mu.digits[0]
+    a = mu.phases.numerators
+    reach = 2 * (a[-1] - a[0]) * abs(u)
+    N = mu.phases.denominator * v
     for k in range(1, depth + 1):
-        s = Fraction(u, v * mu.scale**k)
-        if 2 * spread * abs(s) < 1:
+        N *= mu.scale
+        if reach < N:
             break
-        if root_sum_is_zero(mu.phases.at(s)):
+        if root_sum_is_zero(mu.phases.root_sum(N // math.gcd(u, N))):
             return k
     return 0
 

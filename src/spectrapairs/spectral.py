@@ -49,9 +49,10 @@ def _over_budget(work: str, budget: int) -> TooLargeError:
     return TooLargeError(f"{work} passed its budget of {budget} units")
 
 
-def _column_sum_is_zero(phases: RationalPhases, d: Fraction) -> bool:
-    """Whether sum_{a in A} e^{2 pi i a d} = 0, decided exactly."""
-    return root_sum_is_zero(phases.at(d))
+def _column_sum_is_zero(phases: RationalPhases, order: int) -> bool:
+    """Whether sum_{a in A} e^{2 pi i a d} = 0, decided exactly, for d of
+    least order ``order`` on A's grid (see ``RationalPhases.root_sum``)."""
+    return root_sum_is_zero(phases.root_sum(order))
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,20 @@ class PairCertificate:
 def certify_spectral_pair(A: FiniteRationalSet, B: FiniteRationalSet) -> PairCertificate:
     """Column-orthogonality certification of the exponential matrix.
 
-    Each column tested costs |A| units of work, counted before its test, so
-    a non-pair answers at its first nonzero column; past
-    ``CERTIFY_WORK_BUDGET`` it raises ``TooLargeError``."""
+    With A's numerators n_a over D and B's m_b over E, the column of
+    (b1, b2) sums zeta_N^{n_a (m2 - m1)} for N = D E, and is decided at
+    its least order N / gcd(m2 - m1, N).  Each column tested costs |A|
+    units of work, counted before its test, so a non-pair answers at its
+    first nonzero column; past ``CERTIFY_WORK_BUDGET`` it raises
+    ``TooLargeError``."""
     if len(A) != len(B):
         raise InvalidInputError("sets must have equal size")
-    pairs = itertools.combinations(B.elements, 2)
-    for columns, (b1, b2) in enumerate(pairs, 1):
+    N = A.phases.denominator * B.phases.denominator
+    pairs = itertools.combinations(B.phases.numerators, 2)
+    for columns, (m1, m2) in enumerate(pairs, 1):
         if columns * len(A) > CERTIFY_WORK_BUDGET:
             raise _over_budget("pair certification", CERTIFY_WORK_BUDGET)
-        if not _column_sum_is_zero(A.phases, b2 - b1):
+        if not _column_sum_is_zero(A.phases, N // math.gcd(m2 - m1, N)):
             return PairCertificate(False)
     return PairCertificate(True)
 
@@ -178,7 +183,7 @@ def search_spectrum(
                 work += len(A)
                 if work > SEARCH_WORK_BUDGET:
                     raise _over_budget("spectrum search", SEARCH_WORK_BUDGET)
-                zero_set[M] = _column_sum_is_zero(A.phases, Fraction(D, M))
+                zero_set[M] = _column_sum_is_zero(A.phases, M)
             if zero_set[M]:
                 kept.append(c)
         left.append(kept)

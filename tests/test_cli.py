@@ -4,6 +4,7 @@ The golden files pin the full JSON payload of every subcommand; repeated
 runs must be byte-identical.
 """
 
+import argparse
 import importlib
 import json
 import os
@@ -275,11 +276,11 @@ def test_each_public_name_has_one_home():
 
 
 def test_arrow_close_over_work_budget_is_too_large(monkeypatch):
-    # The closure counts its work as it goes; the golden counts 871 units.
+    # The closure counts its work as it goes; the golden counts 801 units.
     argv = ["arrow-close", "--set", data("set_012.json"), "--moves", "1,-1,2,-2", "--budget"]
-    monkeypatch.setattr(arrows, "CLOSE_WORK_BUDGET", 871)
+    monkeypatch.setattr(arrows, "CLOSE_WORK_BUDGET", 801)
     assert run(argv + ["3"]) == run(CASES["arrow_close"])
-    monkeypatch.setattr(arrows, "CLOSE_WORK_BUDGET", 870)
+    monkeypatch.setattr(arrows, "CLOSE_WORK_BUDGET", 800)
     code, result = run(argv + ["3"])
     assert code == 1
     assert (result["status"], result["reason"]) == ("too_large", "too_large")
@@ -363,6 +364,20 @@ def test_find_spectrum_over_work_budget_is_too_large(monkeypatch):
         assert (code, result["reason"]) == (1, "invalid_input")
 
 
+def _uniform_measure(tmp_path, n):
+    """File for the uniform measure on {k/n : 0 <= k < n}."""
+    path = tmp_path / f"mu{n}.json"
+    path.write_text(json.dumps({"points": [f"{k}/{n}" for k in range(n)], "weights": [1 / n] * n}))
+    return str(path)
+
+
+def _integer_set(tmp_path, n):
+    """File for the set {0, ..., n - 1}."""
+    path = tmp_path / f"set{n}.json"
+    path.write_text(json.dumps([str(k) for k in range(n)]))
+    return str(path)
+
+
 def _line_pair(tmp_path, n, q):
     """Files for A = {0, ..., n - 1} and B = {k/q : 0 <= k < n}."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -391,7 +406,48 @@ SECONDS_CASES = {
     "check_pair_too_large": (lambda tmp: _line_pair(tmp, 400, 400), 1, {"reason": "too_large"}),
     # The first column, 1/401, does not vanish.
     "check_pair_false": (lambda tmp: _line_pair(tmp, 400, 401), 0, {"spectral_pair": False}),
+    # A witness of 10^9 points.
+    "decide_line_set_too_large": (
+        lambda tmp: ["decide-line-set", "--n", "1000000001", "--a", "1000000000"],
+        1, {"reason": "too_large"},
+    ),
+    # A 3000 x 3000 unitarity check: about 20 s without a count.
+    "rep_roundtrip_too_large": (
+        lambda tmp: [
+            "rep-roundtrip", "--measure", _uniform_measure(tmp, 3000),
+            "--spectrum", _integer_set(tmp, 3000),
+        ],
+        1, {"reason": "too_large"},
+    ),
+    # A 4000 x 4000 frame operator: 14-15 s without a count.
+    "frame_bounds_too_large": (
+        lambda tmp: [
+            "frame-bounds", "--measure", _uniform_measure(tmp, 4000),
+            "--lambda", _integer_set(tmp, 1),
+        ],
+        1, {"reason": "too_large"},
+    ),
+    "perm_rep_too_large": (
+        lambda tmp: ["perm-rep", "--n", "20000", "--p", "19999", "--q", "1"],
+        1, {"reason": "too_large"},
+    ),
+    "cantor_too_large": (
+        lambda tmp: ["cantor", "--level", "20", "--check", "orthogonality"],
+        1, {"reason": "too_large"},
+    ),
 }
+
+
+def _subcommands():
+    (action,) = (
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return set(action.choices)
+
+
+def test_seconds_cases_cover_every_subcommand(tmp_path):
+    # A new subcommand needs a case here, over its work budget if it has one.
+    assert {argv(tmp_path)[0] for argv, _, _ in SECONDS_CASES.values()} == _subcommands()
 
 
 @pytest.mark.parametrize("name", sorted(SECONDS_CASES))
@@ -414,13 +470,13 @@ def test_perm_rep_over_work_budget_is_too_large(monkeypatch):
     def unreachable(n, p, q):
         raise AssertionError("permutation_representation called over budget")
 
-    monkeypatch.setattr(cli, "PERM_REP_WORK_BUDGET", 15)
+    monkeypatch.setattr(cli, "WORK_BUDGET", 15)
     monkeypatch.setattr(representation, "permutation_representation", unreachable)
     code, result = run(["perm-rep", "--n", "4", "--p", "3", "--q", "1"])  # 16 entries
     assert code == 1
     assert (result["status"], result["reason"]) == ("too_large", "too_large")
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "PERM_REP_WORK_BUDGET", 16)
+    monkeypatch.setattr(cli, "WORK_BUDGET", 16)
     assert run(["perm-rep", "--n", "4", "--p", "3", "--q", "1"])[0] == 0
     monkeypatch.undo()
     code, result = run(["perm-rep", "--n", "20000", "--p", "19999", "--q", "1"])
@@ -436,7 +492,7 @@ def test_cantor_over_work_budget_is_too_large(monkeypatch):
     def unreachable(level):
         raise AssertionError("jp_spectrum called over budget")
 
-    monkeypatch.setattr(cli, "CANTOR_WORK_BUDGET", 100)
+    monkeypatch.setattr(cli, "WORK_BUDGET", 100)
     monkeypatch.setattr(measures, "jp_spectrum", unreachable)
     for argv in (
         ["cantor", "--level", "3", "--check", "orthogonality"],  # 16^2 Gram entries
@@ -446,9 +502,39 @@ def test_cantor_over_work_budget_is_too_large(monkeypatch):
         assert code == 1
         assert (result["status"], result["reason"]) == ("too_large", "too_large")
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "CANTOR_WORK_BUDGET", 100)
+    monkeypatch.setattr(cli, "WORK_BUDGET", 100)
     assert run(["cantor", "--level", "2", "--check", "orthogonality"])[0] == 0  # 64
     assert run(["cantor", "--level", "3", "--check", "completeness", "--grid", "6"])[0] == 0  # 96
+
+
+def test_size_bounded_commands_count_before_computing(monkeypatch):
+    # decide-line-set: 2 n; rep-roundtrip: dim (dim + |S|) + |S|^2;
+    # frame-bounds: 2 |mu| (|mu| + |Lambda|).  The goldens count 6, 12, 16
+    # and 20 units.
+    def unreachable(*args):
+        raise AssertionError("computed over budget")
+
+    budgets = {
+        "decide_spectral": 6,
+        "decide_congruence_fails": 6,
+        "rep_roundtrip": 12,
+        "frame_bounds_tight": 16,
+        "frame_bounds_redundant": 20,
+    }
+    for name, work in budgets.items():
+        expected = run(CASES[name])
+        monkeypatch.setattr(cli, "WORK_BUDGET", work)
+        assert run(CASES[name]) == expected
+        monkeypatch.setattr(cli, "WORK_BUDGET", work - 1)
+        monkeypatch.setattr(cli, "decide_line_set", unreachable)
+        monkeypatch.setattr(representation, "multiplication_representation", unreachable)
+        monkeypatch.setattr(measures, "frame_bounds", unreachable)
+        # The count comes before the decision, so a not_spectral answer
+        # over the budget is too_large too.
+        code, result = run(CASES[name])
+        assert code == 1
+        assert (result["status"], result["reason"]) == ("too_large", "too_large")
+        monkeypatch.undo()
 
 
 def test_cantor_grid_below_one_is_invalid_input():

@@ -177,6 +177,24 @@ def test_zero_test_agrees_with_phi_division(s):
     assert root_sum_is_zero(s) == _phi_divides(s)
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    points=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=1, max_size=6),
+    order=st.integers(1, 72),
+)
+def test_root_sum_agrees_with_phi_division(points, order):
+    # Repeated points included: a FiniteRep's eigenvalues may repeat.
+    s = RationalPhases(points).root_sum(order)
+    assert root_sum_is_zero(s) == _phi_divides(s)
+
+
+def test_root_sum_counts_repeated_points():
+    # 2 zeta_2^0 + zeta_2^1 = 1; with the repeat dropped it would read 0.
+    s = RationalPhases([0, 0, Fraction(1, 2)]).root_sum(2)
+    assert s == CycSum(2, {0: 2, 1: 1})
+    assert not root_sum_is_zero(s)
+
+
 def test_zero_test_builds_no_cyclotomic_polynomial():
     misses = cyclotomic_polynomial.cache_info().misses
     sums = [

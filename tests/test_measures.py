@@ -5,6 +5,7 @@ import cmath
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectrapairs.errors import InvalidInputError
+from spectrapairs.exact import CycSum, root_sum_is_zero
 from spectrapairs.measures import (
     AtomicMeasure,
     IFSMeasure,
@@ -24,6 +26,7 @@ from spectrapairs.measures import (
     ifs_transform,
     ifs_transforms,
     jp_spectrum,
+    _vanishing_level,
 )
 from spectrapairs.sets import FiniteRationalSet
 from spectrapairs.spectral import is_spectral_pair
@@ -144,6 +147,62 @@ class TestIFSTransform:
         assert elapsed < 2.0
         zero = ifs_transform(mu, Fraction(4 * 30001, 3), 1e-12)
         assert zero.value == 0 and zero.depth == 1
+
+
+def fraction_level(mu, u, v, depth):
+    """The first vanishing level by the rule that builds each level's
+    argument s = u / (v R^k) as a Fraction: the level runs while
+    2 (max d - min d) |s| >= 1 and is decided at order D s.denominator,
+    with exponents n_d s.numerator."""
+    spread = mu.digits[-1] - mu.digits[0]
+    for k in range(1, depth + 1):
+        s = Fraction(u, v * mu.scale**k)
+        if 2 * spread * abs(s) < 1:
+            break
+        N = mu.phases.denominator * s.denominator
+        if root_sum_is_zero(CycSum(N, Counter(n * s.numerator for n in mu.phases.numerators))):
+            return k
+    return 0
+
+
+LEVEL_MEASURES = [
+    IFSMeasure(4, (0, 1, 2)),
+    IFSMeasure(3, (-1, Fraction(1, 2), 2)),
+    IFSMeasure(4, (0, 1, 2, 3)),
+    IFSMeasure(6, (0, Fraction(1, 3), 1, Fraction(4, 3))),
+]
+
+
+class TestVanishingLevel:
+    @given(
+        mu=st.sampled_from(LEVEL_MEASURES),
+        a=st.integers(-500, 500),
+        e=st.integers(0, 6),
+        v=st.integers(1, 60),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_fraction_rule(self, mu, a, e, v):
+        # u = a R^e brings the level arguments near small denominators,
+        # where the digit means vanish.
+        u = a * mu.scale**e
+        assert _vanishing_level(mu, u, v, 40) == fraction_level(mu, u, v, 40)
+
+    def test_exact_zeros_of_three_digits(self):
+        # mean(1, zeta_3, zeta_3^2) = 0 at level 1 for t = 4 (3k + 1) / 3.
+        mu = LEVEL_MEASURES[0]
+        for k in range(-20, 20):
+            u, v = 4 * (3 * k + 1), 3
+            assert _vanishing_level(mu, u, v, 40) == fraction_level(mu, u, v, 40) == 1
+        # Four digits {0, 1, 2, 3} at scale 4 vanish at the first level
+        # whose argument u / (v 4^k) has reduced denominator 2 or 4.
+        mu = LEVEL_MEASURES[2]
+        hits = [
+            (u, v) for u in range(-40, 41) for v in (1, 2, 3, 4, 8)
+            if fraction_level(mu, u, v, 40)
+        ]
+        assert hits
+        for u, v in hits:
+            assert _vanishing_level(mu, u, v, 40) == fraction_level(mu, u, v, 40)
 
 
 def mp_transform(digits, scale, t) -> complex:

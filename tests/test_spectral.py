@@ -5,6 +5,7 @@ import cmath
 import itertools
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectrapairs.errors import InvalidInputError
+from spectrapairs.exact import CycSum, root_sum_is_zero
 from spectrapairs.sets import (
     FiniteRationalSet,
     Irrational,
@@ -40,6 +42,72 @@ def _column_sums(A, B):
                 sum(cmath.exp(2j * math.pi * float(a * (b2 - b1))) for a in A)
             )
     return out
+
+
+def _pair_at_unreduced_order(A, B):
+    """Whether every column vanishes by the rule that decides the column
+    d = b2 - b1 = u / v at order D v, with exponents n_a u mod D v."""
+    D = A.phases.denominator
+    for b1, b2 in itertools.combinations(B.elements, 2):
+        d = b2 - b1
+        terms = Counter(n * d.numerator for n in A.phases.numerators)
+        if not root_sum_is_zero(CycSum(D * d.denominator, terms)):
+            return False
+    return True
+
+
+def _line_pairs():
+    """{0, ..., n-2, p/q} and its witness spectrum, for small n and q."""
+    for n in range(3, 8):
+        for q in range(1, 6):
+            for p in range(-2 * n - q, 3 * n, n):
+                if math.gcd(p, q) == 1 and not (q == 1 and 0 <= p <= n - 2):
+                    yield fset(*range(n - 1), Fraction(p, q)), construct_line_spectrum(n, p, q)
+
+
+def _perturbed(B, m):
+    """B with its last element moved by 1/m."""
+    return FiniteRationalSet([*B.elements[:-1], B.elements[-1] + Fraction(1, m)])
+
+
+_SAMPLED_LINE_PAIRS = list(itertools.islice(_line_pairs(), 0, None, 7))
+_OFF_GRID = st.fractions(min_value=-2, max_value=2, max_denominator=9).filter(
+    lambda x: x.denominator > 1
+)
+
+
+@st.composite
+def _off_grid_pairs(draw):
+    """A line pair moved by c A + t, B / c + s, with t and s off the
+    integers so that both grids have denominators above 1; or that pair
+    with one element of B moved; or two random sets of one size."""
+    A, B = draw(st.sampled_from(_SAMPLED_LINE_PAIRS))
+    c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+    A = scale_translate(A, c, draw(_OFF_GRID))
+    B = scale_translate(B, 1 / c, draw(_OFF_GRID))
+    kind = draw(st.sampled_from(["pair", "perturbed", "random"]))
+    if kind == "perturbed":
+        B = _perturbed(B, draw(st.integers(2, 40)))
+    elif kind == "random":
+        points = st.lists(_OFF_GRID, min_size=len(A), max_size=len(A), unique=True)
+        A, B = FiniteRationalSet(draw(points)), FiniteRationalSet(draw(points))
+    return A, B
+
+
+class TestAgainstUnreducedOrderRule:
+    @given(_off_grid_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_off_grid_pairs(self, pair):
+        A, B = pair
+        assert A.phases.denominator > 1 and B.phases.denominator > 1
+        assert certify_spectral_pair(A, B).is_pair == _pair_at_unreduced_order(A, B)
+
+    def test_line_pairs_and_perturbed_negatives(self):
+        for A, B in _line_pairs():
+            assert certify_spectral_pair(A, B).is_pair and _pair_at_unreduced_order(A, B)
+            for m in (2, 7, 1000):
+                C = _perturbed(B, m)
+                assert certify_spectral_pair(A, C).is_pair == _pair_at_unreduced_order(A, C)
 
 
 class TestFiniteRationalSet:
