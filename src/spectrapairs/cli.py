@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .arrows import close, new_session
 from .errors import InconsistencyError, InvalidInputError, TooLargeError
-from .serialize import load_measure, load_set
+from .serialize import load_set, parse_measure, parse_set, read_measure, read_set
 from .sets import Irrational, fraction_str, parse_fraction
 from .spectral import certify_spectral_pair, decide_line_set, search_spectrum
 
@@ -77,12 +77,14 @@ def _cmd_rep_roundtrip(args) -> dict:
         multiplication_representation,
     )
 
-    mu = load_measure(args.measure)
-    S = load_set(args.spectrum)
+    points, weights = read_measure(args.measure)
+    spectrum = read_set(args.spectrum)
     # The dim x dim unitarity check and the dim x |S| orbit, each a product
-    # over dim, and the |S| x |S| Gram matrix of the orbit.
-    dim = len(mu.points)
-    _check_work("rep-roundtrip", dim * (dim + len(S)) + len(S) ** 2)
+    # over dim, and the |S| x |S| Gram matrix of the orbit; counted from
+    # the files' array lengths, before any element is parsed.
+    dim, size = len(points), len(spectrum)
+    _check_work("rep-roundtrip", dim * (dim + size) + size**2)
+    mu, S = parse_measure(points, weights), parse_set(spectrum)
     rep = multiplication_representation(mu)
     back = measure_from_representation(rep)
     report = is_wandering(rep, S)
@@ -174,13 +176,13 @@ def _cmd_cantor(args) -> dict:
 def _cmd_frame_bounds(args) -> dict:
     from .measures import frame_bounds
 
-    mu = load_measure(args.measure)
-    lam = load_set(getattr(args, "lambda"))
+    points, weights = read_measure(args.measure)
+    lam = read_set(getattr(args, "lambda"))
     # Two units per entry of the |mu| x |Lambda| exponentials and of the
     # |mu| x |mu| frame operator: at |mu| = 1 each entry is a point of
-    # Lambda, read and parsed from its file.
-    _check_work("frame-bounds", 2 * len(mu.points) * (len(mu.points) + len(lam)))
-    report = frame_bounds(mu, lam.elements)
+    # Lambda, counted from the file's array length before it is parsed.
+    _check_work("frame-bounds", 2 * len(points) * (len(points) + len(lam)))
+    report = frame_bounds(parse_measure(points, weights), parse_set(lam).elements)
     return {"lower": report.lower, "upper": report.upper}
 
 

@@ -6,14 +6,17 @@ The central primitive is ``root_sum_is_zero``: a sum sum_e c_e zeta_N^e of
 N-th roots of unity with integer coefficients vanishes exactly when the
 polynomial sum_e c_e x^e is divisible by the N-th cyclotomic polynomial
 Phi_N over the integers.  The test decides this prime by prime down the
-cyclotomic tower, without building Phi_N; ``cyclotomic_polynomial`` is the
-independent oracle.  Everything downstream that claims an *exact*
-orthogonality certificate bottoms out here, with points put over a common
-denominator D by ``RationalPhases``: an exponential sum sum_x e^{2 pi i x t}
-at t = u / v is decided as ``root_sum(M)``, the sum of zeta_M^{n_x} over
-the numerators n_x, at its least order M = D v / gcd(u, D v), which the
-caller computes in integers.  Every point set takes its rationals through
-``rational``, so no numpy integer reaches an exact product.
+cyclotomic tower, without building Phi_N, and stops at a prime order p,
+where a sum vanishes iff it has all p terms with one coefficient;
+``cyclotomic_polynomial`` is the independent oracle.  Everything
+downstream that claims an *exact* orthogonality certificate bottoms out
+here, with points put over a common denominator D by ``RationalPhases``:
+an exponential sum sum_x e^{2 pi i x t} at t = u / v is decided as
+``root_sum(M)``, the sum of zeta_M^{n_x} over the numerators n_x, at its
+least order M = D v / gcd(u, D v), which the caller computes in integers.
+A grid counts its numerators once, on its first ``root_sum``.  Every point
+set takes its rationals through ``rational``, so no numpy integer reaches
+an exact product.
 """
 
 from __future__ import annotations
@@ -98,6 +101,15 @@ class CycSum:
         self.order = order
         self.coeffs = {e: c for e, c in reduced.items() if c}
 
+    @classmethod
+    def _reduced(cls, order: int, coeffs: dict[int, int]) -> "CycSum":
+        """The sum of ``coeffs`` taken as they are: exponents already in
+        [0, order), no zero coefficient."""
+        s = object.__new__(cls)
+        s.order = order
+        s.coeffs = coeffs
+        return s
+
     def __eq__(self, other):
         return (
             isinstance(other, CycSum)
@@ -109,12 +121,14 @@ class CycSum:
         return f"CycSum(order={self.order}, coeffs={self.coeffs!r})"
 
 
-def _split_order(order: int, bound: int) -> tuple[list[int], int]:
+@lru_cache(maxsize=1024)
+def _split_order(order: int, bound: int) -> tuple[tuple[int, ...], int]:
     """The primes p <= ``bound`` dividing ``order``, increasing, and the
     cofactor ``rest`` of ``order`` whose prime factors all exceed ``bound``.
 
     Trial division only: the zero test never needs the primes above the
-    number of terms.
+    number of terms.  Memoized, since the tower revisits the same orders;
+    the primes come as a tuple, so no caller can change a cached value.
     """
     primes = []
     rest = order
@@ -125,7 +139,7 @@ def _split_order(order: int, bound: int) -> tuple[list[int], int]:
             while rest % p == 0:
                 rest //= p
         p += 1
-    return primes, rest
+    return tuple(primes), rest
 
 
 def _group(terms: dict[int, int], modulus: int, div: int, order: int) -> list[dict[int, int]]:
@@ -155,8 +169,11 @@ def _vanishes(order: int, terms: dict[int, int]) -> bool:
     """Whether sum_e c_e zeta_order^e = 0, for exponents in [0, order) and
     nonzero coefficients, descending the tower Q(zeta_N) > Q(zeta_{N/p}).
 
-    Each step reduces the test to sums that must all vanish at a smaller
-    order.  With k terms, write N = S * Q where S holds the primes <= k.
+    A prime order p <= k is the base case: all p exponents occur, and the
+    sum vanishes iff they share one coefficient, since Phi_p = 1 + x + ...
+    + x^{p-1} is the minimal polynomial of zeta_p.  Otherwise each step
+    reduces the test to sums that must all vanish at a smaller order.
+    With k terms, write N = S * Q where S holds the primes <= k.
     - Q > 1: the terms fall into at most k classes mod each prime of Q, so
       some class is empty and every class mod Q must vanish on its own, as
       a sum in Q(zeta_S) (exponent e mod S, up to a Galois twist).
@@ -175,6 +192,8 @@ def _vanishes(order: int, terms: dict[int, int]) -> bool:
     if k < 2:
         return k == 0
     primes, rest = _split_order(order, k)
+    if primes == (order,):
+        return len(set(terms.values())) == 1
     rad = math.prod(primes)
     if rest > 1:
         sub = order // rest
@@ -219,15 +238,17 @@ class RationalPhases:
     """A finite list of rationals x as Python-int numerators over one
     common denominator, for exact exponential sums sum_x e^{2 pi i x t}
     at rational t.  Python ints are read as they are, every other point
-    through ``rational``."""
+    through ``rational``.  The count of each numerator, which only
+    ``root_sum`` reads, is taken once, on its first call."""
 
-    __slots__ = ("denominator", "numerators")
+    __slots__ = ("denominator", "numerators", "_counts")
 
     def __init__(self, points: Iterable):
         points = [x if type(x) is int else rational(x) for x in points]
         D = math.lcm(*(x.denominator for x in points))
         self.denominator = D
         self.numerators = [x.numerator * (D // x.denominator) for x in points]
+        self._counts = None
 
     def root_sum(self, order: int) -> CycSum:
         """sum_x zeta_order^{n_x}, over the numerators n_x with repeats.
@@ -236,4 +257,13 @@ class RationalPhases:
         iff this sum does at its least order M = D v / gcd(u, D v): the
         sum is sum_x zeta_M^{n_x w} with w = u / gcd(u, D v) prime to M,
         and zeta_M -> zeta_M^w is an automorphism of Q(zeta_M)."""
-        return CycSum(order, Counter(self.numerators))
+        if order < 1:
+            raise InvalidInputError("order must be positive")
+        if self._counts is None:
+            self._counts = Counter(self.numerators)
+        coeffs: dict[int, int] = {}
+        for n, c in self._counts.items():
+            e = n % order
+            coeffs[e] = coeffs.get(e, 0) + c
+        # Every count is positive, so no coefficient cancels.
+        return CycSum._reduced(order, coeffs)

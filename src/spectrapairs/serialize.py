@@ -1,5 +1,10 @@
 """JSON wire formats: exact fraction strings everywhere, never floats for
-set elements or spectra."""
+set elements or spectra.
+
+A file is read in two steps: ``read_set`` and ``read_measure`` return its
+JSON arrays, ``parse_set`` and ``parse_measure`` parse their elements.  So
+a command can count its work from the arrays' lengths before it pays for
+parsing, several microseconds per element."""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from .sets import FiniteRationalSet, parse_fraction
 if TYPE_CHECKING:
     from .measures import AtomicMeasure
 
-__all__ = ["load_set", "load_measure"]
+__all__ = ["read_set", "parse_set", "load_set", "read_measure", "parse_measure"]
 
 _MEASURE_FORMAT = 'measure file must be a JSON object {"points": [...], "weights": [...]}'
 
@@ -34,16 +39,29 @@ def _read(path: str, kind: type, expected: str):
     return data
 
 
+def read_set(path: str) -> list:
+    """The JSON array of a set file, its elements not yet parsed."""
+    return _read(path, list, "set file must be a JSON array of fraction strings")
+
+
+def parse_set(items: list) -> FiniteRationalSet:
+    return FiniteRationalSet.from_strings(str(x) for x in items)
+
+
 def load_set(path: str) -> FiniteRationalSet:
-    data = _read(path, list, "set file must be a JSON array of fraction strings")
-    return FiniteRationalSet.from_strings(str(x) for x in data)
+    return parse_set(read_set(path))
 
 
-def load_measure(path: str) -> AtomicMeasure:
-    from .measures import AtomicMeasure
-
+def read_measure(path: str) -> tuple[list, list]:
+    """The points and weights arrays of a measure file, not yet parsed."""
     data = _read(path, dict, _MEASURE_FORMAT)
     points, weights = data.get("points"), data.get("weights")
     if not (isinstance(points, list) and isinstance(weights, list)):
         raise InvalidInputError(_MEASURE_FORMAT)
+    return points, weights
+
+
+def parse_measure(points: list, weights: list) -> AtomicMeasure:
+    from .measures import AtomicMeasure
+
     return AtomicMeasure([parse_fraction(str(p)) for p in points], weights)

@@ -42,7 +42,7 @@ __all__ = [
 # its candidates, its pair tests and |A| per zero test.
 SEARCH_WORK_BUDGET = 2**19
 # ``certify_spectral_pair``: |A| per column tested.
-CERTIFY_WORK_BUDGET = 2**21
+CERTIFY_WORK_BUDGET = 2**22
 
 
 def _over_budget(work: str, budget: int) -> TooLargeError:

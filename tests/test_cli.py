@@ -465,6 +465,30 @@ def test_cli_answers_within_seconds(name, tmp_path):
     assert {key: result[key] for key in expected} == expected
 
 
+@pytest.fixture(scope="module")
+def long_set_file(tmp_path_factory):
+    """A set file of 2^20 - 1 points: about 7 s to parse in full."""
+    path = tmp_path_factory.mktemp("long") / "long.json"
+    path.write_text(json.dumps([f"{k}/7" for k in range(2**20 - 1)]))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, flag", [("frame-bounds", "--lambda"), ("rep-roundtrip", "--spectrum")])
+def test_long_set_file_is_counted_before_it_is_parsed(command, flag, long_set_file, tmp_path):
+    # With a 1-point measure the count is over the budget from the
+    # file's array length alone.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [command, "--measure", _uniform_measure(tmp_path, 1), flag, long_set_file]
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectrapairs.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=2,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["reason"] == "too_large"
+
+
 def test_perm_rep_over_work_budget_is_too_large(monkeypatch):
     # The n x n matrix is counted before it is built.
     def unreachable(n, p, q):

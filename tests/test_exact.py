@@ -195,6 +195,73 @@ def test_root_sum_counts_repeated_points():
     assert not root_sum_is_zero(s)
 
 
+def _base_case_sums(order, p, rng):
+    """Sums of exactly p terms with one coefficient c at order ``order``:
+    a coset of the p-th roots of unity, which vanishes, and p scattered
+    exponents.  Each comes with a copy where one coefficient is moved off
+    c and one where one exponent is moved."""
+    c = rng.choice([-3, -1, 1, 2])
+    shift = rng.randrange(order)
+    coset = [(shift + j * (order // p)) % order for j in range(p)]
+    for exponents in (coset, rng.sample(range(order), p)):
+        coeffs = dict.fromkeys(exponents, c)
+        yield CycSum(order, coeffs)
+        e = rng.choice(exponents)
+        yield CycSum(order, {**coeffs, e: c + rng.choice([-1, 1])})
+        moved = dict(coeffs)
+        del moved[e]
+        e = (e + rng.randrange(1, order)) % order
+        moved[e] = moved.get(e, 0) + c
+        yield CycSum(order, moved)
+
+
+@pytest.mark.parametrize(
+    "order, p",
+    [(p, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+    + [(2**9, 2), (3**5, 3), (2**4 * 3**2, 2), (2**4 * 3**2, 3)],
+)
+def test_prime_order_base_case_agrees_with_phi_division(order, p):
+    # At a prime order p the tower stops: p equal terms vanish, and any
+    # other sum does not.  At p^a and 2^4 3^2 the same sums reach it
+    # through the classes mod N / rad(N).
+    rng = random.Random(order * 100 + p)
+    verdicts = set()
+    for _ in range(40):
+        for s in _base_case_sums(order, p, rng):
+            verdict = root_sum_is_zero(s)
+            assert verdict == _phi_divides(s), s
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_root_sum_is_fresh_at_every_order():
+    # Points 0, 0, 1/3, 2/3, 1/2, 5 on the grid over 6: numerators
+    # 0, 0, 2, 4, 3, 30.  Orders interleave; a caller that changes a
+    # returned sum must not change the next one.
+    grid = RationalPhases([0, 0, Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), 5])
+    expected = {
+        6: CycSum(6, {0: 3, 2: 1, 4: 1, 3: 1}),
+        3: CycSum(3, {0: 4, 2: 1, 1: 1}),
+        2: CycSum(2, {0: 5, 1: 1}),
+        1: CycSum(1, {0: 6}),
+    }
+    for order in (6, 2, 6, 3, 1, 2, 3, 6):
+        s = grid.root_sum(order)
+        assert s == expected[order]
+        s.coeffs[0] = -7
+        s.coeffs[5 % order] = 11
+    assert {order: grid.root_sum(order) for order in expected} == expected
+    assert not root_sum_is_zero(grid.root_sum(6))
+    assert root_sum_is_zero(RationalPhases([0, Fraction(1, 3), Fraction(2, 3)]).root_sum(3))
+
+
+def test_split_order_hands_out_immutable_values():
+    primes, rest = _split_order(360, 4)
+    assert (primes, rest) == ((2, 3), 5)
+    assert type(primes) is tuple
+    assert _split_order(360, 4) == ((2, 3), 5)
+
+
 def test_zero_test_builds_no_cyclotomic_polynomial():
     misses = cyclotomic_polynomial.cache_info().misses
     sums = [
@@ -222,7 +289,7 @@ def test_zero_test_builds_no_cyclotomic_polynomial():
 def test_split_order_matches_sympy(order, bound):
     primes, rest = _split_order(order, bound)
     expected = sympy.factorint(order)
-    assert primes == sorted(p for p in expected if p <= bound)
+    assert list(primes) == sorted(p for p in expected if p <= bound)
     assert rest == math.prod(p**a for p, a in expected.items() if p > bound)
 
 
