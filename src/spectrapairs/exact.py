@@ -95,20 +95,13 @@ class CycSum:
             raise InvalidInputError("order must be positive")
         reduced: dict[int, int] = {}
         for e, c in coeffs.items():
-            if c:
-                e %= order
-                reduced[e] = reduced.get(e, 0) + c
+            e %= order
+            reduced[e] = reduced.get(e, 0) + c
+        if not all(reduced.values()):
+            # A zero coefficient or a cancellation left a zero: drop it.
+            reduced = {e: c for e, c in reduced.items() if c}
         self.order = order
-        self.coeffs = {e: c for e, c in reduced.items() if c}
-
-    @classmethod
-    def _reduced(cls, order: int, coeffs: dict[int, int]) -> "CycSum":
-        """The sum of ``coeffs`` taken as they are: exponents already in
-        [0, order), no zero coefficient."""
-        s = object.__new__(cls)
-        s.order = order
-        s.coeffs = coeffs
-        return s
+        self.coeffs = reduced
 
     def __eq__(self, other):
         return (
@@ -127,8 +120,9 @@ def _split_order(order: int, bound: int) -> tuple[tuple[int, ...], int]:
     cofactor ``rest`` of ``order`` whose prime factors all exceed ``bound``.
 
     Trial division only: the zero test never needs the primes above the
-    number of terms.  Memoized, since the tower revisits the same orders;
-    the primes come as a tuple, so no caller can change a cached value.
+    number of terms.  Memoized, since the zero tests over one grid meet
+    the same few orders and term counts again and again; the primes come
+    as a tuple, so no caller can change a cached value.
     """
     primes = []
     rest = order
@@ -257,13 +251,6 @@ class RationalPhases:
         iff this sum does at its least order M = D v / gcd(u, D v): the
         sum is sum_x zeta_M^{n_x w} with w = u / gcd(u, D v) prime to M,
         and zeta_M -> zeta_M^w is an automorphism of Q(zeta_M)."""
-        if order < 1:
-            raise InvalidInputError("order must be positive")
         if self._counts is None:
             self._counts = Counter(self.numerators)
-        coeffs: dict[int, int] = {}
-        for n, c in self._counts.items():
-            e = n % order
-            coeffs[e] = coeffs.get(e, 0) + c
-        # Every count is positive, so no coefficient cancels.
-        return CycSum._reduced(order, coeffs)
+        return CycSum(order, self._counts)

@@ -476,14 +476,15 @@ def long_set_file(tmp_path_factory):
 @pytest.mark.parametrize("command, flag", [("frame-bounds", "--lambda"), ("rep-roundtrip", "--spectrum")])
 def test_long_set_file_is_counted_before_it_is_parsed(command, flag, long_set_file, tmp_path):
     # With a 1-point measure the count is over the budget from the
-    # file's array length alone.
+    # file's array length alone.  Parsing every element first takes about
+    # 7 s, so the 5 s timeout of the other CLI cases tells the two apart.
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(HERE), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [command, "--measure", _uniform_measure(tmp_path, 1), flag, long_set_file]
     proc = subprocess.run(
         [sys.executable, "-m", "spectrapairs.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=2,
+        capture_output=True, text=True, env=env, timeout=5,
     )
     assert (proc.returncode, proc.stderr) == (1, "")
     assert json.loads(proc.stdout)["reason"] == "too_large"
