@@ -285,10 +285,16 @@ def new_session(
     """Seed a session with the base facts {a} ->(b-a) {b} for a, b in A,
     plus the identity facts {a} ->(0) {a}.
 
-    Before any fact is seeded, the |A|^2 base facts are charged 1 + |A|
+    Before any element is coerced, the |A|^2 base facts are charged 1 + |A|
     units each: the first round of ``close`` counts at least that much,
     since it visits each one with the |A| base facts of its target as R3
     partners.  Past ``CLOSE_WORK_BUDGET`` this raises ``TooLargeError``."""
+    work = len(A) ** 2 * (1 + len(A))
+    if work > CLOSE_WORK_BUDGET:
+        raise TooLargeError(
+            f"seeding {len(A)} points needs {work} units of work, "
+            f"over the budget of {CLOSE_WORK_BUDGET}"
+        )
     elements = [_coerce(e) for e in A]
     if len(elements) < 2:
         raise InvalidInputError("ground set needs at least two elements")
@@ -299,12 +305,6 @@ def new_session(
         raise InvalidInputError("moves must be nonempty")
     if round_budget < 1:
         raise InvalidInputError("round budget must be at least 1")
-    work = len(elements) ** 2 * (1 + len(elements))
-    if work > CLOSE_WORK_BUDGET:
-        raise TooLargeError(
-            f"seeding {len(elements)} points needs {work} units of work, "
-            f"over the budget of {CLOSE_WORK_BUDGET}"
-        )
     session = Session(elements, move_set, round_budget)
     points = [session._pair(e) for e in elements]
     zero = session._intern((0, 0))

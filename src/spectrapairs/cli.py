@@ -16,18 +16,23 @@ from fractions import Fraction
 
 from .arrows import close, new_session
 from .errors import InconsistencyError, InvalidInputError, TooLargeError
-from .serialize import load_set, parse_measure, parse_set, read_measure, read_set
+from .serialize import parse_measure, parse_set, read_measure, read_set
 from .sets import Irrational, fraction_str, parse_fraction
 from .spectral import certify_spectral_pair, decide_line_set, search_spectrum
 
 __all__ = ["run", "main"]
 
-# The work budget of the commands whose work their input sizes fix, each
-# count taken from the sizes before anything is computed; at the budget a
-# run takes a few seconds and at most a few hundred MB.  ``arrow-close``,
-# ``check-pair`` and ``find-spectrum`` count their work as they go, in the
-# library.
+# The work budget of the counts taken from input sizes before anything is
+# parsed or computed; at the budget a run takes a few seconds and at most a
+# few hundred MB.  ``arrow-close``, ``check-pair`` and ``find-spectrum``
+# count only their set files' elements here, two units each for parsing;
+# their computation counts itself as it goes, in the library.
 WORK_BUDGET = 2**20
+
+# The least ``cantor --eps``: a smaller error is below what the
+# double-precision product can hold, and the transform depth grows with
+# log(1 / eps) uncounted.
+CANTOR_MIN_EPS = 1e-15
 
 
 def _check_work(command: str, work: int) -> None:
@@ -45,14 +50,16 @@ def _cmd_decide_line_set(args) -> dict:
 
 
 def _cmd_check_pair(args) -> dict:
-    A = load_set(args.set_a)
-    B = load_set(args.set_b)
-    cert = certify_spectral_pair(A, B)
+    a, b = read_set(args.set_a), read_set(args.set_b)
+    _check_work("check-pair", 2 * (len(a) + len(b)))
+    cert = certify_spectral_pair(parse_set(a), parse_set(b))
     return {"spectral_pair": cert.is_pair, "exact": cert.exact}
 
 
 def _cmd_find_spectrum(args) -> dict:
-    result = search_spectrum(load_set(args.set), args.qmax, parse_fraction(args.span))
+    items = read_set(args.set)
+    _check_work("find-spectrum", 2 * len(items))
+    result = search_spectrum(parse_set(items), args.qmax, parse_fraction(args.span))
     if result is None:
         return {
             "status": "not_found",
@@ -64,9 +71,10 @@ def _cmd_find_spectrum(args) -> dict:
 
 
 def _cmd_arrow_close(args) -> dict:
-    A = load_set(args.set)
+    items = read_set(args.set)
+    _check_work("arrow-close", 2 * len(items))
     moves = [parse_fraction(m) for m in args.moves.split(",") if m.strip()]
-    session = close(new_session(A, moves, round_budget=args.budget))
+    session = close(new_session(parse_set(items), moves, round_budget=args.budget))
     return session.to_json()
 
 
@@ -130,6 +138,8 @@ def _cmd_cantor(args) -> dict:
 
     if args.grid < 1:
         raise InvalidInputError("grid must be positive")
+    if not args.eps >= CANTOR_MIN_EPS:  # NaN too
+        raise InvalidInputError(f"eps must be at least {CANTOR_MIN_EPS}")
     if args.level >= 0:
         # Gram entries, or transforms of the completeness sweep.
         size = 2 ** (args.level + 1)  # the points of jp_spectrum(level)

@@ -1,10 +1,10 @@
 """JSON wire formats: exact fraction strings everywhere, never floats for
 set elements or spectra.
 
-A file is read in two steps: ``read_set`` and ``read_measure`` return its
-JSON arrays, ``parse_set`` and ``parse_measure`` parse their elements.  So
-a command can count its work from the arrays' lengths before it pays for
-parsing, several microseconds per element."""
+Every file is read in two steps: ``read_set`` and ``read_measure`` return
+its JSON arrays, ``parse_set`` and ``parse_measure`` parse their elements.
+So every command counts its work from the arrays' lengths before it pays
+for parsing, several microseconds per element."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .sets import FiniteRationalSet, parse_fraction
 if TYPE_CHECKING:
     from .measures import AtomicMeasure
 
-__all__ = ["read_set", "parse_set", "load_set", "read_measure", "parse_measure"]
+__all__ = ["read_set", "parse_set", "read_measure", "parse_measure"]
 
 _MEASURE_FORMAT = 'measure file must be a JSON object {"points": [...], "weights": [...]}'
 
@@ -46,10 +46,6 @@ def read_set(path: str) -> list:
 
 def parse_set(items: list) -> FiniteRationalSet:
     return FiniteRationalSet.from_strings(str(x) for x in items)
-
-
-def load_set(path: str) -> FiniteRationalSet:
-    return parse_set(read_set(path))
 
 
 def read_measure(path: str) -> tuple[list, list]:

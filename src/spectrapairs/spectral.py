@@ -164,7 +164,10 @@ def search_spectrum(
         )
     D = A.phases.denominator
     zero_set: dict[int, bool] = {}  # A's zero set: whether the sums of order M vanish
-    candidates = {Fraction(p, q) for q in range(1, q_max + 1) for p in range(1, math.ceil(span * q))}
+    # p/q < span has a p >= 1 only for q > 1 / span, so every q visited
+    # gives a candidate and the count above bounds this loop too.
+    q_min = span.denominator // span.numerator + 1
+    candidates = {Fraction(p, q) for q in range(q_min, q_max + 1) for p in range(1, math.ceil(span * q))}
     rest = sorted(candidates, reverse=True)
     chosen = [Fraction(0)]
     # left[k]: the candidates above chosen[k] that pass with all of

@@ -75,6 +75,15 @@ class TestNewSession:
         monkeypatch.undo()
         assert len(new_session(range(202), [1])._facts) == 202**2
 
+    def test_large_ground_set_is_too_large_before_coercing(self, monkeypatch):
+        # The count depends on |A| alone, so no element is converted first.
+        def unreachable(value):
+            raise AssertionError("an element was coerced over budget")
+
+        monkeypatch.setattr(arrows, "_coerce", unreachable)
+        with pytest.raises(TooLargeError):
+            new_session(list(range(10**6)), [1])
+
 
 class TestClose:
     def test_reproduces_three_point_derivation(self):

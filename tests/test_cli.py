@@ -179,6 +179,11 @@ MALFORMED = {
         "cantor", "--level", "2", "--check", "completeness", "--grid", "3", "--eps", "nan",
     ],
     "eps_negative": lambda tmp: ["cantor", "--level", "1", "--check", "orthogonality", "--eps", "-1"],
+    # Within the work budget, but the transform depth grows with
+    # log(1 / eps): about 26 s against 5 s at the default eps.
+    "eps_below_floor": lambda tmp: [
+        "cantor", "--level", "9", "--check", "completeness", "--grid", "1000", "--eps", "1e-300",
+    ],
     # An integer part past Python's 4300-digit string-conversion limit.
     "set_element_too_long": lambda tmp: [
         "find-spectrum", "--set", _file(tmp, json.dumps(["1" * 5000])), "--qmax", "3", "--span", "1",
@@ -242,7 +247,7 @@ import sys
 import spectrapairs
 from spectrapairs import arrows, serialize, spectral
 from spectrapairs.cli import run
-A = serialize.load_set(sys.argv[1])
+A = serialize.parse_set(serialize.read_set(sys.argv[1]))
 assert spectral.is_spectral_pair(A, spectral.construct_line_spectrum(3, 2, 1))
 arrows.close(arrows.new_session(A, [1, 2], round_budget=2))
 assert run(["check-pair", "--set-a", sys.argv[1], "--set-b", sys.argv[1]])[0] == 0
@@ -395,6 +400,15 @@ SECONDS_CASES = {
         ],
         0, {"status": "not_found"},
     ),
+    # One candidate counted: the q below 1/span, which give none, are
+    # never visited (about 29 s if each were).
+    "find_spectrum_tiny_span": (
+        lambda tmp: [
+            "find-spectrum", "--set", data("set_012.json"),
+            "--qmax", "10000000", "--span", "1/1000000000000000000",
+        ],
+        0, {"status": "not_found"},
+    ),
     # The closure grows about quadratically with --budget.
     "arrow_close_too_large": (
         lambda tmp: [
@@ -473,15 +487,32 @@ def long_set_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("command, flag", [("frame-bounds", "--lambda"), ("rep-roundtrip", "--spectrum")])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("frame-bounds", "--lambda"),
+        ("rep-roundtrip", "--spectrum"),
+        ("check-pair", "--set-a"),
+        ("check-pair", "--set-b"),
+        ("find-spectrum", "--set"),
+        ("arrow-close", "--set"),
+    ],
+)
 def test_long_set_file_is_counted_before_it_is_parsed(command, flag, long_set_file, tmp_path):
-    # With a 1-point measure the count is over the budget from the
-    # file's array length alone.  Parsing every element first takes about
-    # 7 s, so the 5 s timeout of the other CLI cases tells the two apart.
+    # With small other inputs the count is over the budget from the file's
+    # array length alone.  Parsing every element first takes about 7 s,
+    # so the 5 s timeout of the other CLI cases tells the two apart.
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(HERE), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = [command, "--measure", _uniform_measure(tmp_path, 1), flag, long_set_file]
+    others = {
+        "frame-bounds": ["--measure", _uniform_measure(tmp_path, 1)],
+        "rep-roundtrip": ["--measure", _uniform_measure(tmp_path, 1)],
+        "check-pair": ["--set-b" if flag == "--set-a" else "--set-a", data("set_012.json")],
+        "find-spectrum": ["--qmax", "2", "--span", "1"],
+        "arrow-close": ["--moves", "1"],
+    }
+    argv = [command, *others[command], flag, long_set_file]
     proc = subprocess.run(
         [sys.executable, "-m", "spectrapairs.cli", *argv],
         capture_output=True, text=True, env=env, timeout=5,
