@@ -32,7 +32,7 @@ from functools import cache
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InconsistencyError, InvalidInputError, TooLargeError
+from .errors import InconsistencyError, InvalidInputError, check_work
 from .exact import rational
 from .sets import FiniteRationalSet, Irrational
 
@@ -285,16 +285,11 @@ def new_session(
     """Seed a session with the base facts {a} ->(b-a) {b} for a, b in A,
     plus the identity facts {a} ->(0) {a}.
 
-    Before any element is coerced, the |A|^2 base facts are charged 1 + |A|
-    units each: the first round of ``close`` counts at least that much,
-    since it visits each one with the |A| base facts of its target as R3
-    partners.  Past ``CLOSE_WORK_BUDGET`` this raises ``TooLargeError``."""
-    work = len(A) ** 2 * (1 + len(A))
-    if work > CLOSE_WORK_BUDGET:
-        raise TooLargeError(
-            f"seeding {len(A)} points needs {work} units of work, "
-            f"over the budget of {CLOSE_WORK_BUDGET}"
-        )
+    Work, against ``CLOSE_WORK_BUDGET`` and before any element is coerced:
+    1 + |A| units for each of the |A|^2 base facts, which the first round
+    of ``close`` visits with the |A| base facts of its target as R3
+    partners."""
+    check_work(f"seeding {len(A)} points", len(A) ** 2 * (1 + len(A)), CLOSE_WORK_BUDGET)
     elements = [_coerce(e) for e in A]
     if len(elements) < 2:
         raise InvalidInputError("ground set needs at least two elements")
@@ -316,10 +311,6 @@ def new_session(
     return session
 
 
-def _over_budget() -> TooLargeError:
-    return TooLargeError(f"arrow closure passed its budget of {CLOSE_WORK_BUDGET} units")
-
-
 def _allowed_moves(session: Session) -> tuple[set[tuple[int, int]], int]:
     """Closure of the generating moves under addition, up to
     round_budget + 1 summands (one from the start, one more per pass);
@@ -336,8 +327,8 @@ def _allowed_moves(session: Session) -> tuple[set[tuple[int, int]], int]:
         if not new:
             break
         work += len(new) * len(base)
-        if work > CLOSE_WORK_BUDGET:
-            raise _over_budget()
+        if work > CLOSE_WORK_BUDGET:  # compared inline: this runs once per pass
+            check_work("arrow closure", work, CLOSE_WORK_BUDGET)
         new = {(a0 + b0, a1 + b1) for a0, a1 in new for b0, b1 in base} - current
         current |= new
     return current, work
@@ -356,12 +347,12 @@ def close(session: Session) -> Session:
     anything it checks the live per-source index for a stored fact that
     already implies the result, which most compositions are.
 
-    The work of each call is counted as it is done: |new| * |base| for
-    each pass of the allowed sums; |A|^2 for each move whose trivial
-    facts are added, before they are, since the round visits each of them
-    as an R3 partner of the |A| base facts into its source; and for each
+    Work, against ``CLOSE_WORK_BUDGET`` and counted before it is done:
+    |new| * |base| for each pass of the allowed sums; |A|^2 for each move
+    whose trivial facts are added, since the round visits each of them as
+    an R3 partner of the |A| base facts into its source; and for each
     snapshot fact of a round, 1 plus the lengths of its R2 and R3 partner
-    lists.  Past ``CLOSE_WORK_BUDGET`` it raises ``TooLargeError``.
+    lists.
     """
     allowed, work = _allowed_moves(session)
     budget = CLOSE_WORK_BUDGET
@@ -393,9 +384,9 @@ def close(session: Session) -> Session:
         # move currently in play.  R2 cancels known images out of these.
         in_play = {m for _, m in facts} | generators
         new_moves = sorted(in_play - covered, key=pairs.__getitem__)
-        work += len(new_moves) * len(singletons) ** 2
-        if work > budget:
-            raise _over_budget()
+        work = check_work(
+            "arrow closure", work + len(new_moves) * len(singletons) ** 2, budget
+        )
         for m in new_moves:
             for i in singletons:
                 if (i, m) not in facts:
@@ -427,8 +418,8 @@ def close(session: Session) -> Session:
             r2_partners = by_move.get(m, ())
             r3_partners = by_source.get(t, ()) if square else ()
             work += 1 + len(r2_partners) + len(r3_partners)
-            if work > budget:
-                raise _over_budget()
+            if work > budget:  # compared inline: this runs once per fact
+                check_work("arrow closure", work, budget)
             # R1 complement.
             if is_fresh and square and s != full:
                 changed |= record("R1", full ^ s, m, full ^ t, ((s, m, t),))

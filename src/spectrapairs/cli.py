@@ -15,18 +15,17 @@ import sys
 from fractions import Fraction
 
 from .arrows import close, new_session
-from .errors import InconsistencyError, InvalidInputError, TooLargeError
+from .errors import InconsistencyError, InvalidInputError, check_work
 from .serialize import parse_measure, parse_set, read_measure, read_set
 from .sets import Irrational, fraction_str, parse_fraction
 from .spectral import certify_spectral_pair, decide_line_set, search_spectrum
 
 __all__ = ["run", "main"]
 
-# The work budget of the counts taken from input sizes before anything is
-# parsed or computed; at the budget a run takes a few seconds and at most a
-# few hundred MB.  ``arrow-close``, ``check-pair`` and ``find-spectrum``
-# count only their set files' elements here, two units each for parsing;
-# their computation counts itself as it goes, in the library.
+# The budget of the counts taken from input sizes before anything is parsed
+# or computed.  ``arrow-close``, ``check-pair`` and ``find-spectrum`` count
+# only their set files' elements here, two units each; the library counts
+# their computation.
 WORK_BUDGET = 2**20
 
 # The least ``cantor --eps``: a smaller error is below what the
@@ -35,30 +34,23 @@ WORK_BUDGET = 2**20
 CANTOR_MIN_EPS = 1e-15
 
 
-def _check_work(command: str, work: int) -> None:
-    if work > WORK_BUDGET:
-        raise TooLargeError(
-            f"{command} needs {work} units of work, over the budget of {WORK_BUDGET}"
-        )
-
-
 def _cmd_decide_line_set(args) -> dict:
     # Two units per point of the witness it may build and print.
-    _check_work(f"decide-line-set --n {args.n}", 2 * args.n)
+    check_work("decide-line-set", 2 * args.n, WORK_BUDGET)
     a = Irrational(args.irrational) if args.irrational is not None else parse_fraction(args.a)
     return decide_line_set(args.n, a).to_json()
 
 
 def _cmd_check_pair(args) -> dict:
     a, b = read_set(args.set_a), read_set(args.set_b)
-    _check_work("check-pair", 2 * (len(a) + len(b)))
+    check_work("check-pair", 2 * (len(a) + len(b)), WORK_BUDGET)
     cert = certify_spectral_pair(parse_set(a), parse_set(b))
     return {"spectral_pair": cert.is_pair, "exact": cert.exact}
 
 
 def _cmd_find_spectrum(args) -> dict:
     items = read_set(args.set)
-    _check_work("find-spectrum", 2 * len(items))
+    check_work("find-spectrum", 2 * len(items), WORK_BUDGET)
     result = search_spectrum(parse_set(items), args.qmax, parse_fraction(args.span))
     if result is None:
         return {
@@ -72,7 +64,7 @@ def _cmd_find_spectrum(args) -> dict:
 
 def _cmd_arrow_close(args) -> dict:
     items = read_set(args.set)
-    _check_work("arrow-close", 2 * len(items))
+    check_work("arrow-close", 2 * len(items), WORK_BUDGET)
     moves = [parse_fraction(m) for m in args.moves.split(",") if m.strip()]
     session = close(new_session(parse_set(items), moves, round_budget=args.budget))
     return session.to_json()
@@ -91,7 +83,7 @@ def _cmd_rep_roundtrip(args) -> dict:
     # over dim, and the |S| x |S| Gram matrix of the orbit; counted from
     # the files' array lengths, before any element is parsed.
     dim, size = len(points), len(spectrum)
-    _check_work("rep-roundtrip", dim * (dim + size) + size**2)
+    check_work("rep-roundtrip", dim * (dim + size) + size**2, WORK_BUDGET)
     mu, S = parse_measure(points, weights), parse_set(spectrum)
     rep = multiplication_representation(mu)
     back = measure_from_representation(rep)
@@ -118,7 +110,7 @@ def _cmd_perm_rep(args) -> dict:
     s = generator_shift(args.n, args.p, args.q)
     # Entries of the n x n eigenvector matrix, whose unitarity check is an
     # n^3 product.
-    _check_work(f"perm-rep --n {args.n}", args.n**2)
+    check_work("perm-rep", args.n**2, WORK_BUDGET)
     rep = permutation_representation(args.n, args.p, args.q)
     return {
         "generator_shift": s,
@@ -141,10 +133,13 @@ def _cmd_cantor(args) -> dict:
     if not args.eps >= CANTOR_MIN_EPS:  # NaN too
         raise InvalidInputError(f"eps must be at least {CANTOR_MIN_EPS}")
     if args.level >= 0:
-        # Gram entries, or transforms of the completeness sweep.
-        size = 2 ** (args.level + 1)  # the points of jp_spectrum(level)
+        # Gram entries, or transforms of the completeness sweep, over the
+        # points of jp_spectrum(level).  From level 21 on every count is
+        # over the budget, so the level is capped at 21: the count stays a
+        # lower bound, and a huge --level costs nothing to count.
+        size = 2 ** (min(args.level, 21) + 1)
         work = size * size if args.check == "orthogonality" else args.grid * size
-        _check_work(f"cantor --level {args.level} --check {args.check}", work)
+        check_work(f"cantor --check {args.check}", work, WORK_BUDGET)
     mu = cantor4_measure()
     lam = jp_spectrum(args.level)
     if args.check == "orthogonality":
@@ -191,7 +186,7 @@ def _cmd_frame_bounds(args) -> dict:
     # Two units per entry of the |mu| x |Lambda| exponentials and of the
     # |mu| x |mu| frame operator: at |mu| = 1 each entry is a point of
     # Lambda, counted from the file's array length before it is parsed.
-    _check_work("frame-bounds", 2 * len(points) * (len(points) + len(lam)))
+    check_work("frame-bounds", 2 * len(points) * (len(points) + len(lam)), WORK_BUDGET)
     report = frame_bounds(parse_measure(points, weights), parse_set(lam).elements)
     return {"lower": report.lower, "upper": report.upper}
 

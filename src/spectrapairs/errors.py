@@ -14,6 +14,18 @@ class TooLargeError(InvalidInputError):
     reason = "too_large"
 
 
+def check_work(what: str, work: int, budget: int) -> int:
+    """Return ``work`` if it is within ``budget``, else raise
+    ``TooLargeError``.  A count of 2^64 or more is shown as the power of
+    two below it, so the message stays short for any input."""
+    if work <= budget:
+        return work
+    count = work if work < 2**64 else f"2^{work.bit_length() - 1}"
+    raise TooLargeError(
+        f"{what} needs at least {count} units of work, over its budget of {budget}"
+    )
+
+
 class InconsistencyError(RuntimeError):
     """Raised when a deduction derives a dimension contradiction.
 

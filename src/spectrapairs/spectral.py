@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidInputError, TooLargeError
+from .errors import InvalidInputError, check_work
 from .exact import RationalPhases, rational, root_sum_is_zero
 from .sets import ElementInput, FiniteRationalSet, Irrational
 
@@ -45,10 +45,6 @@ SEARCH_WORK_BUDGET = 2**19
 CERTIFY_WORK_BUDGET = 2**22
 
 
-def _over_budget(work: str, budget: int) -> TooLargeError:
-    return TooLargeError(f"{work} passed its budget of {budget} units")
-
-
 def _column_sum_is_zero(phases: RationalPhases, order: int) -> bool:
     """Whether sum_{a in A} e^{2 pi i a d} = 0, decided exactly, for d of
     least order ``order`` on A's grid (see ``RationalPhases.root_sum``)."""
@@ -66,17 +62,15 @@ def certify_spectral_pair(A: FiniteRationalSet, B: FiniteRationalSet) -> PairCer
 
     With A's numerators n_a over D and B's m_b over E, the column of
     (b1, b2) sums zeta_N^{n_a (m2 - m1)} for N = D E, and is decided at
-    its least order N / gcd(m2 - m1, N).  Each column tested costs |A|
-    units of work, counted before its test, so a non-pair answers at its
-    first nonzero column; past ``CERTIFY_WORK_BUDGET`` it raises
-    ``TooLargeError``."""
+    its least order N / gcd(m2 - m1, N).  Work, against
+    ``CERTIFY_WORK_BUDGET``: |A| units per column, counted before its
+    test, so a non-pair answers at its first nonzero column."""
     if len(A) != len(B):
         raise InvalidInputError("sets must have equal size")
     N = A.phases.denominator * B.phases.denominator
     pairs = itertools.combinations(B.phases.numerators, 2)
     for columns, (m1, m2) in enumerate(pairs, 1):
-        if columns * len(A) > CERTIFY_WORK_BUDGET:
-            raise _over_budget("pair certification", CERTIFY_WORK_BUDGET)
+        check_work("pair certification", columns * len(A), CERTIFY_WORK_BUDGET)
         if not _column_sum_is_zero(A.phases, N // math.gcd(m2 - m1, N)):
             return PairCertificate(False)
     return PairCertificate(True)
@@ -149,19 +143,15 @@ def search_spectrum(
     candidates above it to those whose difference d to it passes the
     column test.  On A's grid (numerators n_a over D) that test holds iff
     sum_a zeta_M^{n_a} = 0 for M the order of d / D (Galois conjugation),
-    so it runs once per M.  The work is the candidate count
-    ceil(span * q_max (q_max + 1) / 2), taken before any is built, plus one
-    unit per pair test and |A| units per zero test; past
-    ``SEARCH_WORK_BUDGET`` it raises ``TooLargeError``.
+    so it runs once per M.  Work, against ``SEARCH_WORK_BUDGET``: the
+    candidate count ceil(span * q_max (q_max + 1) / 2), taken before any is
+    built, then one unit per pair test and |A| units per zero test.
     """
     span = Fraction(span)
     if q_max < 1 or span <= 0:
         raise InvalidInputError("q_max must be >= 1 and span positive")
     work = -(-span.numerator * q_max * (q_max + 1) // (2 * span.denominator))  # ceil
-    if work > SEARCH_WORK_BUDGET:
-        raise TooLargeError(
-            f"spectrum search needs {work} units of work, over the budget of {SEARCH_WORK_BUDGET}"
-        )
+    check_work("spectrum search", work, SEARCH_WORK_BUDGET)
     D = A.phases.denominator
     zero_set: dict[int, bool] = {}  # A's zero set: whether the sums of order M vanish
     # p/q < span has a p >= 1 only for q > 1 / span, so every q visited
@@ -174,18 +164,14 @@ def search_spectrum(
     # chosen[: k + 1], decreasing, so that pop() takes the least.
     left: list[list[Fraction]] = []
     while len(chosen) < len(A):
-        work += len(rest)
-        if work > SEARCH_WORK_BUDGET:
-            raise _over_budget("spectrum search", SEARCH_WORK_BUDGET)
+        work = check_work("spectrum search", work + len(rest), SEARCH_WORK_BUDGET)
         kept, b = [], chosen[-1]
         for c in rest:
             u = c.numerator * b.denominator - b.numerator * c.denominator
             v = D * c.denominator * b.denominator
             M = v // math.gcd(u, v)  # the order of (c - b) / D
             if M not in zero_set:
-                work += len(A)
-                if work > SEARCH_WORK_BUDGET:
-                    raise _over_budget("spectrum search", SEARCH_WORK_BUDGET)
+                work = check_work("spectrum search", work + len(A), SEARCH_WORK_BUDGET)
                 zero_set[M] = _column_sum_is_zero(A.phases, M)
             if zero_set[M]:
                 kept.append(c)

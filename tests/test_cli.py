@@ -12,12 +12,15 @@ import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import spectrapairs
 from spectrapairs import arrows, cli, measures, representation, spectral
 from spectrapairs.cli import run
+from spectrapairs.errors import TooLargeError, check_work
+from spectrapairs.sets import FiniteRationalSet
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
@@ -449,6 +452,30 @@ SECONDS_CASES = {
         lambda tmp: ["cantor", "--level", "20", "--check", "orthogonality"],
         1, {"reason": "too_large"},
     ),
+    # Counts past Python's 4300-digit limit for printing an int in decimal.
+    "perm_rep_huge_n": (
+        lambda tmp: ["perm-rep", "--n", "9" * 2200, "--p", "9" * 2199 + "8", "--q", "1"],
+        1, {"reason": "too_large"},
+    ),
+    "decide_line_set_huge_n": (
+        lambda tmp: ["decide-line-set", "--n", "9" * 4300, "--a", "1"],
+        1, {"reason": "too_large"},
+    ),
+    "find_spectrum_huge_qmax": (
+        lambda tmp: [
+            "find-spectrum", "--set", data("set_012.json"), "--qmax", "9" * 2200, "--span", "1",
+        ],
+        1, {"reason": "too_large"},
+    ),
+    "cantor_level_7142": (
+        lambda tmp: ["cantor", "--level", "7142", "--check", "orthogonality"],
+        1, {"reason": "too_large"},
+    ),
+    # 2^(level + 1) alone takes seconds and gigabytes to form.
+    "cantor_huge_level": (
+        lambda tmp: ["cantor", "--level", "1000000000", "--check", "orthogonality"],
+        1, {"reason": "too_large"},
+    ),
 }
 
 
@@ -477,6 +504,7 @@ def test_cli_answers_within_seconds(name, tmp_path):
     assert (proc.returncode, proc.stderr) == (code, "")
     result = json.loads(proc.stdout)
     assert {key: result[key] for key in expected} == expected
+    assert len(result.get("message", "")) <= 200
 
 
 @pytest.fixture(scope="module")
@@ -561,6 +589,85 @@ def test_cantor_over_work_budget_is_too_large(monkeypatch):
     monkeypatch.setattr(cli, "WORK_BUDGET", 100)
     assert run(["cantor", "--level", "2", "--check", "orthogonality"])[0] == 0  # 64
     assert run(["cantor", "--level", "3", "--check", "completeness", "--grid", "6"])[0] == 0  # 96
+
+
+def _cli_message(argv):
+    code, result = run(argv)
+    assert (code, result["reason"]) == (1, "too_large")
+    raise TooLargeError(result["message"])
+
+
+def _three_point_session():
+    moves = [Fraction(m) for m in (1, -1, 2, -2)]
+    return arrows.new_session(FiniteRationalSet([0, 1, 2]), moves, round_budget=3)
+
+
+_THREE, _THIRDS = FiniteRationalSet([0, 1, 2]), FiniteRationalSet(["0", "1/3", "2/3"])
+
+# Each budgeted entry point over a small budget: (module, budget name,
+# budget, a setup that returns the call to make over it, the count at
+# which the call stops).
+OVER_BUDGET = {
+    # The second column: 2 x |A|.
+    "certify": (
+        spectral, "CERTIFY_WORK_BUDGET", 5,
+        lambda: partial(spectral.certify_spectral_pair, _THREE, _THIRDS), 6,
+    ),
+    # The candidate count ceil(7/6 * 3 * 4 / 2), before any is built.
+    "search_candidates": (
+        spectral, "SEARCH_WORK_BUDGET", 6,
+        lambda: partial(spectral.search_spectrum, _THREE, 3, Fraction(7, 6)), 7,
+    ),
+    # 6 candidates, 3 pair tests against 0, then the first zero test.
+    "search_running": (
+        spectral, "SEARCH_WORK_BUDGET", 10,
+        lambda: partial(spectral.search_spectrum, _THREE, 3, 1), 12,
+    ),
+    # 3^2 base facts at 1 + 3 units each.
+    "new_session": (
+        arrows, "CLOSE_WORK_BUDGET", 35,
+        lambda: partial(arrows.new_session, [0, 1, 2], [1]), 36,
+    ),
+    # The first pass of the allowed sums: 5 sums by the 5 of the base.
+    "close_allowed_sums": (
+        arrows, "CLOSE_WORK_BUDGET", 24,
+        lambda: partial(arrows.close, _three_point_session()), 25,
+    ),
+    # The allowed sums fit exactly; the first round's 5 moves of trivial
+    # facts add 5 x 3^2.
+    "close_rounds": (
+        arrows, "CLOSE_WORK_BUDGET", 65,
+        lambda: partial(arrows.close, _three_point_session()), 110,
+    ),
+    # The 4 x 4 eigenvector matrix, counted before it is built.
+    "cli_perm_rep": (
+        cli, "WORK_BUDGET", 15,
+        lambda: partial(_cli_message, ["perm-rep", "--n", "4", "--p", "3", "--q", "1"]),
+        16,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_BUDGET))
+def test_every_budget_names_its_count_and_budget(name, monkeypatch):
+    module, budget_name, budget, setup, count = OVER_BUDGET[name]
+    call = setup()
+    monkeypatch.setattr(module, budget_name, budget)
+    with pytest.raises(TooLargeError) as info:
+        call()
+    message = str(info.value)
+    assert message.endswith(
+        f" needs at least {count} units of work, over its budget of {budget}"
+    ), message
+    assert len(message) <= 200
+
+
+def test_check_work_shows_a_huge_count_as_a_power_of_two():
+    assert check_work("x", 5, 5) == 5
+    for work, shown in [(2**64 - 1, str(2**64 - 1)), (2**64, "2^64"), (2**14300 + 1, "2^14300")]:
+        with pytest.raises(TooLargeError) as info:
+            check_work("x", work, 5)
+        assert str(info.value) == f"x needs at least {shown} units of work, over its budget of 5"
 
 
 def test_size_bounded_commands_count_before_computing(monkeypatch):
