@@ -24,14 +24,29 @@ __all__ = ["run", "main"]
 
 # The budget of the counts taken from input sizes before anything is parsed
 # or computed.  ``arrow-close``, ``check-pair`` and ``find-spectrum`` count
-# only their set files' elements here, two units each; the library counts
-# their computation.
+# only their set files here, two units per element and ``_grid_work`` per
+# file; the library counts their computation.
 WORK_BUDGET = 2**20
+
+# A set's common-denominator grid (``exact.RationalPhases``, built when the
+# set is parsed) costs about the square of S', the digits its elements have
+# beyond 18 (about one machine word).  Each set file is charged S'^2 / C
+# units.  At this C a grid at the edge of the budget, S' = 2^17, took 0.6 s
+# to parse for {k / (10^(d-1) + 2k + 1)} with d = 3900, 1.0 s with d = 243
+# and 2.4 s with d = 60 (timed in-process on a 2-core x86 machine).
+GRID_DIGITS_SQUARED_PER_UNIT = 2**14
 
 # The least ``cantor --eps``: a smaller error is below what the
 # double-precision product can hold, and the transform depth grows with
 # log(1 / eps) uncounted.
 CANTOR_MIN_EPS = 1e-15
+
+
+def _grid_work(items: list) -> int:
+    """S'^2 / C units for the grid of a set file's elements as read, with
+    S' the sum of their characters past 18."""
+    digits = sum(max(0, len(str(x)) - 18) for x in items)
+    return digits * digits // GRID_DIGITS_SQUARED_PER_UNIT
 
 
 def _cmd_decide_line_set(args) -> dict:
@@ -43,14 +58,14 @@ def _cmd_decide_line_set(args) -> dict:
 
 def _cmd_check_pair(args) -> dict:
     a, b = read_set(args.set_a), read_set(args.set_b)
-    check_work("check-pair", 2 * (len(a) + len(b)), WORK_BUDGET)
+    check_work("check-pair", 2 * (len(a) + len(b)) + _grid_work(a) + _grid_work(b), WORK_BUDGET)
     cert = certify_spectral_pair(parse_set(a), parse_set(b))
     return {"spectral_pair": cert.is_pair, "exact": cert.exact}
 
 
 def _cmd_find_spectrum(args) -> dict:
     items = read_set(args.set)
-    check_work("find-spectrum", 2 * len(items), WORK_BUDGET)
+    check_work("find-spectrum", 2 * len(items) + _grid_work(items), WORK_BUDGET)
     result = search_spectrum(parse_set(items), args.qmax, parse_fraction(args.span))
     if result is None:
         return {
@@ -64,7 +79,7 @@ def _cmd_find_spectrum(args) -> dict:
 
 def _cmd_arrow_close(args) -> dict:
     items = read_set(args.set)
-    check_work("arrow-close", 2 * len(items), WORK_BUDGET)
+    check_work("arrow-close", 2 * len(items) + _grid_work(items), WORK_BUDGET)
     moves = [parse_fraction(m) for m in args.moves.split(",") if m.strip()]
     session = close(new_session(parse_set(items), moves, round_budget=args.budget))
     return session.to_json()
@@ -81,9 +96,11 @@ def _cmd_rep_roundtrip(args) -> dict:
     spectrum = read_set(args.spectrum)
     # The dim x dim unitarity check and the dim x |S| orbit, each a product
     # over dim, and the |S| x |S| Gram matrix of the orbit; counted from
-    # the files' array lengths, before any element is parsed.
+    # the files' array lengths, before any element is parsed, with the two
+    # grids.
     dim, size = len(points), len(spectrum)
-    check_work("rep-roundtrip", dim * (dim + size) + size**2, WORK_BUDGET)
+    work = dim * (dim + size) + size**2 + _grid_work(points) + _grid_work(spectrum)
+    check_work("rep-roundtrip", work, WORK_BUDGET)
     mu, S = parse_measure(points, weights), parse_set(spectrum)
     rep = multiplication_representation(mu)
     back = measure_from_representation(rep)
@@ -185,8 +202,10 @@ def _cmd_frame_bounds(args) -> dict:
     lam = read_set(getattr(args, "lambda"))
     # Two units per entry of the |mu| x |Lambda| exponentials and of the
     # |mu| x |mu| frame operator: at |mu| = 1 each entry is a point of
-    # Lambda, counted from the file's array length before it is parsed.
-    check_work("frame-bounds", 2 * len(points) * (len(points) + len(lam)), WORK_BUDGET)
+    # Lambda, counted from the file's array length before it is parsed, with
+    # the two grids.
+    work = 2 * len(points) * (len(points) + len(lam)) + _grid_work(points) + _grid_work(lam)
+    check_work("frame-bounds", work, WORK_BUDGET)
     report = frame_bounds(parse_measure(points, weights), parse_set(lam).elements)
     return {"lower": report.lower, "upper": report.upper}
 

@@ -10,8 +10,6 @@ completeness diagnostic Q(t) = sum_lambda |mu_hat(t - lambda)|^2.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
@@ -169,24 +167,68 @@ class IFSTransforms(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _depth_thresholds(scale: int, eps: float) -> list[float]:
-    """log1p(eps) * scale^k for k = 0, 1, ... up to the float range."""
-    bound = math.log1p(eps)
+def _float_powers(scale: int) -> np.ndarray:
+    """scale^k as floats for k = 0, 1, ... while scale^k < 2^1000: the
+    levels whose phases the kernel divides in floats."""
     out, power = [], 1
     while power < 2**1000:
-        out.append(bound * float(power))
+        out.append(float(power))
         power *= scale
-    return out
+    return np.array(out)
 
 
 @lru_cache(maxsize=64)
-def _scale_powers(scale: int, count: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """scale^k for k < count as floats, and as integers capped at cap."""
-    powers = [scale**k for k in range(count)]
-    return (
-        np.array(powers, dtype=float),
-        np.array([min(p, cap) for p in powers], dtype=np.int64 if cap <= _CAP64 else object),
-    )
+def _depth_table(scale: int, eps: float, c: float) -> np.ndarray:
+    """For each power scale^k of ``_float_powers``, the largest float q
+    with c * q / (scale - 1) <= log1p(eps) * scale^k, each side rounded in
+    floats.  The left side does not decrease as q grows, so the least
+    depth k of a ratio q = |t| is the number of entries below q."""
+    bound = math.log1p(eps)
+    out = []
+    for power in _float_powers(scale).tolist():
+        limit = bound * power
+        q = limit * (scale - 1) / c
+        while c * q / (scale - 1) > limit:
+            q = math.nextafter(q, -math.inf)
+        while c * math.nextafter(q, math.inf) / (scale - 1) <= limit:
+            q = math.nextafter(q, math.inf)
+        out.append(q)
+    return np.array(out)
+
+
+@lru_cache(maxsize=64)
+def _scale_powers(scale: int, count: int, cap: int) -> np.ndarray:
+    """scale^k for k < count, each capped at cap."""
+    dtype = np.int64 if cap <= _CAP64 else object
+    return np.array([min(scale**k, cap) for k in range(count)], dtype=dtype)
+
+
+def _ratio(u: int, v: int) -> float:
+    """|u| / v, or inf where the quotient is past the float range."""
+    try:
+        return abs(u) / v
+    except OverflowError:
+        return math.inf
+
+
+def _least_power(lhs: int, rhs: int, scale: int, least: int) -> int:
+    """The least k >= least with lhs <= rhs * scale^k, for positive lhs
+    and rhs."""
+    k = max(least, int(math.log(lhs, scale) - math.log(rhs, scale)) - 1)
+    while rhs * scale**k < lhs:
+        k += 1
+    return k
+
+
+def _odd_level(z: int, scale: int, depth: int) -> int:
+    """The first k <= depth at which z / scale^k is an odd integer, or 0."""
+    for k in range(1, depth + 1):
+        z, r = divmod(z, scale)
+        if r:
+            return 0
+        if z & 1:
+            return k
+    return 0
 
 
 def _fmod(N: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -225,23 +267,31 @@ def _ifs_kernel(
     Depth: |m_D(s) - 1| <= 2 pi max|d| |s|, so the tail of the product
     past K is within exp(delta) - 1 of 1 with
     delta = 2 pi max|d| |t| / (R^K (R-1)); K is the least depth with
-    delta <= log1p(eps).
+    delta <= log1p(eps).  It is found by one ``searchsorted`` of |t| in a
+    float table of the largest |t| at each depth, for R^k < 2^1000.  Past
+    the table, and for |t| past the float range, the same inequality, on
+    the same float constants, is solved in integers, so the error bound
+    holds at any |t|.
 
     Phases: with digits a / D and t = u / v, digit a turns by
     a u / (D v R^k) at level k, reduced exactly to the remainder of a u
-    by D v R^k with the sign of a u, then divided in floats.  Moduli are
-    capped near ``cap``: a capped modulus exceeds cap / 2, which is at
-    least every |a u| and twice every |(a2 - a1) u|, so it leaves a u
-    unreduced, as the true one would, and no factor vanishes there.  A
-    phase below one turn keeps its sign, so mu_hat(-t) is the exact
-    conjugate of mu_hat(t).
+    by D v R^k with the sign of a u.  Within the table it is then divided
+    in floats.  Moduli are capped near ``cap``: a capped modulus exceeds
+    cap / 2, which is at least every |a u| and twice every |(a2 - a1) u|,
+    so it leaves a u unreduced, as the true one would, and no factor
+    vanishes there.  Past the table, where R^k may have no float, each
+    remainder is divided by its uncapped modulus in Python ints.  A phase
+    below one turn keeps its sign, so mu_hat(-t) is the exact conjugate
+    of mu_hat(t).
 
     With ``symbolic``, a level k <= K whose factor vanishes exactly makes
-    the value an exact zero of depth k.  Two digits vanish iff their
-    phase difference is half a turn, 2 ((a2 - a1) u mod M) = M, tested
-    on the integer arrays; more digits go through ``_vanishing_level``.
-    Terms are evaluated in chunks of equal depth, and each term's value
-    and depth depend on that term alone, whatever the batch.
+    the value an exact zero of depth k.  Two digits vanish at level k iff
+    their phase difference is half a turn, that is iff Z / R^k is an odd
+    integer for Z = 2 (a2 - a1) u / (D v): the first such k is found by
+    dividing Z by R, for the terms whose Z is an integer.  More digits go
+    through ``_vanishing_level``.  The remaining terms are grouped by
+    depth and evaluated in chunks, and each term's value and depth depend
+    on that term alone, whatever the batch.
     """
     if not eps > 0:
         raise InvalidInputError("eps must be positive")
@@ -252,50 +302,65 @@ def _ifs_kernel(
     # A digit at 0 turns by nothing: its root is exactly 1.
     moving = [y for y in a if y]
     c = 2 * math.pi * (top_digit / D)
-    thresholds = _depth_thresholds(R, eps)
-    values = np.ones(len(nums), dtype=complex)
-    depths = []
-    by_depth: defaultdict[int, list[int]] = defaultdict(list)
-    for j, (u, v) in enumerate(zip(nums, dens)):
-        K = bisect_left(thresholds, c * (abs(u) / v) / (R - 1))
-        zero = symbolic and n > 2 and K and _vanishing_level(mu, u, v, K)
-        if zero:
-            values[j] = 0
-            K = zero
-        elif K:
-            by_depth[K].append(j)
-        depths.append(K)
-    for K, terms in by_depth.items():
+    floats = _float_powers(R)
+    try:
+        ratios = [abs(u) / v for u, v in zip(nums, dens)]
+    except OverflowError:
+        ratios = [_ratio(u, v) for u, v in zip(nums, dens)]
+    depths = _depth_table(R, eps, c).searchsorted(np.array(ratios, dtype=float)).tolist()
+    if len(floats) in depths:
+        rate = Fraction(c) / ((R - 1) * Fraction(math.log1p(eps)))
+        for j, K in enumerate(depths):
+            if K == len(floats):
+                depths[j] = _least_power(
+                    abs(nums[j]) * rate.numerator, dens[j] * rate.denominator, R, K
+                )
+    cap = max(_CAP64, 2 * reach * max(map(abs, nums), default=0), 2 * D * max(dens, default=1))
+    dtype = np.int64 if cap == _CAP64 else object
+    U, DV = np.array(nums, dtype), D * np.array(dens, dtype)
+    values = np.empty(len(nums), dtype=complex)
+    values.fill(1)
+    live = np.array(depths)
+    step = np.array(moving, dtype)[:, None]
+    if symbolic:
+        if n == 2:
+            z = 2 * (a[1] - a[0])
+            zeros = [
+                (j, _odd_level(z * nums[j] // (D * dens[j]), R, depths[j]))
+                for j in (z * U % DV == 0).nonzero()[0].tolist()
+            ]
+        else:
+            zeros = [(j, _vanishing_level(mu, nums[j], dens[j], K)) for j, K in enumerate(depths) if K]
+        for j, k in zeros:
+            if k:
+                values[j], depths[j], live[j] = 0, k, 0
+    for K in set(live.tolist()) - {0}:
+        terms = (live == K).nonzero()[0]
         rows = max(1, _CHUNK // (K * len(moving)))
+        deep = K >= len(floats)
+        if deep:
+            powers = np.array([R**k for k in range(1, K + 1)], dtype=object)
+        else:
+            powers = _scale_powers(R, -(-(K + 1) // 64) * 64, cap)[1 : K + 1]
         for lo in range(0, len(terms), rows):
             idx = terms[lo : lo + rows]
-            u = [nums[j] for j in idx]
-            Dv = [D * dens[j] for j in idx]
-            cap = max(_CAP64, 2 * reach * max(map(abs, u)), 2 * max(Dv))
-            dtype = np.int64 if cap == _CAP64 else object
-            scale_f, scale_i = _scale_powers(R, -(-(K + 1) // 64) * 64, cap)
+            u, Dv = U[idx], DV[idx]
             # Arrays are (digit, term, level): digits are summed slab by
             # slab, and each term's product runs along its own row in level
             # order.  numpy's vectorized complex multiply rounds unlike its
             # scalar loop, so a product across terms would make a value
             # depend on its batch.
-            N = np.array([[y * x for x in u] for y in moving], dtype)[:, :, None]
-            Dv_, room = np.array([Dv, [cap // x for x in Dv]], dtype)[:, :, None]
-            M = Dv_ * np.minimum(scale_i[1 : K + 1], room)
-            rem = _fmod(N, M)
-            turns = rem.astype(float) / (np.array(Dv, dtype=float)[:, None] * scale_f[1 : K + 1])
+            N = (step * u)[:, :, None]
+            if deep:
+                M = Dv.astype(object)[:, None] * powers
+                turns = (_fmod(N.astype(object), M) / M).astype(float)
+            else:
+                M = Dv[:, None] * np.minimum(powers, (cap // Dv)[:, None])
+                turns = _fmod(N, M).astype(float) / (Dv.astype(float)[:, None] * floats[1 : K + 1])
             mean = _exp_turns(turns).sum(axis=0)
             mean.real += n - len(moving)
             mean.view(float)[...] /= n
             values[idx] = mean.prod(axis=1)
-            if symbolic and n == 2:
-                X = np.array([(a[1] - a[0]) * x for x in u], dtype)[:, None]
-                hit = 2 * (X % M) == M
-                first = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0)
-                for j, k in zip(idx, first.tolist()):
-                    if k:
-                        values[j] = 0
-                        depths[j] = k
     return IFSTransforms(values, np.array(depths, dtype=np.int64))
 
 

@@ -386,6 +386,27 @@ def _integer_set(tmp_path, n):
     return str(path)
 
 
+def _long_denominators(n):
+    """{k / q_k : k < n} with q_k = 10^3899 + 2k + 1: parsing its grid
+    takes about 5.5 s at n = 100 and over 20 s at n = 200."""
+    return [f"{k}/{10**3899 + 2 * k + 1}" for k in range(n)]
+
+
+def _long_denominator_pair(tmp_path, n):
+    """Files for A = ``_long_denominators(n)`` and B = {0, ..., n - 1}."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(_long_denominators(n)))
+    b.write_text(json.dumps([str(k) for k in range(n)]))
+    return ["check-pair", "--set-a", str(a), "--set-b", str(b)]
+
+
+def _long_denominator_measure(tmp_path, n):
+    """File for the uniform measure on ``_long_denominators(n)``."""
+    path = tmp_path / f"long{n}.json"
+    path.write_text(json.dumps({"points": _long_denominators(n), "weights": [1 / n] * n}))
+    return str(path)
+
+
 def _line_pair(tmp_path, n, q):
     """Files for A = {0, ..., n - 1} and B = {k/q : 0 <= k < n}."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -421,6 +442,21 @@ SECONDS_CASES = {
     ),
     # 79,800 columns of 400 points each.
     "check_pair_too_large": (lambda tmp: _line_pair(tmp, 400, 400), 1, {"reason": "too_large"}),
+    # Grids of 100 and 200 points with 3900-digit denominators: about 5.9 s
+    # and 24 s to build when only the elements were counted.
+    "check_pair_long_denominators_100": (
+        lambda tmp: _long_denominator_pair(tmp, 100), 1, {"reason": "too_large"},
+    ),
+    "check_pair_long_denominators_200": (
+        lambda tmp: _long_denominator_pair(tmp, 200), 1, {"reason": "too_large"},
+    ),
+    "frame_bounds_long_denominators": (
+        lambda tmp: [
+            "frame-bounds", "--measure", _long_denominator_measure(tmp, 100),
+            "--lambda", _integer_set(tmp, 1),
+        ],
+        1, {"reason": "too_large"},
+    ),
     # The first column, 1/401, does not vanish.
     "check_pair_false": (lambda tmp: _line_pair(tmp, 400, 401), 0, {"spectral_pair": False}),
     # A witness of 10^9 points.
@@ -698,6 +734,29 @@ def test_size_bounded_commands_count_before_computing(monkeypatch):
         assert code == 1
         assert (result["status"], result["reason"]) == ("too_large", "too_large")
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("command", ["check-pair", "frame-bounds"])
+def test_set_files_are_charged_for_their_grids(command, monkeypatch, tmp_path):
+    # S' counts each element's characters past 18: "1/" and 28 threes
+    # have 30, so S' = 12, charged S'^2 units at one digit^2 per unit, on
+    # top of 2 (1 + 1) units for the elements of both commands.
+    point, work = "1/" + "3" * 28, 4 + 12**2
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    b.write_text(json.dumps(["0"]))
+    if command == "check-pair":
+        a.write_text(json.dumps([point]))
+        argv = ["check-pair", "--set-a", str(a), "--set-b", str(b)]
+    else:
+        a.write_text(json.dumps({"points": [point], "weights": [1.0]}))
+        argv = ["frame-bounds", "--measure", str(a), "--lambda", str(b)]
+    monkeypatch.setattr(cli, "GRID_DIGITS_SQUARED_PER_UNIT", 1)
+    monkeypatch.setattr(cli, "WORK_BUDGET", work)
+    assert run(argv)[0] == 0
+    monkeypatch.setattr(cli, "WORK_BUDGET", work - 1)
+    code, result = run(argv)
+    assert (code, result["reason"]) == (1, "too_large")
+    assert result["message"].endswith(f" {work} units of work, over its budget of {work - 1}")
 
 
 def test_cantor_grid_below_one_is_invalid_input():

@@ -208,13 +208,13 @@ class TestVanishingLevel:
 def mp_transform(digits, scale, t) -> complex:
     """Reference mu_hat(t) = prod_k mean_d e^{2 pi i d t / R^k}: every
     phase reduced mod 1 in exact arithmetic, evaluated in mpmath at 40
-    digits until the remaining factors are within 1e-30 of 1."""
+    digits until the remaining factors are within 1e-30 of 1, at any |t|."""
     t = Fraction(t)
     top = max(abs(Fraction(d)) for d in digits)
     with mpmath.workdps(40):
         value = mpmath.mpc(1)
         k = 1
-        while 2 * math.pi * float(top * abs(t)) / scale**k >= 1e-31:
+        while top * abs(t) / scale**k >= Fraction(1, 10**32):
             phases = [(Fraction(d) * t / scale**k) % 1 for d in digits]
             value *= mpmath.fsum(
                 mpmath.expjpi(2 * mpmath.mpf(x.numerator) / x.denominator) for x in phases
@@ -273,6 +273,25 @@ class TestTransformKernel:
             assert value == single.value and depth == single.depth
             assert (value == 0) == (single.value == 0)
 
+    @pytest.mark.parametrize("symbolic", [True, False])
+    @pytest.mark.parametrize(
+        "mu", [cantor4_measure(), IFSMeasure(4, (0, 1, 2))], ids=["cantor", "three_digits"]
+    )
+    def test_batch_over_chunk_boundaries_equals_single(self, mu, symbolic):
+        # The arguments t - lambda of Q(t) at level 10 for t = 0 and 3: over
+        # 1 << 13 phases in several chunks and depth groups, and for the
+        # Cantor measure exact zeros at 11 levels (level j + 1 for lambda
+        # = 4^j times odd at t = 0, level 1 for even lambda at t = 3).
+        ts = [t - lam for t in (0, 3) for lam in jp_spectrum(10)]
+        batch = ifs_transforms(mu, ts, 1e-10, symbolic)
+        values, depths = batch.values.tolist(), batch.depths.tolist()
+        assert sum(k for z, k in zip(values, depths) if z != 0) > 1 << 13
+        assert len({k for z, k in zip(values, depths) if z != 0}) > 5
+        zero_levels = {k for z, k in zip(values, depths) if z == 0}
+        assert len(zero_levels) == 11 if symbolic and mu.digits == (0, 2) else not zero_levels
+        for t, value, depth in zip(ts, values, depths):
+            assert (value, depth) == ifs_transform(mu, t, 1e-10, symbolic)
+
     def test_negative_argument_is_exact_conjugate(self):
         mu = cantor4_measure()
         for t in (Fraction(7, 3), Fraction(4**25 + 1, 7), 123456789):
@@ -292,6 +311,126 @@ class TestTransformKernel:
         # int64: this read 0.188-0.391j.
         mu = AtomicMeasure.uniform(np.array([0, 29714666491209]))
         assert abs(atomic_transform(mu, Fraction(8001465, 14))) <= 1e-15
+
+
+def certified_delta(mu, t, depth):
+    """The tail bound delta = 2 pi max|d| |t| / (R^depth (R - 1)), at 50
+    digits."""
+    top = max(abs(d) for d in mu.digits) * abs(Fraction(t))
+    with mpmath.workdps(50):
+        return 2 * mpmath.pi * top.numerator / (top.denominator * mpmath.mpf(mu.scale) ** depth * (mu.scale - 1))
+
+
+class TestPastTheDepthTable:
+    """Depths of log1p(eps) R^k past the float table, R^k >= 2^1000, and |t|
+    past the float range."""
+
+    def test_exact_zeros_past_the_table(self):
+        # 2 (2 - 0) t / 4^k is odd first at k = 501 for t = 4^500; the table
+        # once stopped at depth 500 and returned 1.
+        mu = cantor4_measure()
+        assert ifs_transform(mu, 4**500, 1e-12) == (0j, 501)
+        assert ifs_transform(mu, 4**501, 1e-12) == (0j, 502)
+        assert ifs_transform(mu, -(4**501), 1e-12) == (0j, 502)
+
+    @pytest.mark.parametrize(
+        "mu, t",
+        [
+            (cantor4_measure(), 10**400),
+            (cantor4_measure(), Fraction(-(10**400) - 7, 3)),
+            (IFSMeasure(4, (0, 1, 2)), 4**500),
+            (IFSMeasure(4, (0, 1, 2)), 10**350 + 1),
+            (IFSMeasure(3, (-1, Fraction(1, 2), 2)), 10**300 + 7),
+            # Inside the table, but scale^k past the float range was once
+            # built for the depth rounded up to 64 levels.
+            (IFSMeasure(5, (0, 1)), 5**420 + 3),
+            (IFSMeasure(5, (0, 1)), 3**700),
+        ],
+        ids=["cantor-10^400", "cantor-neg", "three-4^500", "three-10^350", "3adic-10^300",
+             "5adic-5^420", "5adic-3^700"],
+    )
+    @pytest.mark.parametrize("eps", [1e-12, 1e-5])
+    def test_value_within_eps_at_the_least_certified_depth(self, mu, t, eps):
+        value, depth = ifs_transform(mu, t, eps, symbolic=False)
+        assert abs(value - mp_transform(mu.digits, mu.scale, t)) <= eps
+        bound = math.log1p(eps)
+        assert certified_delta(mu, t, depth) <= bound * (1 + 1e-12)
+        assert certified_delta(mu, t, depth - 1) > bound * (1 - 1e-12)
+        symbolic = ifs_transform(mu, t, eps)
+        assert symbolic == (value, depth) or symbolic.value == 0
+        assert ifs_transform(mu, -t, eps, symbolic=False) == (value.conjugate(), depth)
+
+    def test_depth_grows_one_level_per_power_across_the_table_end(self):
+        for mu in (cantor4_measure(), IFSMeasure(5, (0, 1)), IFSMeasure(2, (0, 1))):
+            end = next(k for k in range(2000) if mu.scale**k >= 2**1000)
+            ts = [mu.scale**k for k in range(end - 60, end + 10)]
+            depths = ifs_transforms(mu, ts, 1e-12, symbolic=False).depths
+            assert depths[0] < end <= depths[-1]
+            assert set(np.diff(depths).tolist()) == {1}
+
+    def test_batch_equals_single(self):
+        mu = cantor4_measure()
+        ts = [4**500, 4**501, 10**400, -(10**400), 5, Fraction(1, 3), 0, Fraction(10**400 + 1, 3)]
+        for symbolic in (True, False):
+            batch = ifs_transforms(mu, ts, 1e-12, symbolic)
+            for t, value, depth in zip(ts, batch.values.tolist(), batch.depths.tolist()):
+                assert (value, depth) == ifs_transform(mu, t, 1e-12, symbolic)
+
+
+def per_level_zero(mu, u, v, depth):
+    """The first level k <= depth at which the two digits a0 < a1 over D
+    turn half a turn apart at t = u / v, by the rule applied to each level:
+    2 ((a1 - a0) u mod M) = M for M = D v R^k; or 0."""
+    (a0, a1), D = mu.phases.numerators, mu.phases.denominator
+    for k in range(1, depth + 1):
+        M = D * v * mu.scale**k
+        if 2 * ((a1 - a0) * u % M) == M:
+            return k
+    return 0
+
+
+TWO_DIGITS = [
+    (0, 2),
+    (0, 1),
+    (-1, 1),
+    (Fraction(-1, 3), Fraction(2, 3)),
+    (0, Fraction(3, 2)),
+    (Fraction(1, 6), 5),
+]
+
+
+class TestTwoDigitZeroLevel:
+    @given(
+        R=st.integers(2, 7),
+        digits=st.sampled_from(TWO_DIGITS),
+        m=st.integers(-(10**6), 10**6),
+        e=st.integers(0, 45),
+        v=st.one_of(st.integers(1, 60), st.integers(2**40, 2**45)),
+        eps_exp=st.floats(-13, -3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_closed_form_matches_the_per_level_rule(self, R, digits, m, e, v, eps_exp):
+        # u = m R^e puts the zeros at varied levels; m = 0 gives u = 0, m
+        # and e large give u v past int64, and every level past about
+        # log_R(|t|) has a capped modulus in the kernel.
+        mu, t, eps = IFSMeasure(R, digits), Fraction(m * R**e, v), 10.0**eps_exp
+        plain = ifs_transform(mu, t, eps, symbolic=False)
+        k = per_level_zero(mu, t.numerator, t.denominator, plain.depth)
+        assert ifs_transform(mu, t, eps) == ((0j, k) if k else plain)
+
+    def test_zero_levels_past_the_table(self):
+        # Z = 2 t: for t = 2^(2k - 1), Z / 4^k = 1 is the first odd quotient;
+        # for t = 4^k every Z / 4^j with j <= k is even, and no level
+        # vanishes.
+        mu = IFSMeasure(4, (0, 1))
+        for k in (1, 5, 40, 700):
+            t = 2 ** (2 * k - 1)
+            plain = ifs_transform(mu, t, 1e-12, symbolic=False)
+            assert per_level_zero(mu, t, 1, plain.depth) == k
+            assert ifs_transform(mu, t, 1e-12) == (0j, k)
+            plain = ifs_transform(mu, 4**k, 1e-12, symbolic=False)
+            assert per_level_zero(mu, 4**k, 1, plain.depth) == 0
+            assert ifs_transform(mu, 4**k, 1e-12) == plain
 
 
 class TestJpSpectrum:
