@@ -29,12 +29,18 @@ __all__ = ["run", "main"]
 WORK_BUDGET = 2**20
 
 # A set's common-denominator grid (``exact.RationalPhases``, built when the
-# set is parsed) costs about the square of S', the digits its elements have
-# beyond 18 (about one machine word).  Each set file is charged S'^2 / C
-# units.  At this C a grid at the edge of the budget, S' = 2^17, took 0.6 s
-# to parse for {k / (10^(d-1) + 2k + 1)} with d = 3900, 1.0 s with d = 243
-# and 2.4 s with d = 60 (timed in-process on a 2-core x86 machine).
+# set is parsed) has a denominator of at most L digits, L the sum of the
+# lengths of the elements' distinct denominators, and n numerators of up to
+# L digits each.  Only digits past 18 (about one machine word) are charged:
+# S' + L' where S' sums the elements' characters past 18 and L' = L - 18,
+# squared over C for the parsing and the lcm, and n L' over C_n for the
+# numerators.  At the edge of the budget the parse took at most 1.2 s and
+# 100 MB (in-process, 2-core x86 machine): for {k / (10^(d-1) + 2k + 1)},
+# 0.1 s at d = 3900, 0.3 s at d = 60, 0.5 s at d = 20 and 0.7 s at d = 12;
+# with one point in 11 on such a denominator and the rest over one more,
+# 1.2 s at d = 12.
 GRID_DIGITS_SQUARED_PER_UNIT = 2**14
+GRID_NUMERATOR_DIGITS_PER_UNIT = 2**8
 
 # The least ``cantor --eps``: a smaller error is below what the
 # double-precision product can hold, and the transform depth grows with
@@ -43,10 +49,15 @@ CANTOR_MIN_EPS = 1e-15
 
 
 def _grid_work(items: list) -> int:
-    """S'^2 / C units for the grid of a set file's elements as read, with
-    S' the sum of their characters past 18."""
-    digits = sum(max(0, len(str(x)) - 18) for x in items)
-    return digits * digits // GRID_DIGITS_SQUARED_PER_UNIT
+    """(S' + L')^2 / C + n L' / C_n units for the grid of a set file's n
+    elements as read."""
+    texts = [str(x) for x in items]
+    over = max(0, sum(len(q) for q in {s.partition("/")[2] for s in texts}) - 18)
+    digits = sum(max(0, len(s) - 18) for s in texts) + over
+    return (
+        digits * digits // GRID_DIGITS_SQUARED_PER_UNIT
+        + len(texts) * over // GRID_NUMERATOR_DIGITS_PER_UNIT
+    )
 
 
 def _cmd_decide_line_set(args) -> dict:

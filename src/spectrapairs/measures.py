@@ -178,22 +178,16 @@ def _float_powers(scale: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _depth_table(scale: int, eps: float, c: float) -> np.ndarray:
-    """For each power scale^k of ``_float_powers``, the largest float q
-    with c * q / (scale - 1) <= log1p(eps) * scale^k, each side rounded in
-    floats.  The left side does not decrease as q grows, so the least
-    depth k of a ratio q = |t| is the number of entries below q."""
-    bound = math.log1p(eps)
-    out = []
-    for power in _float_powers(scale).tolist():
-        limit = bound * power
-        q = limit * (scale - 1) / c
-        while c * q / (scale - 1) > limit:
-            q = math.nextafter(q, -math.inf)
-        while c * math.nextafter(q, math.inf) / (scale - 1) <= limit:
-            q = math.nextafter(q, math.inf)
-        out.append(q)
-    return np.array(out)
+def _depth_thresholds(scale: int, eps: float) -> np.ndarray:
+    """log1p(eps) * scale^k for the powers of ``_float_powers``."""
+    return math.log1p(eps) * _float_powers(scale)
+
+
+@lru_cache(maxsize=64)
+def _least_wide(scale: int) -> tuple[int, ...]:
+    """For each power scale^k of ``_float_powers``, the least x with
+    x scale^k >= 2^1000."""
+    return tuple(-(-(2**1000) // scale**k) for k in range(len(_float_powers(scale))))
 
 
 @lru_cache(maxsize=64)
@@ -267,22 +261,22 @@ def _ifs_kernel(
     Depth: |m_D(s) - 1| <= 2 pi max|d| |s|, so the tail of the product
     past K is within exp(delta) - 1 of 1 with
     delta = 2 pi max|d| |t| / (R^K (R-1)); K is the least depth with
-    delta <= log1p(eps).  It is found by one ``searchsorted`` of |t| in a
-    float table of the largest |t| at each depth, for R^k < 2^1000.  Past
-    the table, and for |t| past the float range, the same inequality, on
-    the same float constants, is solved in integers, so the error bound
-    holds at any |t|.
+    delta <= log1p(eps).  It is found by one ``searchsorted`` of
+    c |t| / (R - 1), c = 2 pi max|d|, in the cached float table
+    log1p(eps) R^k for R^k < 2^1000.  Past the table, and for |t| past
+    the float range, the same inequality, on the same float constants, is
+    solved in integers, so the error bound holds at any |t|.
 
     Phases: with digits a / D and t = u / v, digit a turns by
     a u / (D v R^k) at level k, reduced exactly to the remainder of a u
-    by D v R^k with the sign of a u.  Within the table it is then divided
-    in floats.  Moduli are capped near ``cap``: a capped modulus exceeds
-    cap / 2, which is at least every |a u| and twice every |(a2 - a1) u|,
-    so it leaves a u unreduced, as the true one would, and no factor
-    vanishes there.  Past the table, where R^k may have no float, each
-    remainder is divided by its uncapped modulus in Python ints.  A phase
-    below one turn keeps its sign, so mu_hat(-t) is the exact conjugate
-    of mu_hat(t).
+    by D v R^k with the sign of a u, then divided in floats.  Moduli are
+    capped near ``cap``: a capped modulus exceeds cap / 2, which is at
+    least every |a u| and twice every |(a2 - a1) u|, so it leaves a u
+    unreduced, as the true one would, and no factor vanishes there.
+    Where D v R^K >= 2^1000, as past the table, the float divisors may
+    overflow: each remainder is divided by its uncapped modulus in Python
+    ints instead.  A phase below one turn keeps its sign, so mu_hat(-t) is
+    the exact conjugate of mu_hat(t).
 
     With ``symbolic``, a level k <= K whose factor vanishes exactly makes
     the value an exact zero of depth k.  Two digits vanish at level k iff
@@ -303,11 +297,8 @@ def _ifs_kernel(
     moving = [y for y in a if y]
     c = 2 * math.pi * (top_digit / D)
     floats = _float_powers(R)
-    try:
-        ratios = [abs(u) / v for u, v in zip(nums, dens)]
-    except OverflowError:
-        ratios = [_ratio(u, v) for u, v in zip(nums, dens)]
-    depths = _depth_table(R, eps, c).searchsorted(np.array(ratios, dtype=float)).tolist()
+    deltas = [c * _ratio(u, v) / (R - 1) for u, v in zip(nums, dens)]
+    depths = _depth_thresholds(R, eps).searchsorted(deltas).tolist()
     if len(floats) in depths:
         rate = Fraction(c) / ((R - 1) * Fraction(math.log1p(eps)))
         for j, K in enumerate(depths):
@@ -334,10 +325,20 @@ def _ifs_kernel(
         for j, k in zeros:
             if k:
                 values[j], depths[j], live[j] = 0, k, 0
-    for K in set(live.tolist()) - {0}:
-        terms = (live == K).nonzero()[0]
+    # A term with D v R^K >= 2^1000, as every term past the table has, may
+    # overflow its float divisors: it divides in Python ints, keyed -K.
+    keys, groups = live, set(live.tolist()) - {0}
+    wide = _least_wide(R)
+    if groups and (max(groups) >= len(floats) or wide[max(groups)] <= cap):
+        keys = np.array([
+            -K if K >= len(floats) or D * v >= wide[K] else K
+            for K, v in zip(live.tolist(), dens)
+        ])
+        groups = set(keys.tolist()) - {0}
+    for key in groups:
+        K, deep = abs(key), key < 0
+        terms = (keys == key).nonzero()[0]
         rows = max(1, _CHUNK // (K * len(moving)))
-        deep = K >= len(floats)
         if deep:
             powers = np.array([R**k for k in range(1, K + 1)], dtype=object)
         else:

@@ -386,24 +386,26 @@ def _integer_set(tmp_path, n):
     return str(path)
 
 
-def _long_denominators(n):
-    """{k / q_k : k < n} with q_k = 10^3899 + 2k + 1: parsing its grid
-    takes about 5.5 s at n = 100 and over 20 s at n = 200."""
-    return [f"{k}/{10**3899 + 2 * k + 1}" for k in range(n)]
+def _distinct_denominators(n, digits=3900):
+    """{k / q_k : k < n} with q_k = 10^(digits - 1) + 2k + 1: with 3900
+    digits, parsing its grid takes about 5.5 s at n = 100 and over 20 s at
+    n = 200."""
+    base = 10 ** (digits - 1)
+    return [f"{k}/{base + 2 * k + 1}" for k in range(n)]
 
 
-def _long_denominator_pair(tmp_path, n):
-    """Files for A = ``_long_denominators(n)`` and B = {0, ..., n - 1}."""
+def _pair_with_integers(tmp_path, items):
+    """Files for A = items and B = {0, ..., len(items) - 1}."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(json.dumps(_long_denominators(n)))
-    b.write_text(json.dumps([str(k) for k in range(n)]))
+    a.write_text(json.dumps(items))
+    b.write_text(json.dumps([str(k) for k in range(len(items))]))
     return ["check-pair", "--set-a", str(a), "--set-b", str(b)]
 
 
 def _long_denominator_measure(tmp_path, n):
-    """File for the uniform measure on ``_long_denominators(n)``."""
+    """File for the uniform measure on ``_distinct_denominators(n)``."""
     path = tmp_path / f"long{n}.json"
-    path.write_text(json.dumps({"points": _long_denominators(n), "weights": [1 / n] * n}))
+    path.write_text(json.dumps({"points": _distinct_denominators(n), "weights": [1 / n] * n}))
     return str(path)
 
 
@@ -445,10 +447,28 @@ SECONDS_CASES = {
     # Grids of 100 and 200 points with 3900-digit denominators: about 5.9 s
     # and 24 s to build when only the elements were counted.
     "check_pair_long_denominators_100": (
-        lambda tmp: _long_denominator_pair(tmp, 100), 1, {"reason": "too_large"},
+        lambda tmp: _pair_with_integers(tmp, _distinct_denominators(100)),
+        1, {"reason": "too_large"},
     ),
     "check_pair_long_denominators_200": (
-        lambda tmp: _long_denominator_pair(tmp, 200), 1, {"reason": "too_large"},
+        lambda tmp: _pair_with_integers(tmp, _distinct_denominators(200)),
+        1, {"reason": "too_large"},
+    ),
+    # Distinct 20-digit denominators: charged 897,939 units when only the
+    # elements' characters past 18 were counted, and about 19 s to build.
+    "check_pair_distinct_20_digit_denominators": (
+        lambda tmp: _pair_with_integers(tmp, _distinct_denominators(16000, 20)),
+        1, {"reason": "too_large"},
+    ),
+    # Elements of at most 18 characters, 2000 distinct 12-digit
+    # denominators and 20,000 more points over one: 2.3 s and 180 MB for
+    # their 22,000 numerators of up to 24,000 digits each.
+    "check_pair_many_numerators_over_a_long_lcm": (
+        lambda tmp: _pair_with_integers(
+            tmp,
+            _distinct_denominators(2001, 12)[1:] + [f"{k}/{10**11 - 1}" for k in range(1, 20001)],
+        ),
+        1, {"reason": "too_large"},
     ),
     "frame_bounds_long_denominators": (
         lambda tmp: [
@@ -511,6 +531,11 @@ SECONDS_CASES = {
     "cantor_huge_level": (
         lambda tmp: ["cantor", "--level", "1000000000", "--check", "orthogonality"],
         1, {"reason": "too_large"},
+    ),
+    # An infinite error bound certifies depth 0: every transform is 1.
+    "cantor_infinite_eps": (
+        lambda tmp: ["cantor", "--level", "1", "--check", "orthogonality", "--eps", "inf"],
+        0, {"status": "ok", "max_offdiag": 1.0},
     ),
 }
 
@@ -736,21 +761,34 @@ def test_size_bounded_commands_count_before_computing(monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize(
+    "points, grid",
+    [
+        # S' counts each element's characters past 18: "1/" or "2/" and 28
+        # threes have 30, so S' = 24.  Their one denominator has L = 28
+        # digits, so L' = 10: (24 + 10)^2 + 2 * 10 at one unit each.
+        (["1/" + "3" * 28, "2/" + "3" * 28], 34**2 + 2 * 10),
+        # Short elements, but 7 distinct 3-digit denominators: L' = 3.
+        ([f"1/{q}" for q in (101, 103, 107, 109, 113, 127, 131)], 3**2 + 7 * 3),
+    ],
+    ids=["long-elements", "distinct-denominators"],
+)
 @pytest.mark.parametrize("command", ["check-pair", "frame-bounds"])
-def test_set_files_are_charged_for_their_grids(command, monkeypatch, tmp_path):
-    # S' counts each element's characters past 18: "1/" and 28 threes
-    # have 30, so S' = 12, charged S'^2 units at one digit^2 per unit, on
-    # top of 2 (1 + 1) units for the elements of both commands.
-    point, work = "1/" + "3" * 28, 4 + 12**2
+def test_set_files_are_charged_for_their_grids(command, points, grid, monkeypatch, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    b.write_text(json.dumps(["0"]))
+    n = len(points)
     if command == "check-pair":
-        a.write_text(json.dumps([point]))
+        a.write_text(json.dumps(points))
+        b.write_text(json.dumps([str(k) for k in range(n)]))
         argv = ["check-pair", "--set-a", str(a), "--set-b", str(b)]
+        work = 2 * (n + n) + grid
     else:
-        a.write_text(json.dumps({"points": [point], "weights": [1.0]}))
+        b.write_text(json.dumps(["0"]))
+        a.write_text(json.dumps({"points": points, "weights": [1 / n] * n}))
         argv = ["frame-bounds", "--measure", str(a), "--lambda", str(b)]
+        work = 2 * n * (n + 1) + grid
     monkeypatch.setattr(cli, "GRID_DIGITS_SQUARED_PER_UNIT", 1)
+    monkeypatch.setattr(cli, "GRID_NUMERATOR_DIGITS_PER_UNIT", 1)
     monkeypatch.setattr(cli, "WORK_BUDGET", work)
     assert run(argv)[0] == 0
     monkeypatch.setattr(cli, "WORK_BUDGET", work - 1)

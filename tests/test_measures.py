@@ -323,7 +323,7 @@ def certified_delta(mu, t, depth):
 
 class TestPastTheDepthTable:
     """Depths of log1p(eps) R^k past the float table, R^k >= 2^1000, and |t|
-    past the float range."""
+    or D v R^k past the float range."""
 
     def test_exact_zeros_past_the_table(self):
         # 2 (2 - 0) t / 4^k is odd first at k = 501 for t = 4^500; the table
@@ -345,9 +345,14 @@ class TestPastTheDepthTable:
             # built for the depth rounded up to 64 levels.
             (IFSMeasure(5, (0, 1)), 5**420 + 3),
             (IFSMeasure(5, (0, 1)), 3**700),
+            # Inside the table, but D v R^k past the float range: the float
+            # divisors once overflowed to inf, or the remainders raised.
+            (cantor4_measure(), Fraction(100 * 10**305 + 1, 3 * 10**305)),
+            (cantor4_measure(), Fraction(10**400 + 1, 3 * 10**400)),
+            (IFSMeasure(4, (0, 1, 2)), Fraction(5 * 10**300 + 1, 7 * 10**300)),
         ],
         ids=["cantor-10^400", "cantor-neg", "three-4^500", "three-10^350", "3adic-10^300",
-             "5adic-5^420", "5adic-3^700"],
+             "5adic-5^420", "5adic-3^700", "cantor-v-10^305", "cantor-v-10^400", "three-v-10^300"],
     )
     @pytest.mark.parametrize("eps", [1e-12, 1e-5])
     def test_value_within_eps_at_the_least_certified_depth(self, mu, t, eps):
@@ -368,9 +373,19 @@ class TestPastTheDepthTable:
             assert depths[0] < end <= depths[-1]
             assert set(np.diff(depths).tolist()) == {1}
 
+    def test_infinite_eps_is_depth_zero_at_any_t(self):
+        # log1p(inf) R^k is inf at every k, so depth 0 is certified.
+        mu = cantor4_measure()
+        ts = [0, 5, Fraction(-1, 3), 4**500, 10**400, -(10**400)]
+        assert ifs_transform(mu, 4**500, math.inf) == (1 + 0j, 0)
+        batch = ifs_transforms(mu, ts, math.inf)
+        assert batch.values.tolist() == [1] * len(ts)
+        assert batch.depths.tolist() == [0] * len(ts)
+
     def test_batch_equals_single(self):
         mu = cantor4_measure()
-        ts = [4**500, 4**501, 10**400, -(10**400), 5, Fraction(1, 3), 0, Fraction(10**400 + 1, 3)]
+        ts = [4**500, 4**501, 10**400, -(10**400), 5, Fraction(1, 3), 0, Fraction(10**400 + 1, 3),
+              Fraction(100 * 10**305 + 1, 3 * 10**305)]
         for symbolic in (True, False):
             batch = ifs_transforms(mu, ts, 1e-12, symbolic)
             for t, value, depth in zip(ts, batch.values.tolist(), batch.depths.tolist()):
