@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import islice
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -115,8 +116,9 @@ class Session:
     denominator of the elements and the generating moves; since D > 0, the
     pairs sort as ``Affine._key`` does.  Each pair is interned once as a
     small int id in the move table, so refining D rescales the table and
-    nothing else.  The store keys each fact by its source and move id, and
-    a per-source ``{move id: target}`` index is kept in step with it.
+    nothing else; the generating moves are interned when the session is
+    built.  The store keys each fact by its source and move id, and a
+    per-source ``{move id: target}`` index is kept in step with it.
     ``facts`` and ``trace`` are built from the store when read.
     """
 
@@ -138,6 +140,7 @@ class Session:
         self._ids: dict[tuple[int, int], int] = {}
         for value in (*self.elements, *moves):
             self._widen(value)
+        self._generators = frozenset(self._intern(self._pair(m)) for m in moves)
         # Minimal known target per (source, move id), in insertion order,
         # and the same facts grouped by source.
         self._facts: dict[tuple[int, int], int] = {}
@@ -159,6 +162,12 @@ class Session:
     @property
     def trace(self) -> list[dict]:
         """One entry per recorded derivation, in the order they were made."""
+        return self._format_trace(len(self._trace))
+
+    def _format_trace(self, length: int) -> list[dict]:
+        """The first ``length`` entries of the trace.  Refining D keeps
+        every move id's value, so a prefix reads the same at any later
+        time."""
         name = self._names()
         return [
             {
@@ -168,8 +177,12 @@ class Session:
                 "target": _bits(t),
                 "parents": [[_bits(ps), name(pm), _bits(pt)] for ps, pm, pt in parents],
             }
-            for rule, s, m, t, parents in self._trace
+            for rule, s, m, t, parents in islice(self._trace, length)
         ]
+
+    def _trace_so_far(self):
+        """The trace as it stands, formatted when it is first called."""
+        return partial(self._format_trace, len(self._trace))
 
     def _affine(self, move_id: int) -> Affine:
         c0, c1 = self._pairs[move_id]
@@ -255,7 +268,7 @@ class Session:
             raise InconsistencyError(
                 f"target {_bits(t)} smaller than source {_bits(s)} "
                 f"at move {self._affine(m)}",
-                trace=self.trace,
+                trace=self._trace_so_far(),
             )
         self._facts[key] = t
         self._by_source.setdefault(s, {})[m] = t
@@ -319,7 +332,7 @@ def _allowed_moves(session: Session) -> tuple[set[tuple[int, int]], int]:
     plus a generator, and if that (k + 1)-sum has fewer summands, so has
     the whole.  Also returns the work spent, |new| * |base| per pass,
     charged before the pass."""
-    base = {session._pair(m) for m in session.moves} | {(0, 0)}
+    base = {session._pairs[g] for g in session._generators} | {(0, 0)}
     current = set(base)
     new = base
     work = 0
@@ -359,24 +372,15 @@ def close(session: Session) -> Session:
     facts = session._facts
     store = session._by_source
     pairs = session._pairs
+    add = session._add
+    intern = session._intern
     full = session._full
     singletons = [1 << i for i in range(len(session.elements))]
-    generators = {session._intern(session._pair(m)) for m in session.moves}
+    generators = session._generators
     covered: set = set()  # moves whose trivial facts are all present
     delta: set = set()  # keys added or shrunk since the last snapshot
     # sums[m][m2]: the id of m + m2, or -1 when R3 may not compose it.
     sums: dict[int, dict[int, int]] = {}
-
-    def total(m: int, m2: int) -> int:
-        (a0, a1), (b0, b1) = pairs[m], pairs[m2]
-        pair = (a0 + b0, a1 + b1)
-        return session._intern(pair) if pair in allowed else -1
-
-    def record(rule, s, m, t, parents=()) -> bool:
-        if session._add(rule, s, m, t, parents):
-            delta.add((s, m))
-            return True
-        return False
 
     for round_index in range(session.round_budget):
         changed = False
@@ -389,32 +393,35 @@ def close(session: Session) -> Session:
         )
         for m in new_moves:
             for i in singletons:
-                if (i, m) not in facts:
-                    changed |= record("trivial", i, m, full)
+                if (i, m) not in facts and add("trivial", i, m, full):
+                    delta.add((i, m))
+                    changed = True
         covered = in_play
 
-        snapshot = list(facts.items())
-        fresh = delta if round_index else facts.keys()
+        # Each fact with its square flag |S| = |T|, which R1 and R3 need
+        # and which makes it an R2 partner.
+        snapshot = [(key, t, key[0].bit_count() == t.bit_count()) for key, t in facts.items()]
+        fresh = delta
         delta = set()
         # R2 partners (dimension-preserving facts) by move and R3 partners
         # by source, in snapshot order: from every fact (for R3, a copy of
         # the per-source index), and from the fresh ones only, which is all
-        # an unchanged fact needs (in the first round every fact is fresh).
+        # an unchanged fact needs.  In the first round every fact is fresh.
         every: tuple[dict, dict] = ({}, {s: row.copy() for s, row in store.items()})
         recent: tuple[dict, dict] = ({}, {})
-        for (s, m), t in snapshot:
-            square = s.bit_count() == t.bit_count()
+        for key, t, square in snapshot:
             if square:
-                every[0].setdefault(m, []).append((s, t))
-            if round_index and (s, m) in fresh:
+                every[0].setdefault(key[1], []).append((key[0], t))
+            if round_index and key in fresh:
+                s, m = key
                 if square:
                     recent[0].setdefault(m, []).append((s, t))
                 recent[1].setdefault(s, {})[m] = t
 
-        for (s, m), t in snapshot:
-            is_fresh = (s, m) in fresh
+        for key, t, square in snapshot:
+            s, m = key
+            is_fresh = not round_index or key in fresh
             by_move, by_source = every if is_fresh else recent
-            square = s.bit_count() == t.bit_count()
             r2_partners = by_move.get(m, ())
             r3_partners = by_source.get(t, ()) if square else ()
             work += 1 + len(r2_partners) + len(r3_partners)
@@ -422,11 +429,15 @@ def close(session: Session) -> Session:
                 check_work("arrow closure", work, budget)
             # R1 complement.
             if is_fresh and square and s != full:
-                changed |= record("R1", full ^ s, m, full ^ t, ((s, m, t),))
+                if add("R1", full ^ s, m, full ^ t, ((s, m, t),)):
+                    delta.add((full ^ s, m))
+                    changed = True
             # R2 cancellation: c is a proper subset of t.
             for s2, c in r2_partners:
                 if not s2 & s and c & t == c and c != t:
-                    changed |= record("R2", s, m, t ^ c, ((s, m, t), (s2, m, c)))
+                    if add("R2", s, m, t ^ c, ((s, m, t), (s2, m, c))):
+                        delta.add(key)
+                        changed = True
             # R3 composition (first fact must be dimension-preserving).
             if r3_partners:
                 known_for_s = store[s]
@@ -434,12 +445,16 @@ def close(session: Session) -> Session:
                 for m2, r in r3_partners.items():
                     m3 = row.get(m2)
                     if m3 is None:
-                        m3 = row[m2] = total(m, m2)
+                        (a0, a1), (b0, b1) = pairs[m], pairs[m2]
+                        pair = (a0 + b0, a1 + b1)
+                        m3 = row[m2] = intern(pair) if pair in allowed else -1
                     if m3 < 0:
                         continue
                     known = known_for_s.get(m3)
                     if known is None or known & r != known:
-                        changed |= record("R3", s, m3, r, ((s, m, t), (t, m2, r)))
+                        if add("R3", s, m3, r, ((s, m, t), (t, m2, r))):
+                            delta.add((s, m3))
+                            changed = True
         session.rounds_used = round_index + 1
         if not changed:
             break
@@ -472,7 +487,7 @@ def extract_permutation(session: Session, move) -> Optional[PermutationAction]:
     if len(set(images)) != len(images):
         raise InconsistencyError(
             f"U({move}) maps two basis lines onto the same line",
-            trace=session.trace,
+            trace=session._trace_so_far(),
         )
     return PermutationAction(move, tuple(images))
 

@@ -31,10 +31,27 @@ class InconsistencyError(RuntimeError):
 
     Carries the deduction trace (list of rule applications) that led to the
     contradiction, so the caller can report how the assumption failed.
+    ``trace`` is a list of entries, copied, or a callable that returns
+    them; a callable is called on the first read of ``.trace``, so a
+    caller that never reads the trace never formats it.
     """
 
     reason = "inconsistent"
 
     def __init__(self, message, trace=None):
         super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
+        if not callable(trace):
+            trace = list(trace) if trace is not None else []
+        self._trace = trace
+
+    @property
+    def trace(self) -> list:
+        if callable(self._trace):
+            self._trace = list(self._trace())
+        return self._trace
+
+    def __reduce__(self):
+        # Format first, so that the entries are pickled and not the
+        # formatter with the session it reads.
+        self.trace
+        return super().__reduce__()

@@ -283,7 +283,8 @@ def _ifs_kernel(
     their phase difference is half a turn, that is iff Z / R^k is an odd
     integer for Z = 2 (a2 - a1) u / (D v): the first such k is found by
     dividing Z by R, for the terms whose Z is an integer.  More digits go
-    through ``_vanishing_level``.  The remaining terms are grouped by
+    through ``_vanishing_level``, before any batch array is built, so a
+    batch of exact zeros builds none.  The remaining terms are grouped by
     depth and evaluated in chunks, and each term's value and depth depend
     on that term alone, whatever the batch.
     """
@@ -306,6 +307,13 @@ def _ifs_kernel(
                 depths[j] = _least_power(
                     abs(nums[j]) * rate.numerator, dens[j] * rate.denominator, R, K
                 )
+    zeros = []
+    if symbolic and n > 2:
+        zeros = [(j, _vanishing_level(mu, nums[j], dens[j], K)) for j, K in enumerate(depths) if K]
+        if len(zeros) == len(nums) and all(k for _, k in zeros):
+            # Every term is an exact zero: no batch arrays are needed.
+            depths = [k for _, k in zeros]
+            return IFSTransforms(np.zeros(len(nums), dtype=complex), np.array(depths, dtype=np.int64))
     cap = max(_CAP64, 2 * reach * max(map(abs, nums), default=0), 2 * D * max(dens, default=1))
     dtype = np.int64 if cap == _CAP64 else object
     U, DV = np.array(nums, dtype), D * np.array(dens, dtype)
@@ -313,18 +321,15 @@ def _ifs_kernel(
     values.fill(1)
     live = np.array(depths)
     step = np.array(moving, dtype)[:, None]
-    if symbolic:
-        if n == 2:
-            z = 2 * (a[1] - a[0])
-            zeros = [
-                (j, _odd_level(z * nums[j] // (D * dens[j]), R, depths[j]))
-                for j in (z * U % DV == 0).nonzero()[0].tolist()
-            ]
-        else:
-            zeros = [(j, _vanishing_level(mu, nums[j], dens[j], K)) for j, K in enumerate(depths) if K]
-        for j, k in zeros:
-            if k:
-                values[j], depths[j], live[j] = 0, k, 0
+    if symbolic and n == 2:
+        z = 2 * (a[1] - a[0])
+        zeros = [
+            (j, _odd_level(z * nums[j] // (D * dens[j]), R, depths[j]))
+            for j in (z * U % DV == 0).nonzero()[0].tolist()
+        ]
+    for j, k in zeros:
+        if k:
+            values[j], depths[j], live[j] = 0, k, 0
     # A term with D v R^K >= 2^1000, as every term past the table has, may
     # overflow its float divisors: it divides in Python ints, keyed -K.
     keys, groups = live, set(live.tolist()) - {0}

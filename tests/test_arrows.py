@@ -1,6 +1,7 @@
 """Deduction engine: base facts, closure rules, permutation extraction,
 rationality obstruction, and soundness against a concrete model."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -304,10 +305,85 @@ class TestAgainstNaiveEngine:
             "inconsistent"
         )
 
+    @pytest.mark.parametrize(
+        "shape,budget,outcome",
+        [
+            (("0", "1", "1/3"), 5, "inconsistent"),
+            (("0", "1", "5/2"), 4, "inconsistent"),
+            (("0", "1", "2", "3/2"), 6, "inconsistent"),
+            (("0", "1", "2", "4/3"), 6, "inconsistent"),
+            (("0", "1", "2", "3", "11"), 5, "inconsistent"),
+            (("0", "1", "a"), 4, "closed"),
+        ],
+        ids=lambda v: ",".join(v) if isinstance(v, tuple) else str(v),
+    )
+    def test_benchmark_closure_shapes_scaled(self, shape, budget, outcome):
+        # The closure benchmark's non-spectral and symbolic shapes, as the
+        # scaled copy c * A + t it runs them as (c * alpha for "a").
+        c, t = Fraction(3, 7), Fraction(-5, 3)
+        ground = [
+            Affine(t, c) if x == "a" else Affine(c * Fraction(x) + t) for x in shape
+        ]
+        assert _assert_matches_naive_engine(ground, budget) == outcome
+
     def test_seeded_fact_off_the_common_denominator(self):
         # A seeded move of 1/7 refines the common denominator of {0, 1, 2}.
         seeds = [({0}, Affine(Fraction(1, 7)), {1, 2}), ({1}, Affine(Fraction(-1, 7)), {0, 2})]
         assert _assert_matches_naive_engine([Fraction(k) for k in range(3)], 4, seeds) == "closed"
+
+
+class TestDeferredTrace:
+    """``InconsistencyError.trace`` is formatted on its first read, from the
+    session's entries as they stood at the raise."""
+
+    @staticmethod
+    def _inconsistent_close():
+        session = new_session([0, 1, 3], [1, -1, 2, -2, 3, -3], round_budget=5)
+        with pytest.raises(InconsistencyError) as exc:
+            close(session)
+        return session, exc.value
+
+    def test_plain_list_is_copied(self):
+        entries = [{"rule": "seed"}]
+        exc = InconsistencyError("contradiction", trace=entries)
+        entries.append({"rule": "R1"})
+        assert exc.trace == [{"rule": "seed"}]
+        assert InconsistencyError("contradiction").trace == []
+
+    def test_reading_twice_gives_equal_lists(self):
+        _, exc = self._inconsistent_close()
+        first = exc.trace
+        assert first and exc.trace == first
+
+    @pytest.mark.parametrize("read_first", [True, False])
+    def test_later_facts_leave_the_trace_unchanged(self, read_first):
+        session, exc = self._inconsistent_close()
+        expected = session.trace
+        if read_first:
+            assert exc.trace == expected
+        # 1/7 refines the session's common denominator after the raise.
+        assert session.add_fact(frozenset({0}), Affine(Fraction(1, 7)), frozenset({1, 2}))
+        assert session._den % 7 == 0
+        assert len(session.trace) == len(expected) + 1
+        assert exc.trace == expected == session.trace[: len(expected)]
+
+    def test_pickle_round_trip_keeps_the_trace(self):
+        _, exc = self._inconsistent_close()
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is InconsistencyError
+        assert str(copy) == str(exc)
+        assert copy.trace == exc.trace and copy.trace
+
+    def test_extract_permutation_error_defers_its_trace(self):
+        # Two lines pinned onto one at a seeded move.
+        session = close(new_session([0, 1, 2], [1, -1], round_budget=2))
+        for i in range(3):
+            session.add_fact(frozenset({i}), 5, frozenset({2}))
+        expected = session.trace
+        with pytest.raises(InconsistencyError) as exc:
+            extract_permutation(session, 5)
+        session.add_fact(frozenset({0}), Fraction(1, 7), frozenset({1}))
+        assert exc.value.trace == expected
 
 
 class TestMoveTable:

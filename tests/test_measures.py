@@ -292,6 +292,18 @@ class TestTransformKernel:
         for t, value, depth in zip(ts, values, depths):
             assert (value, depth) == ifs_transform(mu, t, 1e-10, symbolic)
 
+    def test_batch_of_exact_zeros_matches_mixed_batch(self):
+        # A batch of three-digit exact zeros returns before any batch array
+        # is built; it must read as the same terms inside a mixed batch.
+        mu = IFSMeasure(4, (0, 1, 2))
+        zeros = [Fraction(16, 3), Fraction(4 * 7, 3), Fraction(-16 * 5, 3)]
+        alone = ifs_transforms(mu, zeros, 1e-12)
+        mixed = ifs_transforms(mu, [Fraction(5, 7), *zeros, 0], 1e-12)
+        assert alone.values.dtype == complex and alone.depths.dtype == np.int64
+        assert alone.values.tobytes() == mixed.values[1:4].tobytes() == bytes(16 * 3)
+        assert alone.depths.tolist() == mixed.depths[1:4].tolist() == [1, 1, 1]
+        assert ifs_transforms(mu, [], 1e-12).values.shape == (0,)
+
     def test_negative_argument_is_exact_conjugate(self):
         mu = cantor4_measure()
         for t in (Fraction(7, 3), Fraction(4**25 + 1, 7), 123456789):
