@@ -105,10 +105,9 @@ def _cmd_rep_roundtrip(args) -> dict:
 
     points, weights = read_measure(args.measure)
     spectrum = read_set(args.spectrum)
-    # The dim x dim unitarity check and the dim x |S| orbit, each a product
-    # over dim, and the |S| x |S| Gram matrix of the orbit; counted from
-    # the files' array lengths, before any element is parsed, with the two
-    # grids.
+    # The dim x dim unitarity check, the dim x |S| amplitude-phase matrix
+    # and its |S| x |S| Gram matrix; counted from the files' array lengths,
+    # before any element is parsed, with the two grids.
     dim, size = len(points), len(spectrum)
     work = dim * (dim + size) + size**2 + _grid_work(points) + _grid_work(spectrum)
     check_work("rep-roundtrip", work, WORK_BUDGET)

@@ -44,9 +44,10 @@ _WANDERING_TOL = 1e-10
 
 class FiniteRep:
     """Eigenvalues (rational spectral points) and their grid, orthonormal
-    eigenvector columns, and a unit vector v0."""
+    eigenvector columns, a unit vector v0, and its eigenbasis coordinates
+    c = V* v0 as ``amplitudes``: U(t) v0 = V (c e^{2 pi i t g})."""
 
-    __slots__ = ("eigenvalues", "phases", "eigenvectors", "v0")
+    __slots__ = ("eigenvalues", "phases", "eigenvectors", "v0", "amplitudes")
 
     def __init__(self, eigenvalues: Sequence, eigenvectors: np.ndarray, v0: np.ndarray):
         eigs = tuple(rational(g) for g in eigenvalues)
@@ -55,14 +56,18 @@ class FiniteRep:
         n = len(eigs)
         if V.shape != (n, n):
             raise InvalidInputError("eigenvector matrix shape mismatch")
-        if np.max(np.abs(V.conj().T @ V - np.eye(n))) > _UNITARY_TOL:
-            raise InvalidInputError("eigenvector matrix is not unitary")
-        if abs(np.linalg.norm(v0) - 1.0) > _UNITARY_TOL:
+        if v0.shape != (n,):
+            raise InvalidInputError("v0 shape mismatch")
+        # Written as "not err <= tol" so that NaN fails them.
+        if not abs(np.linalg.norm(v0) - 1.0) <= _UNITARY_TOL:
             raise InvalidInputError("v0 must be a unit vector")
+        if not np.max(np.abs(V.conj().T @ V - np.eye(n))) <= _UNITARY_TOL:
+            raise InvalidInputError("eigenvector matrix is not unitary")
         self.eigenvalues = eigs
         self.phases = RationalPhases(eigs)
         self.eigenvectors = V
         self.v0 = v0
+        self.amplitudes = V.conj().T @ v0
 
     @property
     def dim(self) -> int:
@@ -77,38 +82,25 @@ def multiplication_representation(mu: AtomicMeasure) -> FiniteRep:
     return FiniteRep(mu.points, np.eye(n, dtype=complex), v0)
 
 
-def _phases(rep: FiniteRep, ts: RationalPhases) -> np.ndarray:
-    """e^{2 pi i t g_j} for the eigenvalues g_j (rows) and the times t of a
-    grid (columns), phases reduced exactly over one common denominator."""
-    return _unit_roots(rep.phases, ts.numerators, ts.denominator)
-
-
-def _coefficients(rep: FiniteRep) -> np.ndarray:
-    """c = V* v0, the eigenbasis coordinates of v0: U(t) v0 = V (c e^{2 pi i t g})."""
-    return rep.eigenvectors.conj().T @ rep.v0
-
-
-def _orbit(rep: FiniteRep, S) -> np.ndarray:
-    """The vectors U(gamma) v0 for gamma in S, as columns V (c e^{2 pi i gamma g})."""
-    return rep.eigenvectors @ (_coefficients(rep)[:, None] * _phases(rep, S.phases))
-
-
 def evaluate_group_element(rep: FiniteRep, t) -> np.ndarray:
     """U(t) = V diag(e^{2 pi i t g_j}) V*."""
+    t = rational(t)
     V = rep.eigenvectors
-    return (V * _phases(rep, RationalPhases([t]))[:, 0]) @ V.conj().T
+    return (V * _unit_roots(rep.phases, [t.numerator], t.denominator)[:, 0]) @ V.conj().T
 
 
 def correlation(rep: FiniteRep, xi) -> complex:
     """<v0, U(xi) v0> = sum_j |c_j|^2 e^{2 pi i xi g_j}."""
-    return complex(np.abs(_coefficients(rep)) ** 2 @ _phases(rep, RationalPhases([xi]))[:, 0])
+    xi = rational(xi)
+    phases = _unit_roots(rep.phases, [xi.numerator], xi.denominator)[:, 0]
+    return complex(np.abs(rep.amplitudes) ** 2 @ phases)
 
 
 def measure_from_representation(rep: FiniteRep) -> AtomicMeasure:
     """Measure w(g) = ||P_g v0||^2 on the distinct eigenvalues; repeated
     eigenvalues merge their eigenspace weights."""
     weights: dict[Fraction, float] = {}
-    for g, a in zip(rep.eigenvalues, np.abs(_coefficients(rep)) ** 2):
+    for g, a in zip(rep.eigenvalues, np.abs(rep.amplitudes) ** 2):
         weights[g] = weights.get(g, 0.0) + float(a)
     total = math.fsum(weights.values())
     points = [g for g, w in weights.items() if w > 0.0]
@@ -128,13 +120,18 @@ class WanderingReport:
 
 
 def is_wandering(rep: FiniteRep, S: FiniteRationalSet) -> WanderingReport:
-    """Gram-matrix report on the orbit {U(gamma) v0 : gamma in S}.
+    """Gram-matrix report on the orbit {U(gamma) v0 : gamma in S}, read in
+    eigenbasis coordinates as the columns c e^{2 pi i gamma g}: the Gram
+    entries sum_j |c_j|^2 e^{2 pi i g_j (gamma' - gamma)} and the singular
+    values do not depend on the unitary V.
 
     A diagnostic within ``_WANDERING_TOL``, not a certificate: for the
     uniform measure on {0, 1, 2} and S = {0, d, 2d}, d = 1/3 + 1e-12, it
     reports an orthonormal basis, though the pair is exactly not spectral
     (``certify_spectral_pair``, the CLI's ``check-pair``)."""
-    vectors = _orbit(rep, S)
+    vectors = rep.amplitudes[:, None] * _unit_roots(
+        rep.phases, S.phases.numerators, S.phases.denominator
+    )
     G = vectors.conj().T @ vectors
     norms = np.sqrt(np.abs(np.diag(G)))
     off = G - np.diag(np.diag(G))

@@ -55,6 +55,12 @@ class TestNewSession:
             new_session([0], [1], round_budget=1)
         with pytest.raises(InvalidInputError):
             new_session([0, 1], [], round_budget=1)
+        with pytest.raises(InvalidInputError, match="repeated elements"):
+            new_session([0, 0], [1])
+        session = new_session([0, 1], [1])
+        for source, target in ((frozenset(), frozenset({0})), (frozenset({0}), frozenset())):
+            with pytest.raises(InvalidInputError, match="nonempty"):
+                session.add_fact(source, 1, target)
         # Below one round, "closed" would be a claim no round checked.
         for budget in (0, -2):
             with pytest.raises(InvalidInputError):
@@ -325,6 +331,12 @@ class TestAgainstNaiveEngine:
             Affine(t, c) if x == "a" else Affine(c * Fraction(x) + t) for x in shape
         ]
         assert _assert_matches_naive_engine(ground, budget) == outcome
+
+    def test_zero_move_stops_extending_sums_early(self):
+        # With the zero move alone, the first pass forms no new sum, so the
+        # sum closure stops before its round budget.
+        got = _outcome(arrows, [Fraction(0), Fraction(1)], [0], 3)
+        assert got == _outcome(naive_arrows, [Fraction(0), Fraction(1)], [0], 3)
 
     def test_seeded_fact_off_the_common_denominator(self):
         # A seeded move of 1/7 refines the common denominator of {0, 1, 2}.

@@ -62,6 +62,14 @@ class TestAtomicMeasure:
             AtomicMeasure(points, weights)
 
     @pytest.mark.parametrize(
+        "points,weights,message",
+        [([], [], "nonempty support"), ([0, 0], [0.5, 0.5], "must be distinct")],
+    )
+    def test_support_is_nonempty_and_distinct(self, points, weights, message):
+        with pytest.raises(InvalidInputError, match=message):
+            AtomicMeasure(points, weights)
+
+    @pytest.mark.parametrize(
         "weights", [["x", 0.5], [[0.5], 0.5], [10**400, 0.5], [math.nan, 0.5], [0.5, 0.0]]
     )
     def test_weights_are_positive_numbers(self, weights):
@@ -487,6 +495,9 @@ class TestGramMatrix:
         G = gram_matrix(uniform(0, "1/2"), [0, 2])
         assert np.allclose(G, np.ones((2, 2)))
 
+    def test_single_frequency(self):
+        assert np.array_equal(gram_matrix(cantor4_measure(), [3]), [[1]])
+
     def test_hermitian_unit_diagonal(self):
         G = gram_matrix(uniform(0, "1/3", "5/7"), [0, 1, "1/2"])
         assert np.allclose(G, G.conj().T)
@@ -522,6 +533,12 @@ class TestFrameBounds:
         assert (r.lower, r.upper) == (pytest.approx(1.0), pytest.approx(2.0))
         r = frame_bounds(mu, [0])
         assert (r.lower, r.upper) == (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0))
+
+    def test_empty_spectrum_and_non_atomic_measure(self):
+        r = frame_bounds(AtomicMeasure.uniform([0, 1]), [])
+        assert (r.lower, r.upper) == (0.0, 0.0)
+        with pytest.raises(InvalidInputError):
+            frame_bounds(cantor4_measure(), [0])
 
     def test_spectrum_gives_tight_frame(self):
         mu = uniform(0, "1/3", "2/3")

@@ -13,7 +13,6 @@ from spectrapairs.errors import InvalidInputError
 from spectrapairs.measures import AtomicMeasure, atomic_transform
 from spectrapairs.representation import (
     FiniteRep,
-    _orbit,
     correlation,
     evaluate_group_element,
     generator_shift,
@@ -160,26 +159,36 @@ def random_unitary(rng, n):
 
 
 class TestBatchedOrbit:
-    """The orbit of v0 over all of S at once against the per-gamma
-    U(gamma) v0 through evaluate_group_element."""
+    """is_wandering's report, read from v0's amplitudes, against the Gram
+    matrix of the explicit orbit U(gamma) v0 through evaluate_group_element."""
 
     MIXED = FiniteRationalSet(
         [0, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7), 3, Fraction(11, 12), Fraction(-7, 4)]
     )
 
-    def assert_orbit_matches(self, rep, S):
-        batched = _orbit(rep, S)
-        assert batched.shape == (rep.dim, len(S))
-        for j, g in enumerate(S):
-            reference = evaluate_group_element(rep, g) @ rep.v0
-            assert np.max(np.abs(batched[:, j] - reference)) <= 1e-12
+    def assert_report_matches_orbit(self, rep, S):
+        vectors = np.column_stack([evaluate_group_element(rep, g) @ rep.v0 for g in S])
+        G = vectors.conj().T @ vectors
+        norms = np.sqrt(np.abs(np.diag(G)))
+        max_off = np.max(np.abs(G - np.diag(np.diag(G))))
+        report = is_wandering(rep, S)
+        assert abs(report.max_offdiagonal - max_off) <= 1e-12
+        assert abs(report.min_norm - norms.min()) <= 1e-12
+        assert abs(report.max_norm - norms.max()) <= 1e-12
+        spans = len(S) == rep.dim and np.linalg.svd(vectors, compute_uv=False)[-1] > 1e-10
+        assert report.spans_space == spans
+        return report
 
     @pytest.mark.parametrize("n,p,q", [(3, 2, 1), (4, 3, 1), (5, 1, 4), (6, 5, 7), (12, 7, 5)])
     def test_permutation_representations(self, n, p, q):
         rep = permutation_representation(n, p, q)
         S = FiniteRationalSet(Fraction(j, q) for j in range(-n, 2 * n))
-        self.assert_orbit_matches(rep, S)
-        self.assert_orbit_matches(rep, self.MIXED)
+        self.assert_report_matches_orbit(rep, S)
+        self.assert_report_matches_orbit(rep, self.MIXED)
+        # U(j/q) v0 for j < n are the n distinct shifts of delta_0.
+        basis = FiniteRationalSet(Fraction(j, q) for j in range(n))
+        report = self.assert_report_matches_orbit(rep, basis)
+        assert report.is_orthonormal_family and report.spans_space
 
     def test_random_unitary_with_repeated_eigenvalue(self):
         rng = np.random.default_rng(5)
@@ -188,7 +197,11 @@ class TestBatchedOrbit:
             eigenvalues.append(eigenvalues[0])  # a repeated eigenvalue
             v0 = rng.normal(size=n) + 1j * rng.normal(size=n)
             rep = FiniteRep(eigenvalues, random_unitary(rng, n), v0 / np.linalg.norm(v0))
-            self.assert_orbit_matches(rep, self.MIXED)
+            self.assert_report_matches_orbit(rep, self.MIXED)
+            # The orbit lies in the cyclic subspace of v0, of dimension at
+            # most n - 1, so n times never span.
+            S = FiniteRationalSet(Fraction(j, 3) for j in range(n))
+            assert not self.assert_report_matches_orbit(rep, S).spans_space
 
     def test_report_matches_per_element_gram(self):
         rng = np.random.default_rng(8)
@@ -199,15 +212,8 @@ class TestBatchedOrbit:
             v0 / np.linalg.norm(v0),
         )
         S = FiniteRationalSet([0, Fraction(1, 2), Fraction(5, 3), Fraction(-9, 10)])
-        vectors = np.column_stack([evaluate_group_element(rep, g) @ rep.v0 for g in S])
-        G = vectors.conj().T @ vectors
-        report = is_wandering(rep, S)
-        norms = np.sqrt(np.abs(np.diag(G)))
-        assert report.max_offdiagonal == pytest.approx(
-            np.max(np.abs(G - np.diag(np.diag(G)))), abs=1e-12
-        )
-        assert report.min_norm == pytest.approx(norms.min(), abs=1e-12)
-        assert report.max_norm == pytest.approx(norms.max(), abs=1e-12)
+        self.assert_report_matches_orbit(rep, S)
+        assert np.max(np.abs(rep.amplitudes - rep.eigenvectors.conj().T @ rep.v0)) <= 1e-15
 
 
 class TestPermutationRepresentation:
@@ -263,3 +269,18 @@ class TestFiniteRepValidation:
     def test_rejects_non_unit_v0(self):
         with pytest.raises(InvalidInputError):
             FiniteRep([0, 1], np.eye(2), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "eigenvalues,V,v0",
+        [
+            ([0, 1], np.full((2, 2), np.nan), np.array([1.0, 0.0])),
+            ([0, 1], np.eye(2), np.array([np.nan, 0.0])),
+            ([0, 1], np.eye(2), np.array([1.0, 0.0, 0.0])),
+            ([0, 1], np.eye(3), np.array([1.0, 0.0, 0.0])),
+            ([], np.eye(0), np.zeros(0)),
+        ],
+        ids=["nan_eigenvectors", "nan_v0", "long_v0", "eigenvector_shape", "empty"],
+    )
+    def test_rejects_misshapen_and_nan_input(self, eigenvalues, V, v0):
+        with pytest.raises(InvalidInputError):
+            FiniteRep(eigenvalues, V, v0)

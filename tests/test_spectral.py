@@ -126,6 +126,8 @@ class TestFiniteRationalSet:
             parse_fraction("1e-3")
         with pytest.raises(InvalidInputError):
             parse_fraction("1/0")
+        with pytest.raises(InvalidInputError, match="fraction too long"):
+            parse_fraction("1" * 5000)  # past Python's int string-conversion limit
         assert parse_fraction("-3/6") == Fraction(-1, 2)
 
     def test_json_round_trip(self):
@@ -282,6 +284,10 @@ class TestConstructLineSpectrum:
             construct_line_spectrum(3, 2, 4)  # not reduced
         with pytest.raises(InvalidInputError):
             construct_line_spectrum(3, 1, 3)  # congruence fails
+        with pytest.raises(InvalidInputError):
+            construct_line_spectrum(2, 1, 1)  # n below 3
+        with pytest.raises(InvalidInputError):
+            construct_line_spectrum(3, 2, -1)  # q not positive
 
 
 class TestSearchSpectrum:
