@@ -26,12 +26,11 @@ purely rational sessions have c1 = 0 everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InconsistencyError, InvalidInputError, check_work
 from .exact import rational
@@ -54,8 +53,7 @@ __all__ = [
 CLOSE_WORK_BUDGET = 2**23
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(NamedTuple):
     """Value c0 + c1 * alpha with rational coefficients."""
 
     const: Fraction
@@ -462,8 +460,7 @@ def close(session: Session) -> Session:
     return session
 
 
-@dataclass(frozen=True)
-class PermutationAction:
+class PermutationAction(NamedTuple):
     move: Affine
     sigma: tuple[int, ...]
 

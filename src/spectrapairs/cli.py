@@ -14,11 +14,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .arrows import close, new_session
 from .errors import InconsistencyError, InvalidInputError, check_work
 from .serialize import parse_measure, parse_set, read_measure, read_set
 from .sets import Irrational, fraction_str, parse_fraction
-from .spectral import certify_spectral_pair, decide_line_set, search_spectrum
 
 __all__ = ["run", "main"]
 
@@ -61,6 +59,8 @@ def _grid_work(items: list) -> int:
 
 
 def _cmd_decide_line_set(args) -> dict:
+    from .spectral import decide_line_set
+
     # Two units per point of the witness it may build and print.
     check_work("decide-line-set", 2 * args.n, WORK_BUDGET)
     a = Irrational(args.irrational) if args.irrational is not None else parse_fraction(args.a)
@@ -68,6 +68,8 @@ def _cmd_decide_line_set(args) -> dict:
 
 
 def _cmd_check_pair(args) -> dict:
+    from .spectral import certify_spectral_pair
+
     a, b = read_set(args.set_a), read_set(args.set_b)
     check_work("check-pair", 2 * (len(a) + len(b)) + _grid_work(a) + _grid_work(b), WORK_BUDGET)
     cert = certify_spectral_pair(parse_set(a), parse_set(b))
@@ -75,6 +77,8 @@ def _cmd_check_pair(args) -> dict:
 
 
 def _cmd_find_spectrum(args) -> dict:
+    from .spectral import search_spectrum
+
     items = read_set(args.set)
     check_work("find-spectrum", 2 * len(items) + _grid_work(items), WORK_BUDGET)
     result = search_spectrum(parse_set(items), args.qmax, parse_fraction(args.span))
@@ -89,6 +93,8 @@ def _cmd_find_spectrum(args) -> dict:
 
 
 def _cmd_arrow_close(args) -> dict:
+    from .arrows import close, new_session
+
     items = read_set(args.set)
     check_work("arrow-close", 2 * len(items) + _grid_work(items), WORK_BUDGET)
     moves = [parse_fraction(m) for m in args.moves.split(",") if m.strip()]

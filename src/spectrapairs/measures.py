@@ -10,7 +10,6 @@ completeness diagnostic Q(t) = sum_lambda |mu_hat(t - lambda)|^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -79,14 +78,14 @@ class AtomicMeasure:
         return f"AtomicMeasure(points={self.points}, weights={self.weights})"
 
 
-@dataclass(frozen=True)
 class IFSMeasure:
-    """Self-similar measure of the maps x -> (x + d) / scale, d in digits."""
+    """Self-similar measure of the maps x -> (x + d) / scale, d in digits.
 
-    scale: int
-    digits: tuple[Fraction, ...]
-    # The digits over one common denominator, for the transform kernel.
-    phases: RationalPhases = field(init=False, repr=False, compare=False)
+    Immutable, and equal and hashed by (scale, digits)."""
+
+    # ``phases``: the digits over one common denominator, for the transform
+    # kernel.
+    __slots__ = ("scale", "digits", "phases")
 
     def __init__(self, scale: int, digits: Iterable):
         digs = tuple(sorted(rational(d) for d in digits))
@@ -98,14 +97,33 @@ class IFSMeasure:
         object.__setattr__(self, "digits", digs)
         object.__setattr__(self, "phases", RationalPhases(digs))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return IFSMeasure, (self.scale, self.digits)
+
+    def __eq__(self, other):
+        if not isinstance(other, IFSMeasure):
+            return NotImplemented
+        return (self.scale, self.digits) == (other.scale, other.digits)
+
+    def __hash__(self):
+        return hash((self.scale, self.digits))
+
+    def __repr__(self):
+        return f"IFSMeasure(scale={self.scale!r}, digits={self.digits!r})"
+
 
 def cantor4_measure() -> IFSMeasure:
     """The scale-4, digits-{0, 2} Cantor measure."""
     return IFSMeasure(4, (0, 2))
 
 
-@dataclass(frozen=True)
-class FrameReport:
+class FrameReport(NamedTuple):
     lower: float
     upper: float
 

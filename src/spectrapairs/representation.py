@@ -12,9 +12,8 @@ criterion on l2({0, ..., n-1}).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,8 +106,7 @@ def measure_from_representation(rep: FiniteRep) -> AtomicMeasure:
     return AtomicMeasure(points, [weights[g] / total for g in points])
 
 
-@dataclass(frozen=True)
-class WanderingReport:
+class WanderingReport(NamedTuple):
     is_orthonormal_family: bool
     max_offdiagonal: float
     min_norm: float
@@ -116,7 +114,7 @@ class WanderingReport:
     spans_space: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def is_wandering(rep: FiniteRep, S: FiniteRationalSet) -> WanderingReport:

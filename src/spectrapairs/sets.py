@@ -9,9 +9,8 @@ irrational.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import InvalidInputError
 from .exact import RationalPhases, rational
@@ -46,8 +45,7 @@ def fraction_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-@dataclass(frozen=True)
-class Irrational:
+class Irrational(NamedTuple):
     """Marker for an irrational input; carries a display label only."""
 
     label: str

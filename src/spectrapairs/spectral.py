@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError, check_work
 from .exact import RationalPhases, rational, root_sum_is_zero
@@ -51,8 +50,7 @@ def _column_sum_is_zero(phases: RationalPhases, order: int) -> bool:
     return root_sum_is_zero(phases.root_sum(order))
 
 
-@dataclass(frozen=True)
-class PairCertificate:
+class PairCertificate(NamedTuple):
     is_pair: bool
     exact: bool = True  # every column sum is decided exactly
 
@@ -80,8 +78,7 @@ def is_spectral_pair(A: FiniteRationalSet, B: FiniteRationalSet) -> bool:
     return certify_spectral_pair(A, B).is_pair
 
 
-@dataclass(frozen=True)
-class SpectralDecision:
+class SpectralDecision(NamedTuple):
     verdict: str  # "spectral" | "not_spectral"
     certificate: Optional[FiniteRationalSet] = None
     reason: Optional[str] = None  # "irrational" | "congruence_fails"

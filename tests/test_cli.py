@@ -266,6 +266,49 @@ assert "numpy" not in sys.modules, "numpy was imported"
     assert proc.returncode == 0, proc.stderr
 
 
+# One case per subcommand, and the layer it must leave unloaded.
+LAYER_CASES = {
+    "decide_spectral": "spectrapairs.arrows",
+    "check_pair_true": "spectrapairs.arrows",
+    "find_spectrum_hit": "spectrapairs.arrows",
+    "arrow_close": "spectrapairs.spectral",
+    "rep_roundtrip": None,
+    "perm_rep": None,
+    "cantor_orthogonality": None,
+    "frame_bounds_tight": None,
+}
+
+
+def test_layer_cases_cover_every_subcommand():
+    assert {CASES[name][0] for name in LAYER_CASES} == _subcommands()
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_CASES))
+def test_each_subcommand_loads_only_its_own_layer(name):
+    # A fresh interpreter per subcommand.  The dataclasses check compares
+    # with the modules loaded before the import, since a site setup may
+    # load it first.
+    script = """
+import sys
+before = set(sys.modules)
+import spectrapairs.cli as cli
+assert "spectrapairs.exact" in sys.modules, "cli does not load exact"
+code, _ = cli.run(sys.argv[2:])
+assert code == 0, code
+unloaded = sys.argv[1]
+assert not unloaded or unloaded not in sys.modules, unloaded + " was imported"
+assert "dataclasses" in before or "dataclasses" not in sys.modules, "dataclasses was imported"
+"""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, LAYER_CASES[name] or "", *CASES[name]],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_each_public_name_has_one_home():
     # The package root loads no module; a name in __all__ is bound in its
     # module and listed by no other.
@@ -750,7 +793,7 @@ def test_size_bounded_commands_count_before_computing(monkeypatch):
         monkeypatch.setattr(cli, "WORK_BUDGET", work)
         assert run(CASES[name]) == expected
         monkeypatch.setattr(cli, "WORK_BUDGET", work - 1)
-        monkeypatch.setattr(cli, "decide_line_set", unreachable)
+        monkeypatch.setattr(spectral, "decide_line_set", unreachable)
         monkeypatch.setattr(representation, "multiplication_representation", unreachable)
         monkeypatch.setattr(measures, "frame_bounds", unreachable)
         # The count comes before the decision, so a not_spectral answer
