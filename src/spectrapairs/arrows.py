@@ -110,13 +110,14 @@ class Session:
     """Single-owner mutable deduction state over a fixed ground set.
 
     Sources and targets are int bitmasks over the element indices.  A move
-    c0 + c1*alpha is the integer pair (c0*D, c1*D), where D is a common
-    denominator of the elements and the generating moves; since D > 0, the
-    pairs sort as ``Affine._key`` does.  Each pair is interned once as a
-    small int id in the move table, so refining D rescales the table and
-    nothing else; the generating moves are interned when the session is
-    built.  The store keys each fact by its source and move id, and a
-    per-source ``{move id: target}`` index is kept in step with it.
+    c0 + c1*alpha is the integer pair (c0*D, c1*D), found by dividing D by
+    each denominator, where D is a common denominator of the elements and
+    the generating moves; since D > 0, the pairs sort as ``Affine._key``
+    does.  Each pair is interned once as a small int id in the move table,
+    so refining D rescales the table and nothing else.  The store keys each
+    fact by its source and move id, beside a per-source ``{move id:
+    target}`` index.  ``close`` writes new R3 and trivial facts to both;
+    every other write, and every shrink (R4), goes through ``_add``.
     ``facts`` and ``trace`` are built from the store when read.
     """
 
@@ -192,10 +193,9 @@ class Session:
 
     def _pair(self, move: Affine) -> Optional[tuple[int, int]]:
         """The move as (c0*D, c1*D); None when it is not on that grid."""
-        c0, c1 = move.const * self._den, move.sym * self._den
-        if c0.denominator == 1 and c1.denominator == 1:
-            return c0.numerator, c1.numerator
-        return None
+        q0, r0 = divmod(self._den, move.const.denominator)
+        q1, r1 = divmod(self._den, move.sym.denominator)
+        return None if r0 or r1 else (move.const.numerator * q0, move.sym.numerator * q1)
 
     def _intern(self, pair: tuple[int, int]) -> int:
         """The id of a move pair, the next free one if the pair is new."""
@@ -322,14 +322,14 @@ def new_session(
     return session
 
 
-def _allowed_moves(session: Session) -> tuple[set[tuple[int, int]], int]:
+def _allowed_moves(session: Session) -> tuple[dict[tuple[int, int], Optional[int]], int]:
     """Closure of the generating moves under addition, up to
     round_budget + 1 summands (one from the start, one more per pass);
     caps which compositions R3 may produce.  Each pass extends only the
     sums new in the previous one: a sum of k + 2 summands is a (k + 1)-sum
     plus a generator, and if that (k + 1)-sum has fewer summands, so has
-    the whole.  Also returns the work spent, |new| * |base| per pass,
-    charged before the pass."""
+    the whole.  Returns a table from each sum to its move id (None until
+    first used), and the work, |new| * |base| per pass, charged before it."""
     base = {session._pairs[g] for g in session._generators} | {(0, 0)}
     current = set(base)
     new = base
@@ -342,7 +342,7 @@ def _allowed_moves(session: Session) -> tuple[set[tuple[int, int]], int]:
             check_work("arrow closure", work, CLOSE_WORK_BUDGET)
         new = {(a0 + b0, a1 + b1) for a0, a1 in new for b0, b1 in base} - current
         current |= new
-    return current, work
+    return dict.fromkeys(current), work
 
 
 def close(session: Session) -> Session:
@@ -354,9 +354,12 @@ def close(session: Session) -> Session:
     earlier, and targets only shrink, so it could record nothing now.  The
     facts, ``rounds_used`` and the trace are those of joining every pair.
 
-    R3 looks up m + m2 once per pair of move ids, and before it derives
-    anything it checks the live per-source index for a stored fact that
-    already implies the result, which most compositions are.
+    R3 memoizes m + m2 per pair of move ids from one table of admissible
+    totals, interning a total on first use; the identity S ->(0) S would
+    only rebuild its partners, so it composes nothing.  R3 checks the live
+    per-source index first, since a stored fact implies most results.  New
+    keys from R3 (a partner's target: no smaller than the source) and new
+    trivial facts are written here; the rest, shrinks too, go via ``_add``.
 
     Work, against ``CLOSE_WORK_BUDGET`` and counted before it is done:
     |new| * |base| for each pass of the allowed sums; |A|^2 for each move
@@ -365,14 +368,16 @@ def close(session: Session) -> Session:
     snapshot fact of a round, 1 plus the lengths of its R2 and R3 partner
     lists.
     """
-    allowed, work = _allowed_moves(session)
+    totals, work = _allowed_moves(session)
     budget = CLOSE_WORK_BUDGET
     facts = session._facts
     store = session._by_source
+    trace = session._trace
     pairs = session._pairs
     add = session._add
     intern = session._intern
     full = session._full
+    zero = session._ids.get((0, 0))
     singletons = [1 << i for i in range(len(session.elements))]
     generators = session._generators
     covered: set = set()  # moves whose trivial facts are all present
@@ -391,7 +396,9 @@ def close(session: Session) -> Session:
         )
         for m in new_moves:
             for i in singletons:
-                if (i, m) not in facts and add("trivial", i, m, full):
+                if (i, m) not in facts:
+                    facts[i, m] = store[i][m] = full
+                    trace.append(("trivial", i, m, full, ()))
                     delta.add((i, m))
                     changed = True
         covered = in_play
@@ -437,22 +444,31 @@ def close(session: Session) -> Session:
                         delta.add(key)
                         changed = True
             # R3 composition (first fact must be dimension-preserving).
-            if r3_partners:
+            if r3_partners and (m != zero or s != t):
                 known_for_s = store[s]
                 row = sums.setdefault(m, {})
+                a0, a1 = pairs[m]
                 for m2, r in r3_partners.items():
                     m3 = row.get(m2)
                     if m3 is None:
-                        (a0, a1), (b0, b1) = pairs[m], pairs[m2]
-                        pair = (a0 + b0, a1 + b1)
-                        m3 = row[m2] = intern(pair) if pair in allowed else -1
+                        b0, b1 = pairs[m2]
+                        total = (a0 + b0, a1 + b1)
+                        m3 = totals.get(total, -1)
+                        if m3 is None:
+                            m3 = totals[total] = intern(total)
+                        row[m2] = m3
                     if m3 < 0:
                         continue
                     known = known_for_s.get(m3)
-                    if known is None or known & r != known:
-                        if add("R3", s, m3, r, ((s, m, t), (t, m2, r))):
-                            delta.add((s, m3))
-                            changed = True
+                    if known is None:
+                        facts[s, m3] = known_for_s[m3] = r
+                        trace.append(("R3", s, m3, r, ((s, m, t), (t, m2, r))))
+                    elif known & r != known:
+                        add("R3", s, m3, r, ((s, m, t), (t, m2, r)))
+                    else:
+                        continue
+                    delta.add((s, m3))
+                    changed = True
         session.rounds_used = round_index + 1
         if not changed:
             break

@@ -21,7 +21,6 @@ from .errors import InvalidInputError
 from .exact import RationalPhases, rational
 from .measures import AtomicMeasure, _unit_roots
 from .sets import FiniteRationalSet
-from .spectral import _check_line_set
 
 __all__ = [
     "FiniteRep",
@@ -149,6 +148,8 @@ def generator_shift(n: int, p: int, q: int) -> int:
     """Shift amount s of the generator U(1/q) on l2({0, ..., n-1}):
     s = q^{-1} mod n, which exists because n divides p + q and p/q is
     reduced, so q is prime to n."""
+    from .spectral import _check_line_set
+
     _check_line_set(n, p, q)
     return pow(q, -1, n)
 

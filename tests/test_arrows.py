@@ -320,12 +320,19 @@ class TestAgainstNaiveEngine:
             (("0", "1", "2", "4/3"), 6, "inconsistent"),
             (("0", "1", "2", "3", "11"), 5, "inconsistent"),
             (("0", "1", "a"), 4, "closed"),
+            (("0", "1", "7/2"), 3, "closed"),
+            (("0", "1", "5/4"), 4, "closed"),
+            (("0", "1", "2", "3"), 5, "closed"),
+            (("0", "1", "2", "1/3"), 4, "closed"),
+            (("0", "1", "2", "5/3"), 4, "closed"),
+            (("0", "1", "2", "3", "4"), 5, "closed"),
         ],
         ids=lambda v: ",".join(v) if isinstance(v, tuple) else str(v),
     )
     def test_benchmark_closure_shapes_scaled(self, shape, budget, outcome):
-        # The closure benchmark's non-spectral and symbolic shapes, as the
-        # scaled copy c * A + t it runs them as (c * alpha for "a").
+        # The closure benchmark's non-spectral, symbolic and closed rational
+        # shapes, as the scaled copy c * A + t it runs them as (c * alpha
+        # for "a").
         c, t = Fraction(3, 7), Fraction(-5, 3)
         ground = [
             Affine(t, c) if x == "a" else Affine(c * Fraction(x) + t) for x in shape
@@ -445,7 +452,7 @@ def test_compositions_are_capped_at_budget_plus_one_summands():
     # The generators themselves are one summand and each pass adds one.
     for budget, top in ((1, 2), (3, 4)):
         session = new_session([0, 1, 2], [1], round_budget=budget)
-        assert arrows._allowed_moves(session)[0] == {(k, 0) for k in range(top + 1)}
+        assert arrows._allowed_moves(session)[0].keys() == {(k, 0) for k in range(top + 1)}
 
 
 def test_saturation_does_no_affine_arithmetic_or_formatting(monkeypatch):
@@ -470,3 +477,20 @@ def test_saturation_does_no_affine_arithmetic_or_formatting(monkeypatch):
     assert len(session.facts) > 100
     assert session.trace[-1]["move"]  # formatting still works when asked
     assert calls["str"] > 0
+
+
+def test_session_set_up_multiplies_no_fractions(monkeypatch):
+    # Moves are put on the common denominator D by integer division, so
+    # neither seeding nor closing multiplies a Fraction.
+    calls = 0
+    mul = Fraction.__mul__
+
+    def counted_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Fraction, "__mul__", counted_mul)
+    session = close(new_session([0, 1, 2, 3], [1, -1, 2, -2, 3, -3], round_budget=6))
+    assert calls == 0
+    assert len(session.facts) > 100

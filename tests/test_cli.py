@@ -272,7 +272,7 @@ LAYER_CASES = {
     "check_pair_true": "spectrapairs.arrows",
     "find_spectrum_hit": "spectrapairs.arrows",
     "arrow_close": "spectrapairs.spectral",
-    "rep_roundtrip": None,
+    "rep_roundtrip": "spectrapairs.spectral",
     "perm_rep": None,
     "cantor_orthogonality": None,
     "frame_bounds_tight": None,
