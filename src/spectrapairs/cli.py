@@ -22,23 +22,14 @@ __all__ = ["run", "main"]
 
 # The budget of the counts taken from input sizes before anything is parsed
 # or computed.  ``arrow-close``, ``check-pair`` and ``find-spectrum`` count
-# only their set files here, two units per element and ``_grid_work`` per
-# file; the library counts their computation.
+# only their set files here, two units per element and ``_parse_work`` per
+# file; the library counts their grids and their computation.
 WORK_BUDGET = 2**20
 
-# A set's common-denominator grid (``exact.RationalPhases``, built when the
-# set is parsed) has a denominator of at most L digits, L the sum of the
-# lengths of the elements' distinct denominators, and n numerators of up to
-# L digits each.  Only digits past 18 (about one machine word) are charged:
-# S' + L' where S' sums the elements' characters past 18 and L' = L - 18,
-# squared over C for the parsing and the lcm, and n L' over C_n for the
-# numerators.  At the edge of the budget the parse took at most 1.2 s and
-# 100 MB (in-process, 2-core x86 machine): for {k / (10^(d-1) + 2k + 1)},
-# 0.1 s at d = 3900, 0.3 s at d = 60, 0.5 s at d = 20 and 0.7 s at d = 12;
-# with one point in 11 on such a denominator and the rest over one more,
-# 1.2 s at d = 12.
+# Parsing an element costs time quadratic in its length.  Only characters
+# past 18 (about one machine word) are charged: S'^2 over C, S' the sum of
+# a file's elements' characters past 18.
 GRID_DIGITS_SQUARED_PER_UNIT = 2**14
-GRID_NUMERATOR_DIGITS_PER_UNIT = 2**8
 
 # The least ``cantor --eps``: a smaller error is below what the
 # double-precision product can hold, and the transform depth grows with
@@ -46,16 +37,10 @@ GRID_NUMERATOR_DIGITS_PER_UNIT = 2**8
 CANTOR_MIN_EPS = 1e-15
 
 
-def _grid_work(items: list) -> int:
-    """(S' + L')^2 / C + n L' / C_n units for the grid of a set file's n
-    elements as read."""
-    texts = [str(x) for x in items]
-    over = max(0, sum(len(q) for q in {s.partition("/")[2] for s in texts}) - 18)
-    digits = sum(max(0, len(s) - 18) for s in texts) + over
-    return (
-        digits * digits // GRID_DIGITS_SQUARED_PER_UNIT
-        + len(texts) * over // GRID_NUMERATOR_DIGITS_PER_UNIT
-    )
+def _parse_work(items: list) -> int:
+    """S'^2 / C units for parsing a set file's elements as read."""
+    digits = sum(max(0, len(str(x)) - 18) for x in items)
+    return digits * digits // GRID_DIGITS_SQUARED_PER_UNIT
 
 
 def _cmd_decide_line_set(args) -> dict:
@@ -71,7 +56,7 @@ def _cmd_check_pair(args) -> dict:
     from .spectral import certify_spectral_pair
 
     a, b = read_set(args.set_a), read_set(args.set_b)
-    check_work("check-pair", 2 * (len(a) + len(b)) + _grid_work(a) + _grid_work(b), WORK_BUDGET)
+    check_work("check-pair", 2 * (len(a) + len(b)) + _parse_work(a) + _parse_work(b), WORK_BUDGET)
     cert = certify_spectral_pair(parse_set(a), parse_set(b))
     return {"spectral_pair": cert.is_pair, "exact": cert.exact}
 
@@ -80,7 +65,7 @@ def _cmd_find_spectrum(args) -> dict:
     from .spectral import search_spectrum
 
     items = read_set(args.set)
-    check_work("find-spectrum", 2 * len(items) + _grid_work(items), WORK_BUDGET)
+    check_work("find-spectrum", 2 * len(items) + _parse_work(items), WORK_BUDGET)
     result = search_spectrum(parse_set(items), args.qmax, parse_fraction(args.span))
     if result is None:
         return {
@@ -96,7 +81,7 @@ def _cmd_arrow_close(args) -> dict:
     from .arrows import close, new_session
 
     items = read_set(args.set)
-    check_work("arrow-close", 2 * len(items) + _grid_work(items), WORK_BUDGET)
+    check_work("arrow-close", 2 * len(items) + _parse_work(items), WORK_BUDGET)
     moves = [parse_fraction(m) for m in args.moves.split(",") if m.strip()]
     session = close(new_session(parse_set(items), moves, round_budget=args.budget))
     return session.to_json()
@@ -113,9 +98,9 @@ def _cmd_rep_roundtrip(args) -> dict:
     spectrum = read_set(args.spectrum)
     # The dim x dim unitarity check, the dim x |S| amplitude-phase matrix
     # and its |S| x |S| Gram matrix; counted from the files' array lengths,
-    # before any element is parsed, with the two grids.
+    # before any element is parsed, with the parsing of the two files.
     dim, size = len(points), len(spectrum)
-    work = dim * (dim + size) + size**2 + _grid_work(points) + _grid_work(spectrum)
+    work = dim * (dim + size) + size**2 + _parse_work(points) + _parse_work(spectrum)
     check_work("rep-roundtrip", work, WORK_BUDGET)
     mu, S = parse_measure(points, weights), parse_set(spectrum)
     rep = multiplication_representation(mu)
@@ -219,8 +204,8 @@ def _cmd_frame_bounds(args) -> dict:
     # Two units per entry of the |mu| x |Lambda| exponentials and of the
     # |mu| x |mu| frame operator: at |mu| = 1 each entry is a point of
     # Lambda, counted from the file's array length before it is parsed, with
-    # the two grids.
-    work = 2 * len(points) * (len(points) + len(lam)) + _grid_work(points) + _grid_work(lam)
+    # the parsing of the two files.
+    work = 2 * len(points) * (len(points) + len(lam)) + _parse_work(points) + _parse_work(lam)
     check_work("frame-bounds", work, WORK_BUDGET)
     report = frame_bounds(parse_measure(points, weights), parse_set(lam).elements)
     return {"lower": report.lower, "upper": report.upper}

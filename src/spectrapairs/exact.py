@@ -16,7 +16,8 @@ an exponential sum sum_x e^{2 pi i x t} at t = u / v is decided as
 least order M = D v / gcd(u, D v), which the caller computes in integers.
 A grid counts its numerators once, on its first ``root_sum``.  Every point
 set takes its rationals through ``rational``, so no numpy integer reaches
-an exact product.
+an exact product.  A grid counts its own size as it is built, against
+``GRID_WORK_BUDGET``, so every point set that holds one is bounded.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_work
 
 __all__ = [
     "rational",
@@ -35,7 +36,11 @@ __all__ = [
     "CycSum",
     "root_sum_is_zero",
     "RationalPhases",
+    "GRID_WORK_BUDGET",
 ]
+
+# A grid's budget, in products of 64-bit words: under a second at the edge.
+GRID_WORK_BUDGET = 2**23
 
 
 def _divisors(n: int) -> list[int]:
@@ -233,13 +238,22 @@ class RationalPhases:
     common denominator, for exact exponential sums sum_x e^{2 pi i x t}
     at rational t.  Python ints are read as they are, every other point
     through ``rational``.  The count of each numerator, which only
-    ``root_sum`` reads, is taken once, on its first call."""
+    ``root_sum`` reads, is taken once, on its first call.  As it is built,
+    the grid counts its cost in 64-bit words against ``GRID_WORK_BUDGET``:
+    words(D) * words(d) for each step of the lcm D over the distinct
+    denominators d, least first, then floor(bits(D) / 64) per numerator."""
 
     __slots__ = ("denominator", "numerators", "_counts")
 
     def __init__(self, points: Iterable):
         points = [x if type(x) is int else rational(x) for x in points]
-        D = math.lcm(*(x.denominator for x in points))
+        D, work = 1, 0
+        for d in sorted({x.denominator for x in points}):
+            step = ((D.bit_length() + 63) // 64) * ((d.bit_length() + 63) // 64)
+            work = check_work("common-denominator grid", work + step, GRID_WORK_BUDGET)
+            D = math.lcm(D, d)
+        work += len(points) * (D.bit_length() // 64)
+        check_work("common-denominator grid", work, GRID_WORK_BUDGET)
         self.denominator = D
         self.numerators = [x.numerator * (D // x.denominator) for x in points]
         self._counts = None

@@ -65,7 +65,7 @@ class AtomicMeasure:
     @classmethod
     def uniform(cls, points: Iterable) -> "AtomicMeasure":
         pts = list(points)
-        return cls(pts, [1.0 / len(pts)] * len(pts))
+        return cls(pts, [1.0 / len(pts)] * len(pts) if pts else [])
 
     def __eq__(self, other):
         return (

@@ -37,10 +37,11 @@ __all__ = [
     "CERTIFY_WORK_BUDGET",
 ]
 
-# Work budgets; at each a call takes a few seconds.  ``search_spectrum``:
-# its candidates, its pair tests and |A| per zero test.
+# Work budgets; at each a call takes a few seconds.  A zero test of order
+# M costs |A| * words(M), words(M) the 64-bit words of M.
+# ``search_spectrum``: its candidates, its pair tests and its zero tests.
 SEARCH_WORK_BUDGET = 2**19
-# ``certify_spectral_pair``: |A| per column tested.
+# ``certify_spectral_pair``: one zero test per column tested.
 CERTIFY_WORK_BUDGET = 2**22
 
 
@@ -61,14 +62,16 @@ def certify_spectral_pair(A: FiniteRationalSet, B: FiniteRationalSet) -> PairCer
     With A's numerators n_a over D and B's m_b over E, the column of
     (b1, b2) sums zeta_N^{n_a (m2 - m1)} for N = D E, and is decided at
     its least order N / gcd(m2 - m1, N).  Work, against
-    ``CERTIFY_WORK_BUDGET``: |A| units per column, counted before its
-    test, so a non-pair answers at its first nonzero column."""
+    ``CERTIFY_WORK_BUDGET``: |A| * words(N) units per column, words(N) the
+    64-bit words of N, counted before its test, so a non-pair answers at
+    its first nonzero column."""
     if len(A) != len(B):
         raise InvalidInputError("sets must have equal size")
     N = A.phases.denominator * B.phases.denominator
+    column_work = len(A) * ((N.bit_length() + 63) // 64)
     pairs = itertools.combinations(B.phases.numerators, 2)
     for columns, (m1, m2) in enumerate(pairs, 1):
-        check_work("pair certification", columns * len(A), CERTIFY_WORK_BUDGET)
+        check_work("pair certification", columns * column_work, CERTIFY_WORK_BUDGET)
         if not _column_sum_is_zero(A.phases, N // math.gcd(m2 - m1, N)):
             return PairCertificate(False)
     return PairCertificate(True)
@@ -142,7 +145,8 @@ def search_spectrum(
     sum_a zeta_M^{n_a} = 0 for M the order of d / D (Galois conjugation),
     so it runs once per M.  Work, against ``SEARCH_WORK_BUDGET``: the
     candidate count ceil(span * q_max (q_max + 1) / 2), taken before any is
-    built, then one unit per pair test and |A| units per zero test.
+    built, then one unit per pair test and |A| * words(M) units per zero
+    test, words(M) the 64-bit words of M.
     """
     span = Fraction(span)
     if q_max < 1 or span <= 0:
@@ -168,7 +172,8 @@ def search_spectrum(
             v = D * c.denominator * b.denominator
             M = v // math.gcd(u, v)  # the order of (c - b) / D
             if M not in zero_set:
-                work = check_work("spectrum search", work + len(A), SEARCH_WORK_BUDGET)
+                zero_test = len(A) * ((M.bit_length() + 63) // 64)
+                work = check_work("spectrum search", work + zero_test, SEARCH_WORK_BUDGET)
                 zero_set[M] = _column_sum_is_zero(A.phases, M)
             if zero_set[M]:
                 kept.append(c)

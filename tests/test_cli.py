@@ -17,7 +17,7 @@ from functools import partial
 import pytest
 
 import spectrapairs
-from spectrapairs import arrows, cli, measures, representation, spectral
+from spectrapairs import arrows, cli, exact, measures, representation, spectral
 from spectrapairs.cli import run
 from spectrapairs.errors import TooLargeError, check_work
 from spectrapairs.sets import FiniteRationalSet
@@ -488,7 +488,8 @@ SECONDS_CASES = {
     # 79,800 columns of 400 points each.
     "check_pair_too_large": (lambda tmp: _line_pair(tmp, 400, 400), 1, {"reason": "too_large"}),
     # Grids of 100 and 200 points with 3900-digit denominators: about 5.9 s
-    # and 24 s to build when only the elements were counted.
+    # and 24 s to build when only the elements were counted.  From here to
+    # frame_bounds_long_denominators the grid's own count stops each one.
     "check_pair_long_denominators_100": (
         lambda tmp: _pair_with_integers(tmp, _distinct_denominators(100)),
         1, {"reason": "too_large"},
@@ -611,6 +612,50 @@ def test_cli_answers_within_seconds(name, tmp_path):
     assert len(result.get("message", "")) <= 200
 
 
+# Library calls that ran for minutes while only the CLI counted their
+# grids: each must raise TooLargeError in a fresh process within 5 s.
+LIBRARY_SECONDS_CASES = {
+    # 2000 distinct 12-digit denominators and 250,000 points over one
+    # more: past 120 s for their numerators of up to 24,000 digits.
+    "set_many_numerators_over_a_long_lcm": (
+        "FiniteRationalSet([Fraction(k, 10**11 + 2 * k + 1) for k in range(1, 2001)]"
+        " + [Fraction(k, 10**11 - 1) for k in range(1, 250001)])"
+    ),
+    # 3200 distinct 60-digit denominators: 50 s to certify.
+    "certify_distinct_60_digit_denominators": (
+        "certify_spectral_pair(FiniteRationalSet(Fraction(k, 10**59 + 2 * k + 1)"
+        " for k in range(3200)), FiniteRationalSet(range(3200)))"
+    ),
+    # A cheap grid over one 4000-digit denominator, but 43 s to certify
+    # when each column cost |A| whatever the size of its order.
+    "certify_4000_digit_order": (
+        "certify_spectral_pair(FiniteRationalSet(Fraction(k, 2000) + Fraction(1, 10**3999 + 1)"
+        " for k in range(2000)), FiniteRationalSet(range(2000)))"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_SECONDS_CASES))
+def test_library_refuses_within_seconds(name):
+    script = (
+        "from fractions import Fraction\n"
+        "from spectrapairs.errors import TooLargeError\n"
+        "from spectrapairs.sets import FiniteRationalSet\n"
+        "from spectrapairs.spectral import certify_spectral_pair\n"
+        "try:\n"
+        f"    {LIBRARY_SECONDS_CASES[name]}\n"
+        "except TooLargeError as exc:\n"
+        "    print(exc.reason)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=5
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "too_large\n")
+
+
 @pytest.fixture(scope="module")
 def long_set_file(tmp_path_factory):
     """A set file of 2^20 - 1 points: about 7 s to parse in full."""
@@ -707,6 +752,7 @@ def _three_point_session():
 
 
 _THREE, _THIRDS = FiniteRationalSet([0, 1, 2]), FiniteRationalSet(["0", "1/3", "2/3"])
+_LONG = FiniteRationalSet([0, Fraction(1, 2**192), Fraction(1, 2**191)])  # over 2^192
 
 # Each budgeted entry point over a small budget: (module, budget name,
 # budget, a setup that returns the call to make over it, the count at
@@ -726,6 +772,28 @@ OVER_BUDGET = {
     "search_running": (
         spectral, "SEARCH_WORK_BUDGET", 10,
         lambda: partial(spectral.search_spectrum, _THREE, 3, 1), 12,
+    ),
+    # The first column, at the 4 words of the order 2^192: 3 x 4.
+    "certify_long_order": (
+        spectral, "CERTIFY_WORK_BUDGET", 11,
+        lambda: partial(spectral.certify_spectral_pair, _LONG, _THREE), 12,
+    ),
+    # 6 candidates, 3 pair tests, then a zero test at 4 words: 3 x 4.
+    # Its three zero tests at one unit a point would total 18.
+    "search_long_order": (
+        spectral, "SEARCH_WORK_BUDGET", 20,
+        lambda: partial(spectral.search_spectrum, _LONG, 3, 1), 21,
+    ),
+    # Four distinct one-word denominators, one unit each: the third step.
+    "grid_steps": (
+        exact, "GRID_WORK_BUDGET", 2,
+        lambda: partial(exact.RationalPhases, [Fraction(1, q) for q in (2, 3, 5, 7)]), 3,
+    ),
+    # One step of 1 x 2 words to the lcm 2^64, then its second word for
+    # each of the 3 numerators.
+    "grid_numerators": (
+        exact, "GRID_WORK_BUDGET", 4,
+        lambda: partial(exact.RationalPhases, [Fraction(k, 2**64) for k in (1, 3, 5)]), 5,
     ),
     # 3^2 base facts at 1 + 3 units each.
     "new_session": (
@@ -804,34 +872,24 @@ def test_size_bounded_commands_count_before_computing(monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize(
-    "points, grid",
-    [
-        # S' counts each element's characters past 18: "1/" or "2/" and 28
-        # threes have 30, so S' = 24.  Their one denominator has L = 28
-        # digits, so L' = 10: (24 + 10)^2 + 2 * 10 at one unit each.
-        (["1/" + "3" * 28, "2/" + "3" * 28], 34**2 + 2 * 10),
-        # Short elements, but 7 distinct 3-digit denominators: L' = 3.
-        ([f"1/{q}" for q in (101, 103, 107, 109, 113, 127, 131)], 3**2 + 7 * 3),
-    ],
-    ids=["long-elements", "distinct-denominators"],
-)
 @pytest.mark.parametrize("command", ["check-pair", "frame-bounds"])
-def test_set_files_are_charged_for_their_grids(command, points, grid, monkeypatch, tmp_path):
+def test_set_files_are_charged_for_parsing_long_elements(command, monkeypatch, tmp_path):
+    # S' counts each element's characters past 18: "1/" or "2/" and 28
+    # threes have 30, so S' = 24, at one unit per character squared.  The
+    # grid is counted in the library (OVER_BUDGET's grid entries).
+    points = ["1/" + "3" * 28, "2/" + "3" * 28]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    n = len(points)
     if command == "check-pair":
         a.write_text(json.dumps(points))
-        b.write_text(json.dumps([str(k) for k in range(n)]))
+        b.write_text(json.dumps(["0", "1"]))
         argv = ["check-pair", "--set-a", str(a), "--set-b", str(b)]
-        work = 2 * (n + n) + grid
+        work = 2 * (2 + 2) + 24**2
     else:
         b.write_text(json.dumps(["0"]))
-        a.write_text(json.dumps({"points": points, "weights": [1 / n] * n}))
+        a.write_text(json.dumps({"points": points, "weights": [1 / 2] * 2}))
         argv = ["frame-bounds", "--measure", str(a), "--lambda", str(b)]
-        work = 2 * n * (n + 1) + grid
+        work = 2 * 2 * (2 + 1) + 24**2
     monkeypatch.setattr(cli, "GRID_DIGITS_SQUARED_PER_UNIT", 1)
-    monkeypatch.setattr(cli, "GRID_NUMERATOR_DIGITS_PER_UNIT", 1)
     monkeypatch.setattr(cli, "WORK_BUDGET", work)
     assert run(argv)[0] == 0
     monkeypatch.setattr(cli, "WORK_BUDGET", work - 1)

@@ -63,11 +63,19 @@ class TestAtomicMeasure:
 
     @pytest.mark.parametrize(
         "points,weights,message",
-        [([], [], "nonempty support"), ([0, 0], [0.5, 0.5], "must be distinct")],
+        [
+            ([], [], "nonempty support"),
+            ([], None, "nonempty support"),
+            ([0, 0], [0.5, 0.5], "must be distinct"),
+        ],
     )
     def test_support_is_nonempty_and_distinct(self, points, weights, message):
+        # No weights: the uniform measure on the points.
         with pytest.raises(InvalidInputError, match=message):
-            AtomicMeasure(points, weights)
+            if weights is None:
+                AtomicMeasure.uniform(points)
+            else:
+                AtomicMeasure(points, weights)
 
     @pytest.mark.parametrize(
         "weights", [["x", 0.5], [[0.5], 0.5], [10**400, 0.5], [math.nan, 0.5], [0.5, 0.0]]
