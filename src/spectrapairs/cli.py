@@ -14,17 +14,12 @@ import os
 import sys
 from fractions import Fraction
 
+from . import errors
 from .errors import InconsistencyError, InvalidInputError, check_work
 from .serialize import parse_measure, parse_set, read_measure, read_set
-from .sets import Irrational, fraction_str, parse_fraction
+from .sets import Irrational, parse_fraction
 
 __all__ = ["run", "main"]
-
-# The budget of the counts taken from input sizes before anything is parsed
-# or computed.  ``arrow-close``, ``check-pair`` and ``find-spectrum`` count
-# only their set files here, two units per element and ``_parse_work`` per
-# file; the library counts their grids and their computation.
-WORK_BUDGET = 2**20
 
 # Parsing an element costs time quadratic in its length.  Only characters
 # past 18 (about one machine word) are charged: S'^2 over C, S' the sum of
@@ -37,17 +32,19 @@ GRID_DIGITS_SQUARED_PER_UNIT = 2**14
 CANTOR_MIN_EPS = 1e-15
 
 
-def _parse_work(items: list) -> int:
-    """S'^2 / C units for parsing a set file's elements as read."""
-    digits = sum(max(0, len(str(x)) - 18) for x in items)
-    return digits * digits // GRID_DIGITS_SQUARED_PER_UNIT
+def _check_parse(command: str, *files: list) -> None:
+    """Count parsing the files' elements, 2 per element and S'^2 / C per
+    file, before any is parsed; the library counts the rest."""
+    work = 0
+    for items in files:
+        digits = sum(max(0, len(str(x)) - 18) for x in items)
+        work += 2 * len(items) + digits * digits // GRID_DIGITS_SQUARED_PER_UNIT
+    check_work(command, work, errors.WORK_BUDGET)
 
 
 def _cmd_decide_line_set(args) -> dict:
     from .spectral import decide_line_set
 
-    # Two units per point of the witness it may build and print.
-    check_work("decide-line-set", 2 * args.n, WORK_BUDGET)
     a = Irrational(args.irrational) if args.irrational is not None else parse_fraction(args.a)
     return decide_line_set(args.n, a).to_json()
 
@@ -56,7 +53,7 @@ def _cmd_check_pair(args) -> dict:
     from .spectral import certify_spectral_pair
 
     a, b = read_set(args.set_a), read_set(args.set_b)
-    check_work("check-pair", 2 * (len(a) + len(b)) + _parse_work(a) + _parse_work(b), WORK_BUDGET)
+    _check_parse("check-pair", a, b)
     cert = certify_spectral_pair(parse_set(a), parse_set(b))
     return {"spectral_pair": cert.is_pair, "exact": cert.exact}
 
@@ -65,7 +62,7 @@ def _cmd_find_spectrum(args) -> dict:
     from .spectral import search_spectrum
 
     items = read_set(args.set)
-    check_work("find-spectrum", 2 * len(items) + _parse_work(items), WORK_BUDGET)
+    _check_parse("find-spectrum", items)
     result = search_spectrum(parse_set(items), args.qmax, parse_fraction(args.span))
     if result is None:
         return {
@@ -81,7 +78,7 @@ def _cmd_arrow_close(args) -> dict:
     from .arrows import close, new_session
 
     items = read_set(args.set)
-    check_work("arrow-close", 2 * len(items) + _parse_work(items), WORK_BUDGET)
+    _check_parse("arrow-close", items)
     moves = [parse_fraction(m) for m in args.moves.split(",") if m.strip()]
     session = close(new_session(parse_set(items), moves, round_budget=args.budget))
     return session.to_json()
@@ -96,12 +93,7 @@ def _cmd_rep_roundtrip(args) -> dict:
 
     points, weights = read_measure(args.measure)
     spectrum = read_set(args.spectrum)
-    # The dim x dim unitarity check, the dim x |S| amplitude-phase matrix
-    # and its |S| x |S| Gram matrix; counted from the files' array lengths,
-    # before any element is parsed, with the parsing of the two files.
-    dim, size = len(points), len(spectrum)
-    work = dim * (dim + size) + size**2 + _parse_work(points) + _parse_work(spectrum)
-    check_work("rep-roundtrip", work, WORK_BUDGET)
+    _check_parse("rep-roundtrip", points, spectrum)
     mu, S = parse_measure(points, weights), parse_set(spectrum)
     rep = multiplication_representation(mu)
     back = measure_from_representation(rep)
@@ -126,18 +118,13 @@ def _cmd_perm_rep(args) -> dict:
     )
 
     s = generator_shift(args.n, args.p, args.q)
-    # Entries of the n x n eigenvector matrix, whose unitarity check is an
-    # n^3 product.
-    check_work("perm-rep", args.n**2, WORK_BUDGET)
     rep = permutation_representation(args.n, args.p, args.q)
     return {
         "generator_shift": s,
         "shift_at_1": shift_for_time(args.n, args.p, args.q, args.q),
         "shift_at_a": shift_for_time(args.n, args.p, args.q, args.p),
-        "eigenvalues": [fraction_str(g) for g in rep.eigenvalues],
-        "spectrum_points": sorted(
-            fraction_str(p) for p in measure_from_representation(rep).points
-        ),
+        "eigenvalues": [str(g) for g in rep.eigenvalues],
+        "spectrum_points": sorted(str(p) for p in measure_from_representation(rep).points),
     }
 
 
@@ -157,7 +144,7 @@ def _cmd_cantor(args) -> dict:
         # lower bound, and a huge --level costs nothing to count.
         size = 2 ** (min(args.level, 21) + 1)
         work = size * size if args.check == "orthogonality" else args.grid * size
-        check_work(f"cantor --check {args.check}", work, WORK_BUDGET)
+        check_work(f"cantor --check {args.check}", work, errors.WORK_BUDGET)
     mu = cantor4_measure()
     lam = jp_spectrum(args.level)
     if args.check == "orthogonality":
@@ -201,12 +188,7 @@ def _cmd_frame_bounds(args) -> dict:
 
     points, weights = read_measure(args.measure)
     lam = read_set(getattr(args, "lambda"))
-    # Two units per entry of the |mu| x |Lambda| exponentials and of the
-    # |mu| x |mu| frame operator: at |mu| = 1 each entry is a point of
-    # Lambda, counted from the file's array length before it is parsed, with
-    # the parsing of the two files.
-    work = 2 * len(points) * (len(points) + len(lam)) + _parse_work(points) + _parse_work(lam)
-    check_work("frame-bounds", work, WORK_BUDGET)
+    _check_parse("frame-bounds", points, lam)
     report = frame_bounds(parse_measure(points, weights), parse_set(lam).elements)
     return {"lower": report.lower, "upper": report.upper}
 

@@ -14,6 +14,11 @@ class TooLargeError(InvalidInputError):
     reason = "too_large"
 
 
+# The budget of the CLI's parsing and of the library's dense arrays and
+# line-set witnesses, read at each call.
+WORK_BUDGET = 2**20
+
+
 def check_work(what: str, work: int, budget: int) -> int:
     """Return ``work`` if it is within ``budget``, else raise
     ``TooLargeError``.  A count of 2^64 or more is shown as the power of

@@ -16,7 +16,8 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInputError
+from . import errors
+from .errors import InvalidInputError, check_work
 from .exact import RationalPhases, rational, root_sum_is_zero
 
 __all__ = [
@@ -463,9 +464,12 @@ def frame_bounds(mu: AtomicMeasure, Lambda: Sequence) -> FrameReport:
 
     The weighted coordinate change f_j -> sqrt(w_j) f_j makes L2(mu)
     standard; e_lambda becomes (sqrt(w_j) e^{2 pi i lambda b_j})_j.
+    Counts 2 |mu| (|mu| + |Lambda|) against ``errors.WORK_BUDGET`` first.
     """
     if not isinstance(mu, AtomicMeasure):
         raise InvalidInputError("frame bounds require an atomic measure")
+    size = len(mu.points)
+    check_work("frame bounds", 2 * size * (size + len(Lambda)), errors.WORK_BUDGET)
     lam = RationalPhases(Lambda)
     if not lam.numerators:
         return FrameReport(0.0, 0.0)

@@ -17,7 +17,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from . import errors
+from .errors import InvalidInputError, check_work
 from .exact import RationalPhases, rational
 from .measures import AtomicMeasure, _unit_roots
 from .sets import FiniteRationalSet
@@ -74,8 +75,10 @@ class FiniteRep:
 
 def multiplication_representation(mu: AtomicMeasure) -> FiniteRep:
     """Multiplication by e_t on L2(mu) in weighted coordinates: diagonal on
-    the support points, with v0 the constant function 1."""
+    the support points, with v0 the constant function 1.  Counts dim^2
+    against ``errors.WORK_BUDGET`` first."""
     n = len(mu.points)
+    check_work("multiplication representation", n * n, errors.WORK_BUDGET)
     v0 = np.sqrt(np.array(mu.weights, dtype=float)).astype(complex)
     return FiniteRep(mu.points, np.eye(n, dtype=complex), v0)
 
@@ -125,7 +128,9 @@ def is_wandering(rep: FiniteRep, S: FiniteRationalSet) -> WanderingReport:
     A diagnostic within ``_WANDERING_TOL``, not a certificate: for the
     uniform measure on {0, 1, 2} and S = {0, d, 2d}, d = 1/3 + 1e-12, it
     reports an orthonormal basis, though the pair is exactly not spectral
-    (``certify_spectral_pair``, the CLI's ``check-pair``)."""
+    (``certify_spectral_pair``, the CLI's ``check-pair``).  Counts
+    dim |S| + |S|^2 against ``errors.WORK_BUDGET`` first."""
+    check_work("wandering check", rep.dim * len(S) + len(S) ** 2, errors.WORK_BUDGET)
     vectors = rep.amplitudes[:, None] * _unit_roots(
         rep.phases, S.phases.numerators, S.phases.denominator
     )
@@ -165,9 +170,11 @@ def permutation_representation(n: int, p: int, q: int) -> FiniteRep:
     U(1) shifts by q s = +1 and U(p/q) by p s = -1 mod n, as p = -q mod n.
     Eigenvectors are the Fourier basis f_m[i] = e^{2 pi i m i / n}/sqrt(n),
     each phase m i reduced mod n exactly; the spectral point of f_m is
-    (-m s mod n) * q / n, placed in [0, q).
+    (-m s mod n) * q / n, placed in [0, q).  Counts n^2 against
+    ``errors.WORK_BUDGET`` after the preconditions.
     """
     s = generator_shift(n, p, q)
+    check_work("permutation representation", n * n, errors.WORK_BUDGET)
     V = _unit_roots(RationalPhases(range(n)), range(n), n) / math.sqrt(n)
     eigenvalues = [Fraction(((-m * s) % n) * q, n) for m in range(n)]
     v0 = np.zeros(n, dtype=complex)

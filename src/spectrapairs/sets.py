@@ -20,7 +20,6 @@ __all__ = [
     "Irrational",
     "ElementInput",
     "parse_fraction",
-    "fraction_str",
     "scale_translate",
 ]
 
@@ -39,10 +38,6 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ValueError:  # a part over Python's int string-conversion limit
         raise InvalidInputError(f"fraction too long: {len(text)} characters") from None
-
-
-def fraction_str(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 class Irrational(NamedTuple):
@@ -75,7 +70,7 @@ class FiniteRationalSet:
         return cls(parse_fraction(s) for s in items)
 
     def to_strings(self) -> list[str]:
-        return [fraction_str(e) for e in self.elements]
+        return [str(e) for e in self.elements]
 
     def __len__(self) -> int:
         return len(self.elements)

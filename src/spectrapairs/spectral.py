@@ -21,6 +21,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from . import errors
 from .errors import InvalidInputError, check_work
 from .exact import RationalPhases, rational, root_sum_is_zero
 from .sets import ElementInput, FiniteRationalSet, Irrational
@@ -109,8 +110,10 @@ def _check_line_set(n: int, p: int, q: int) -> None:
 
 
 def construct_line_spectrum(n: int, p: int, q: int) -> FiniteRationalSet:
-    """Witness spectrum {0, q/n, ..., (n-1) q/n} for {0, ..., n-2, p/q}."""
+    """Witness spectrum {0, q/n, ..., (n-1) q/n} for {0, ..., n-2, p/q};
+    counts 2 n against ``errors.WORK_BUDGET`` after the preconditions."""
     _check_line_set(n, p, q)
+    check_work("line-set witness", 2 * n, errors.WORK_BUDGET)
     # Implied by the preconditions: a common prime of q and n would divide p.
     assert math.gcd(q, n) == 1
     return FiniteRationalSet(Fraction(j * q, n) for j in range(n))

@@ -11,13 +11,14 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
 import spectrapairs
-from spectrapairs import arrows, cli, exact, measures, representation, spectral
+from spectrapairs import arrows, cli, errors, exact, measures, representation, spectral
 from spectrapairs.cli import run
 from spectrapairs.errors import TooLargeError, check_work
 from spectrapairs.sets import FiniteRationalSet
@@ -557,9 +558,10 @@ SECONDS_CASES = {
         lambda tmp: ["perm-rep", "--n", "9" * 2200, "--p", "9" * 2199 + "8", "--q", "1"],
         1, {"reason": "too_large"},
     ),
+    # n does not divide p + q = 3, so no witness is built or counted.
     "decide_line_set_huge_n": (
-        lambda tmp: ["decide-line-set", "--n", "9" * 4300, "--a", "1"],
-        1, {"reason": "too_large"},
+        lambda tmp: ["decide-line-set", "--n", "9" * 4300, "--a", "1/2"],
+        0, {"verdict": "not_spectral", "reason": "congruence_fails"},
     ),
     "find_spectrum_huge_qmax": (
         lambda tmp: [
@@ -612,8 +614,8 @@ def test_cli_answers_within_seconds(name, tmp_path):
     assert len(result.get("message", "")) <= 200
 
 
-# Library calls that ran for minutes while only the CLI counted their
-# grids: each must raise TooLargeError in a fresh process within 5 s.
+# Library calls that ran for seconds to minutes while only the CLI counted
+# their work: each must raise TooLargeError in a fresh process within 5 s.
 LIBRARY_SECONDS_CASES = {
     # 2000 distinct 12-digit denominators and 250,000 points over one
     # more: past 120 s for their numerators of up to 24,000 digits.
@@ -632,6 +634,25 @@ LIBRARY_SECONDS_CASES = {
         "certify_spectral_pair(FiniteRationalSet(Fraction(k, 2000) + Fraction(1, 10**3999 + 1)"
         " for k in range(2000)), FiniteRationalSet(range(2000)))"
     ),
+    # A 4000 x 4000 frame operator: about 9 s uncounted.
+    "frame_bounds_4000_points": (
+        "frame_bounds(AtomicMeasure.uniform(Fraction(k, 4000) for k in range(4000)), [0])"
+    ),
+    # A 4300 x 4300 unitarity check: about 8 s and 880 MB uncounted.
+    "multiplication_representation_4300_points": (
+        "multiplication_representation(AtomicMeasure.uniform(Fraction(k, 4300) for k in range(4300)))"
+    ),
+    # A representation built directly, in about 1.5 s, then a 2500 x 2500
+    # Gram matrix and its singular values: about 7 s uncounted.
+    "is_wandering_2500_points": (
+        "is_wandering(FiniteRep([Fraction(k, 2500) for k in range(2500)], numpy.eye(2500),"
+        " numpy.full(2500, 0.02)), FiniteRationalSet(range(2500)))"
+    ),
+    # The 4300 x 4300 DFT matrix and its unitarity check: about 6 s and
+    # 890 MB uncounted.
+    "permutation_representation_4300": "permutation_representation(4300, 4299, 1)",
+    # A witness of 2,000,001 points: about 8 s uncounted.
+    "construct_line_spectrum_2000001": "construct_line_spectrum(2000001, 2000000, 1)",
 }
 
 
@@ -639,9 +660,13 @@ LIBRARY_SECONDS_CASES = {
 def test_library_refuses_within_seconds(name):
     script = (
         "from fractions import Fraction\n"
+        "import numpy\n"
         "from spectrapairs.errors import TooLargeError\n"
+        "from spectrapairs.measures import AtomicMeasure, frame_bounds\n"
+        "from spectrapairs.representation import FiniteRep, is_wandering,"
+        " multiplication_representation, permutation_representation\n"
         "from spectrapairs.sets import FiniteRationalSet\n"
-        "from spectrapairs.spectral import certify_spectral_pair\n"
+        "from spectrapairs.spectral import certify_spectral_pair, construct_line_spectrum\n"
         "try:\n"
         f"    {LIBRARY_SECONDS_CASES[name]}\n"
         "except TooLargeError as exc:\n"
@@ -699,21 +724,30 @@ def test_long_set_file_is_counted_before_it_is_parsed(command, flag, long_set_fi
 
 
 def test_perm_rep_over_work_budget_is_too_large(monkeypatch):
-    # The n x n matrix is counted before it is built.
-    def unreachable(n, p, q):
-        raise AssertionError("permutation_representation called over budget")
+    # The n^2 entries of the eigenvector matrix are counted before its
+    # phases are formed, so over the budget no n x n array is built.
+    def unreachable(*args):
+        raise AssertionError("an n x n array was built over budget")
 
-    monkeypatch.setattr(cli, "WORK_BUDGET", 15)
-    monkeypatch.setattr(representation, "permutation_representation", unreachable)
-    code, result = run(["perm-rep", "--n", "4", "--p", "3", "--q", "1"])  # 16 entries
+    argv = ["perm-rep", "--n", "4", "--p", "3", "--q", "1"]  # 16 entries
+    monkeypatch.setattr(errors, "WORK_BUDGET", 16)
+    assert run(argv)[0] == 0
+    monkeypatch.setattr(errors, "WORK_BUDGET", 15)
+    monkeypatch.setattr(representation, "_unit_roots", unreachable)
+    code, result = run(argv)
     assert code == 1
     assert (result["status"], result["reason"]) == ("too_large", "too_large")
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "WORK_BUDGET", 16)
-    assert run(["perm-rep", "--n", "4", "--p", "3", "--q", "1"])[0] == 0
-    monkeypatch.undo()
-    code, result = run(["perm-rep", "--n", "20000", "--p", "19999", "--q", "1"])
+    # An n x n array at n = 20000 takes 3.2 GB or more; the refusal takes
+    # under 1 MB.
+    tracemalloc.start()
+    try:
+        code, result = run(["perm-rep", "--n", "20000", "--p", "19999", "--q", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (code, result["reason"]) == (1, "too_large")
+    assert peak < 2**20
     # Preconditions are checked first.
     code, result = run(["perm-rep", "--n", "20000", "--p", "2", "--q", "1"])
     assert (code, result["reason"]) == (1, "invalid_input")
@@ -725,7 +759,7 @@ def test_cantor_over_work_budget_is_too_large(monkeypatch):
     def unreachable(level):
         raise AssertionError("jp_spectrum called over budget")
 
-    monkeypatch.setattr(cli, "WORK_BUDGET", 100)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 100)
     monkeypatch.setattr(measures, "jp_spectrum", unreachable)
     for argv in (
         ["cantor", "--level", "3", "--check", "orthogonality"],  # 16^2 Gram entries
@@ -735,7 +769,7 @@ def test_cantor_over_work_budget_is_too_large(monkeypatch):
         assert code == 1
         assert (result["status"], result["reason"]) == ("too_large", "too_large")
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "WORK_BUDGET", 100)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 100)
     assert run(["cantor", "--level", "2", "--check", "orthogonality"])[0] == 0  # 64
     assert run(["cantor", "--level", "3", "--check", "completeness", "--grid", "6"])[0] == 0  # 96
 
@@ -753,6 +787,7 @@ def _three_point_session():
 
 _THREE, _THIRDS = FiniteRationalSet([0, 1, 2]), FiniteRationalSet(["0", "1/3", "2/3"])
 _LONG = FiniteRationalSet([0, Fraction(1, 2**192), Fraction(1, 2**191)])  # over 2^192
+_UNIFORM_THREE = measures.AtomicMeasure.uniform(["0", "1/3", "2/3"])
 
 # Each budgeted entry point over a small budget: (module, budget name,
 # budget, a setup that returns the call to make over it, the count at
@@ -813,9 +848,38 @@ OVER_BUDGET = {
     ),
     # The 4 x 4 eigenvector matrix, counted before it is built.
     "cli_perm_rep": (
-        cli, "WORK_BUDGET", 15,
+        errors, "WORK_BUDGET", 15,
         lambda: partial(_cli_message, ["perm-rep", "--n", "4", "--p", "3", "--q", "1"]),
         16,
+    ),
+    "permutation_representation": (
+        errors, "WORK_BUDGET", 15,
+        lambda: partial(representation.permutation_representation, 4, 3, 1), 16,
+    ),
+    # 2 |mu| (|mu| + |Lambda|) for 3 points and 2 frequencies.
+    "frame_bounds": (
+        errors, "WORK_BUDGET", 29,
+        lambda: partial(measures.frame_bounds, _UNIFORM_THREE, [0, 1]), 30,
+    ),
+    # dim^2.
+    "multiplication_representation": (
+        errors, "WORK_BUDGET", 8,
+        lambda: partial(representation.multiplication_representation, _UNIFORM_THREE), 9,
+    ),
+    # dim |S| + |S|^2 for dim 3 and |S| 2.
+    "is_wandering": (
+        errors, "WORK_BUDGET", 9,
+        lambda: partial(
+            representation.is_wandering,
+            representation.multiplication_representation(_UNIFORM_THREE),
+            FiniteRationalSet([0, 1]),
+        ),
+        10,
+    ),
+    # 2 n for the witness of {0, 1, 2, 3, 3/2}.
+    "construct_line_spectrum": (
+        errors, "WORK_BUDGET", 9,
+        lambda: partial(spectral.construct_line_spectrum, 5, 3, 2), 10,
     ),
 }
 
@@ -843,33 +907,36 @@ def test_check_work_shows_a_huge_count_as_a_power_of_two():
 
 
 def test_size_bounded_commands_count_before_computing(monkeypatch):
-    # decide-line-set: 2 n; rep-roundtrip: dim (dim + |S|) + |S|^2;
-    # frame-bounds: 2 |mu| (|mu| + |Lambda|).  The goldens count 6, 12, 16
-    # and 20 units.
+    # The least budget at which each golden answers.  decide-line-set
+    # counts 2 n for the witness it builds and nothing for a
+    # not_spectral answer; rep-roundtrip counts 2 units per element of its
+    # files, then dim^2 and dim |S| + |S|^2; frame-bounds counts
+    # 2 |mu| (|mu| + |Lambda|), over the 2 units per element of its files.
     def unreachable(*args):
         raise AssertionError("computed over budget")
 
     budgets = {
         "decide_spectral": 6,
-        "decide_congruence_fails": 6,
-        "rep_roundtrip": 12,
+        "decide_congruence_fails": 0,
+        "rep_roundtrip": 8,
         "frame_bounds_tight": 16,
         "frame_bounds_redundant": 20,
     }
     for name, work in budgets.items():
+        monkeypatch.undo()
         expected = run(CASES[name])
-        monkeypatch.setattr(cli, "WORK_BUDGET", work)
+        monkeypatch.setattr(errors, "WORK_BUDGET", work)
         assert run(CASES[name]) == expected
-        monkeypatch.setattr(cli, "WORK_BUDGET", work - 1)
-        monkeypatch.setattr(spectral, "decide_line_set", unreachable)
-        monkeypatch.setattr(representation, "multiplication_representation", unreachable)
-        monkeypatch.setattr(measures, "frame_bounds", unreachable)
-        # The count comes before the decision, so a not_spectral answer
-        # over the budget is too_large too.
+        if not work:
+            continue
+        monkeypatch.setattr(errors, "WORK_BUDGET", work - 1)
+        monkeypatch.setattr(spectral, "FiniteRationalSet", unreachable)
+        monkeypatch.setattr(representation, "FiniteRep", unreachable)
+        monkeypatch.setattr(representation, "_unit_roots", unreachable)
+        monkeypatch.setattr(measures, "_unit_roots", unreachable)
         code, result = run(CASES[name])
         assert code == 1
         assert (result["status"], result["reason"]) == ("too_large", "too_large")
-        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("command", ["check-pair", "frame-bounds"])
@@ -888,11 +955,11 @@ def test_set_files_are_charged_for_parsing_long_elements(command, monkeypatch, t
         b.write_text(json.dumps(["0"]))
         a.write_text(json.dumps({"points": points, "weights": [1 / 2] * 2}))
         argv = ["frame-bounds", "--measure", str(a), "--lambda", str(b)]
-        work = 2 * 2 * (2 + 1) + 24**2
+        work = 2 * (2 + 1) + 24**2
     monkeypatch.setattr(cli, "GRID_DIGITS_SQUARED_PER_UNIT", 1)
-    monkeypatch.setattr(cli, "WORK_BUDGET", work)
+    monkeypatch.setattr(errors, "WORK_BUDGET", work)
     assert run(argv)[0] == 0
-    monkeypatch.setattr(cli, "WORK_BUDGET", work - 1)
+    monkeypatch.setattr(errors, "WORK_BUDGET", work - 1)
     code, result = run(argv)
     assert (code, result["reason"]) == (1, "too_large")
     assert result["message"].endswith(f" {work} units of work, over its budget of {work - 1}")
