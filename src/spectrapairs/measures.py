@@ -156,12 +156,17 @@ def _unit_roots(x: RationalPhases, nums: Sequence[int], den: int) -> np.ndarray:
 
     Each phase x t is reduced mod 1 exactly, as the integer
     (x numerator * t numerator) mod (x denominator * den), before the one
-    float division."""
+    float division.  Where the modulus is past the float range, from about
+    2^1024 on, each remainder is divided by it in Python ints instead."""
     modulus = x.denominator * den
     bound = max(modulus, max(map(abs, x.numerators)) * max(map(abs, nums), default=0))
     dtype = np.int64 if bound < _CAP64 else object
     rem = np.multiply.outer(np.array(x.numerators, dtype), np.array(nums, dtype)) % modulus
-    return _exp_turns(rem.astype(float) / float(modulus))
+    try:
+        turns = rem.astype(float) / float(modulus)
+    except OverflowError:
+        turns = (rem / modulus).astype(float)
+    return _exp_turns(turns)
 
 
 def _atomic_transforms(mu: AtomicMeasure, nums: Sequence[int], den: int) -> np.ndarray:
@@ -197,9 +202,22 @@ def _float_powers(scale: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _depth_thresholds(scale: int, eps: float) -> np.ndarray:
-    """log1p(eps) * scale^k for the powers of ``_float_powers``."""
-    return math.log1p(eps) * _float_powers(scale)
+def _depth_bounds(scale: int, eps: float, c: float) -> np.ndarray:
+    """For each power scale^k of ``_float_powers``, the largest float r
+    with c r / (scale - 1) <= log1p(eps) scale^k, each side rounded in
+    floats.  Rounding is monotone, so a ratio r lies past entry k exactly
+    when c r / (scale - 1) lies past log1p(eps) scale^k.  Each entry is
+    found by bisecting the bit patterns of the floats from 0 to inf."""
+    bound = math.log1p(eps) * _float_powers(scale)
+    # 0.0 meets every bound; the pattern past inf, a NaN, meets none.
+    lo = np.zeros(len(bound), np.int64)
+    hi = np.full(len(bound), 0x7FF0000000000001)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (hi - lo > 1).any():
+            mid = lo + (hi - lo) // 2
+            meets = c * mid.view(float) / (scale - 1) <= bound
+            lo, hi = np.where(meets, mid, lo), np.where(meets, hi, mid)
+    return lo.view(float)
 
 
 @lru_cache(maxsize=64)
@@ -233,15 +251,22 @@ def _least_power(lhs: int, rhs: int, scale: int, least: int) -> int:
     return k
 
 
-def _odd_level(z: int, scale: int, depth: int) -> int:
-    """The first k <= depth at which z / scale^k is an odd integer, or 0."""
-    for k in range(1, depth + 1):
-        z, r = divmod(z, scale)
-        if r:
-            return 0
-        if z & 1:
-            return k
-    return 0
+@lru_cache(maxsize=64)
+def _level_table(scale: int, bits: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of the two-digit zero levels k = 1, ..., bits // s + 1, which
+    hold every level at which a |Z| < 2^bits can vanish, with 2^s the
+    largest power of two dividing scale (k = 1 alone for odd scale): the
+    powers 2^(s k) (0 for odd scale), and scale^k and 2 scale^k at index
+    k, each capped at cap.  Index 0 holds cap and 2 cap, which no
+    |Z| < cap matches."""
+    s = (scale & -scale).bit_length() - 1
+    count = bits // s + 1 if s else 1
+    dtype = np.int64 if cap <= _CAP64 else object
+    twos = [min(2 ** (s * k), cap) for k in range(1, count + 1)] if s else [0]
+    powers = [cap] + [min(scale**k, cap) for k in range(1, count + 1)]
+    return (
+        np.array(twos, dtype), np.array(powers, dtype), np.array([2 * p for p in powers], dtype)
+    )
 
 
 def _fmod(N: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -280,10 +305,13 @@ def _ifs_kernel(
     Depth: |m_D(s) - 1| <= 2 pi max|d| |s|, so the tail of the product
     past K is within exp(delta) - 1 of 1 with
     delta = 2 pi max|d| |t| / (R^K (R-1)); K is the least depth with
-    delta <= log1p(eps).  It is found by one ``searchsorted`` of
-    c |t| / (R - 1), c = 2 pi max|d|, in the cached float table
-    log1p(eps) R^k for R^k < 2^1000.  Past the table, and for |t| past
-    the float range, the same inequality, on the same float constants, is
+    delta <= log1p(eps).  With c = 2 pi max|d|, it is found by one
+    ``searchsorted`` of |t| in the cached table of the largest floats r
+    with c r / (R - 1) <= log1p(eps) R^k, for R^k < 2^1000: the same
+    comparison, rounding for rounding, as of c |t| / (R - 1) with
+    log1p(eps) R^k.  Where every |u| and v of t = u / v is below 2^53,
+    the |t| are one array division.  Past the table, and for |t| past the
+    float range, the same inequality, on the same float constants, is
     solved in integers, so the error bound holds at any |t|.
 
     Phases: with digits a / D and t = u / v, digit a turns by
@@ -300,10 +328,12 @@ def _ifs_kernel(
     With ``symbolic``, a level k <= K whose factor vanishes exactly makes
     the value an exact zero of depth k.  Two digits vanish at level k iff
     their phase difference is half a turn, that is iff Z / R^k is an odd
-    integer for Z = 2 (a2 - a1) u / (D v): the first such k is found by
-    dividing Z by R, for the terms whose Z is an integer.  More digits go
-    through ``_vanishing_level``, before any batch array is built, so a
-    batch of exact zeros builds none.  The remaining terms are grouped by
+    integer for Z = 2 (a2 - a1) u / (D v).  With e and s the 2-adic
+    valuations of Z and R, that is k = 1 with R | Z and Z / R odd for odd
+    R, and k = e / s with R^k | Z for even R: a fixed number of array
+    operations over all terms.  More digits go through
+    ``_vanishing_level``, term by term.  A batch of exact zeros returns
+    before any value is evaluated.  The remaining terms are grouped by
     depth and evaluated in chunks, and each term's value and depth depend
     on that term alone, whatever the batch.
     """
@@ -313,42 +343,53 @@ def _ifs_kernel(
     D, a = mu.phases.denominator, mu.phases.numerators
     top_digit = max(map(abs, a))
     reach = max(top_digit, 2 * (a[-1] - a[0]))
-    # A digit at 0 turns by nothing: its root is exactly 1.
-    moving = [y for y in a if y]
     c = 2 * math.pi * (top_digit / D)
     floats = _float_powers(R)
-    deltas = [c * _ratio(u, v) / (R - 1) for u, v in zip(nums, dens)]
-    depths = _depth_thresholds(R, eps).searchsorted(deltas).tolist()
-    if len(floats) in depths:
-        rate = Fraction(c) / ((R - 1) * Fraction(math.log1p(eps)))
-        for j, K in enumerate(depths):
-            if K == len(floats):
-                depths[j] = _least_power(
-                    abs(nums[j]) * rate.numerator, dens[j] * rate.denominator, R, K
-                )
-    zeros = []
-    if symbolic and n > 2:
-        zeros = [(j, _vanishing_level(mu, nums[j], dens[j], K)) for j, K in enumerate(depths) if K]
-        if len(zeros) == len(nums) and all(k for _, k in zeros):
-            # Every term is an exact zero: no batch arrays are needed.
-            depths = [k for _, k in zeros]
-            return IFSTransforms(np.zeros(len(nums), dtype=complex), np.array(depths, dtype=np.int64))
-    cap = max(_CAP64, 2 * reach * max(map(abs, nums), default=0), 2 * D * max(dens, default=1))
+    top_u, top_v = max(map(abs, nums), default=0), max(dens, default=1)
+    cap = max(_CAP64, 2 * reach * top_u, 2 * D * top_v)
     dtype = np.int64 if cap == _CAP64 else object
-    U, DV = np.array(nums, dtype), D * np.array(dens, dtype)
+    U, V = np.array(nums, dtype), np.array(dens, dtype)
+    bounds = _depth_bounds(R, eps, c)
+    if top_u < 2**53 and top_v < 2**53:
+        # Every |u| and v is a float: one division rounds as abs(u) / v.
+        ratios = abs(U) / V
+    else:
+        ratios = [_ratio(u, v) for u, v in zip(nums, dens)]
+    depths = bounds.searchsorted(ratios)
+    # No ratio exceeds that of the largest |u| over 1.
+    if not _ratio(top_u, 1) <= bounds[-1]:
+        rate = Fraction(c) / ((R - 1) * Fraction(math.log1p(eps)))
+        for j in (depths == len(floats)).nonzero()[0].tolist():
+            depths[j] = _least_power(
+                abs(nums[j]) * rate.numerator, dens[j] * rate.denominator, R, len(floats)
+            )
+    DV = D * V
+    hits = levels = []
+    if symbolic and n > 2:
+        zeros = [(j, _vanishing_level(mu, nums[j], dens[j], K)) for j, K in enumerate(depths.tolist()) if K]
+        hits, levels = [j for j, k in zeros if k], [k for _, k in zeros if k]
+    elif symbolic:
+        # Two digits: level k vanishes iff Z = Y / (D v), Y = 2 (a2 - a1) u,
+        # is R^k times an odd integer, that is iff Z = R^k mod 2 R^k.  The
+        # lowest set bit of Z, 2^e, picks the one k with s k = e (s the
+        # 2-adic valuation of R), or k = 1 for odd R; a k with s k != e
+        # fails the congruence, and so do Z = 0 and a Z that is not an
+        # integer.
+        z = 2 * (a[1] - a[0])
+        Y = z * U
+        Z = Y // DV
+        twos, power, twice = _level_table(R, -(-(z * top_u).bit_length() // 64) * 64, cap)
+        level = twos.searchsorted(Z & -Z, "right")
+        hits = ((Z * DV == Y) & (Z % twice[level] == power[level]) & (level <= depths)).nonzero()[0]
+        levels = level[hits]
+    if len(hits) == len(nums):
+        # Every term is an exact zero: no values are evaluated.
+        return IFSTransforms(np.zeros(len(nums), dtype=complex), np.asarray(levels, dtype=np.int64))
     values = np.empty(len(nums), dtype=complex)
     values.fill(1)
-    live = np.array(depths)
-    step = np.array(moving, dtype)[:, None]
-    if symbolic and n == 2:
-        z = 2 * (a[1] - a[0])
-        zeros = [
-            (j, _odd_level(z * nums[j] // (D * dens[j]), R, depths[j]))
-            for j in (z * U % DV == 0).nonzero()[0].tolist()
-        ]
-    for j, k in zeros:
-        if k:
-            values[j], depths[j], live[j] = 0, k, 0
+    live = depths.copy()
+    if len(hits):
+        values[hits], depths[hits], live[hits] = 0, levels, 0
     # A term with D v R^K >= 2^1000, as every term past the table has, may
     # overflow its float divisors: it divides in Python ints, keyed -K.
     keys, groups = live, set(live.tolist()) - {0}
@@ -359,6 +400,11 @@ def _ifs_kernel(
             for K, v in zip(live.tolist(), dens)
         ])
         groups = set(keys.tolist()) - {0}
+    if not groups:
+        return IFSTransforms(values, depths)
+    # A digit at 0 turns by nothing: its root is exactly 1.
+    moving = [y for y in a if y]
+    step = np.array(moving, dtype)[:, None]
     for key in groups:
         K, deep = abs(key), key < 0
         terms = (keys == key).nonzero()[0]
@@ -386,7 +432,7 @@ def _ifs_kernel(
             mean.real += n - len(moving)
             mean.view(float)[...] /= n
             values[idx] = mean.prod(axis=1)
-    return IFSTransforms(values, np.array(depths, dtype=np.int64))
+    return IFSTransforms(values, depths)
 
 
 def ifs_transforms(mu: IFSMeasure, ts: Iterable, eps: float, symbolic: bool = True) -> IFSTransforms:
@@ -409,7 +455,8 @@ def ifs_transform(mu: IFSMeasure, t, eps: float, symbolic: bool = True) -> IFSTr
     arithmetic and short-circuits to an exact zero; a float t is taken at
     its binary value, as in ``ifs_transforms``.
     """
-    values, depths = ifs_transforms(mu, [t], eps, symbolic)
+    t = rational(t)
+    values, depths = _ifs_kernel(mu, [t.numerator], [t.denominator], eps, symbolic)
     return IFSTransformValue(complex(values[0]), int(depths[0]))
 
 
@@ -494,4 +541,9 @@ def completeness_defect(mu: Measure, Lambda: Sequence, t, eps: float = 1e-10) ->
     values = _transforms(
         mu, [u * D - v * p for p in lam.numerators], v * D, eps / len(lam.numerators)
     )
-    return math.fsum(abs(z) ** 2 for z in values.tolist())
+    # np.hypot gives each modulus as Python's abs(complex) does (both are
+    # the C library's hypot).  The square stays Python's x ** 2, the C
+    # library's pow: x * x, as np.square computes it, rounds differently
+    # on about one value in a thousand.  np.abs on complex values differs
+    # from both on about a third of them, and with numpy's SIMD level.
+    return math.fsum(x ** 2 for x in np.hypot(values.real, values.imag).tolist())

@@ -44,15 +44,17 @@ _WANDERING_TOL = 1e-10
 class FiniteRep:
     """Eigenvalues (rational spectral points) and their grid, orthonormal
     eigenvector columns, a unit vector v0, and its eigenbasis coordinates
-    c = V* v0 as ``amplitudes``: U(t) v0 = V (c e^{2 pi i t g})."""
+    c = V* v0 as ``amplitudes``: U(t) v0 = V (c e^{2 pi i t g}).  Counts
+    dim^2 against ``errors.WORK_BUDGET`` before its unitarity check."""
 
     __slots__ = ("eigenvalues", "phases", "eigenvectors", "v0", "amplitudes")
 
     def __init__(self, eigenvalues: Sequence, eigenvectors: np.ndarray, v0: np.ndarray):
         eigs = tuple(rational(g) for g in eigenvalues)
+        n = len(eigs)
+        check_work("finite representation", n * n, errors.WORK_BUDGET)
         V = np.asarray(eigenvectors, dtype=complex)
         v0 = np.asarray(v0, dtype=complex)
-        n = len(eigs)
         if V.shape != (n, n):
             raise InvalidInputError("eigenvector matrix shape mismatch")
         if v0.shape != (n,):

@@ -642,11 +642,18 @@ LIBRARY_SECONDS_CASES = {
     "multiplication_representation_4300_points": (
         "multiplication_representation(AtomicMeasure.uniform(Fraction(k, 4300) for k in range(4300)))"
     ),
-    # A representation built directly, in about 1.5 s, then a 2500 x 2500
-    # Gram matrix and its singular values: about 7 s uncounted.
+    # A representation built directly, then a 2500 x 2500 Gram matrix and
+    # its singular values: about 7 s uncounted.  Now refused by the
+    # representation's own count, before is_wandering runs.
     "is_wandering_2500_points": (
         "is_wandering(FiniteRep([Fraction(k, 2500) for k in range(2500)], numpy.eye(2500),"
         " numpy.full(2500, 0.02)), FiniteRationalSet(range(2500)))"
+    ),
+    # A 3000 x 3000 unitarity check of a representation built directly:
+    # about 1.8 s uncounted.
+    "finite_rep_3000_points": (
+        "FiniteRep([Fraction(k, 3000) for k in range(3000)], numpy.eye(3000),"
+        " numpy.full(3000, 3000 ** -0.5))"
     ),
     # The 4300 x 4300 DFT matrix and its unitarity check: about 6 s and
     # 890 MB uncounted.
@@ -721,6 +728,25 @@ def test_long_set_file_is_counted_before_it_is_parsed(command, flag, long_set_fi
     )
     assert (proc.returncode, proc.stderr) == (1, "")
     assert json.loads(proc.stdout)["reason"] == "too_large"
+
+
+@pytest.mark.parametrize("command, flag", [("frame-bounds", "--lambda"), ("rep-roundtrip", "--spectrum")])
+def test_support_over_a_denominator_past_the_float_range(command, flag, tmp_path):
+    # Every phase modulus of the support {0, 1/10^400} is 10^400 or more,
+    # past the float range: both commands once ended in a traceback.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"points": ["0", f"1/{10**400}"], "weights": [0.5, 0.5]}))
+    spectrum = tmp_path / "spectrum.json"
+    spectrum.write_text(json.dumps(["0", "1", "5/2"]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectrapairs.cli", command, "--measure", str(measure), flag, str(spectrum)],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["status"] == "ok"
 
 
 def test_perm_rep_over_work_budget_is_too_large(monkeypatch):

@@ -36,6 +36,11 @@ def uniform(*points):
     return AtomicMeasure.uniform([Fraction(p) for p in points])
 
 
+def bits(z) -> bytes:
+    """The bytes of z as a complex double: tells -0.0 from 0.0."""
+    return np.complex128(z).tobytes()
+
+
 class TestAtomicTransform:
     def test_examples(self):
         mu = uniform(0, "1/2")
@@ -334,6 +339,17 @@ class TestTransformKernel:
             )
             assert abs(atomic_transform(mu, t) - ref) <= 1e-15
 
+    def test_atomic_phases_over_a_modulus_past_the_float_range(self):
+        # Every modulus of the support {0, 1/10^400} is 10^400 or more,
+        # past the float range: the division once raised OverflowError.
+        mu = AtomicMeasure([0, Fraction(1, 10**400)], [0.5, 0.5])
+        for t in (3, Fraction(10**400, 4), Fraction(-(10**400) - 1, 2), Fraction(7 * 10**400 + 1, 3)):
+            ref = sum(
+                w * cmath.exp(2j * math.pi * float((b * t) % 1))
+                for b, w in zip(mu.points, mu.weights)
+            )
+            assert abs(atomic_transform(mu, t) - ref) <= 1e-15
+
     def test_numpy_integer_support_reduced_exactly(self):
         # np.int64 support points once made the phases wrap around in
         # int64: this read 0.188-0.391j.
@@ -432,6 +448,18 @@ def per_level_zero(mu, u, v, depth):
     return 0
 
 
+def odd_level(z, scale, depth):
+    """The first k <= depth at which z / scale^k is an odd integer, or 0:
+    z divided by scale level by level."""
+    for k in range(1, depth + 1):
+        z, r = divmod(z, scale)
+        if r:
+            return 0
+        if z & 1:
+            return k
+    return 0
+
+
 TWO_DIGITS = [
     (0, 2),
     (0, 1),
@@ -460,6 +488,8 @@ class TestTwoDigitZeroLevel:
         plain = ifs_transform(mu, t, eps, symbolic=False)
         k = per_level_zero(mu, t.numerator, t.denominator, plain.depth)
         assert ifs_transform(mu, t, eps) == ((0j, k) if k else plain)
+        Z = 2 * (Fraction(digits[1]) - Fraction(digits[0])) * t
+        assert k == (odd_level(int(Z), R, plain.depth) if Z.denominator == 1 else 0)
 
     def test_zero_levels_past_the_table(self):
         # Z = 2 t: for t = 2^(2k - 1), Z / 4^k = 1 is the first odd quotient;
@@ -474,6 +504,86 @@ class TestTwoDigitZeroLevel:
             plain = ifs_transform(mu, 4**k, 1e-12, symbolic=False)
             assert per_level_zero(mu, 4**k, 1, plain.depth) == 0
             assert ifs_transform(mu, 4**k, 1e-12) == plain
+
+
+def assert_batch_equals_single(mu, ts, eps, symbolic):
+    """ifs_transforms on ts equals ifs_transform on each t, to the bit."""
+    batch = ifs_transforms(mu, ts, eps, symbolic)
+    assert batch.values.dtype == complex and batch.depths.dtype == np.int64
+    for t, value, depth in zip(ts, batch.values.tolist(), batch.depths.tolist()):
+        single = ifs_transform(mu, t, eps, symbolic)
+        assert (bits(value), depth) == (bits(single.value), single.depth), t
+    return batch
+
+
+class TestBatchScale:
+    """Whole batches against per-t calls and against the per-level oracle."""
+
+    @pytest.mark.parametrize("symbolic", [True, False])
+    def test_gram_differences_of_jp6(self, symbolic):
+        lam = jp_spectrum(6)
+        diffs = sorted({abs(x - y) for x in lam for y in lam})
+        batch = assert_batch_equals_single(cantor4_measure(), diffs, 1e-12, symbolic)
+        if symbolic:
+            zeros = {k for z, k in zip(batch.values.tolist(), batch.depths.tolist()) if z == 0}
+            assert len(diffs) > 1000 and len(zeros) > 5
+
+    @pytest.mark.parametrize("R", [3, 4, 6, 10])
+    @pytest.mark.parametrize("digits", [(0, 1), (0, 2), (Fraction(-1, 3), Fraction(2, 3))])
+    def test_two_digit_zeros_at_many_levels(self, R, digits):
+        # t = R^k m / (2 (a2 - a1)) for odd m puts Z = R^k m, a zero at level
+        # k for even R and at level 1 for odd R; the neighbours t + 1, t R
+        # and t / 4 miss or move it, and t + 1/8 of a step makes Z no
+        # integer, though its floor is R^k m.
+        half = Fraction(1, 2) / (Fraction(digits[1]) - Fraction(digits[0]))
+        ts = []
+        for k in range(14):
+            for m in (1, 3, -5, 7 * R + 1):
+                t = R**k * m * half
+                ts += [t, -t, t + 1, t * R, t / 4, t + half / 8]
+        mu = IFSMeasure(R, digits)
+        batch = assert_batch_equals_single(mu, ts, 1e-12, True)
+        plain = assert_batch_equals_single(mu, ts, 1e-12, False)
+        for t, K, value, depth in zip(
+            ts, plain.depths.tolist(), batch.values.tolist(), batch.depths.tolist()
+        ):
+            k = per_level_zero(mu, t.numerator, t.denominator, K)
+            assert (value == 0, depth) == ((True, k) if k else (False, K)), t
+        zeros = {k for z, k in zip(batch.values.tolist(), batch.depths.tolist()) if z == 0}
+        assert zeros == {1} if R % 2 else len(zeros) >= 10
+
+    @pytest.mark.parametrize("symbolic", [True, False])
+    def test_negative_past_int64_and_past_the_table(self, symbolic):
+        ts = [
+            -(4**500), 4**501, -(2 * 4**700), 2**61 + 4, -(2**63) * 3, Fraction(3 * 2**70 + 1, 7),
+            Fraction(-(4**40) * 3, 2**65 + 1), 10**400, -Fraction(10**400 + 1, 3), 5, Fraction(-1, 3), 0,
+        ]
+        for mu in (cantor4_measure(), IFSMeasure(6, (0, 1)), IFSMeasure(4, (0, 1, 2))):
+            assert_batch_equals_single(mu, ts, 1e-12, symbolic)
+
+    @pytest.mark.parametrize("eps", [1e-12, 0.5, 1e3])
+    def test_closed_form_matches_division_by_scale(self, eps):
+        # Digits {0, 1/2} make Z = t for integer t.  Each batch holds one
+        # scale, zeros at many levels, Z past int64 and depths past the
+        # float table; at eps = 1e3 some zeros fall at the last level, the
+        # depth itself.
+        at_depth = 0
+        for R in range(2, 31):
+            mu = IFSMeasure(R, (0, Fraction(1, 2)))
+            ts = [
+                m * R**e * 2**f
+                for m in (1, -3, 5 * R + 1, 6) for e in (0, 1, 2, 5, 13, 40, 500) for f in (0, 1, 2, 3)
+            ]
+            plain = ifs_transforms(mu, ts, eps, symbolic=False)
+            symbolic = ifs_transforms(mu, ts, eps)
+            for t, z, K, value, depth in zip(
+                ts, plain.values.tolist(), plain.depths.tolist(),
+                symbolic.values.tolist(), symbolic.depths.tolist(),
+            ):
+                k = odd_level(t, R, K)
+                assert (value, depth) == ((0j, k) if k else (z, K)), (R, t)
+                at_depth += bool(k) and k == K
+        assert at_depth or eps < 1e3
 
 
 class TestJpSpectrum:
@@ -548,6 +658,17 @@ class TestFrameBounds:
         with pytest.raises(InvalidInputError):
             frame_bounds(cantor4_measure(), [0])
 
+    def test_support_over_a_denominator_past_the_float_range(self):
+        mu = AtomicMeasure([0, Fraction(1, 10**400)], [0.5, 0.5])
+        lam = [0, 1, Fraction(5, 2), Fraction(10**400, 2)]
+        E = np.array([
+            [math.sqrt(w) * cmath.exp(2j * math.pi * float((b * x) % 1)) for x in lam]
+            for b, w in zip(mu.points, mu.weights)
+        ])
+        ref = np.linalg.eigvalsh(E @ E.conj().T)
+        r = frame_bounds(mu, lam)
+        assert abs(r.lower - ref[0]) <= 1e-12 and abs(r.upper - ref[-1]) <= 1e-12
+
     def test_spectrum_gives_tight_frame(self):
         mu = uniform(0, "1/3", "2/3")
         lam = FiniteRationalSet([0, 1, 2])
@@ -596,6 +717,14 @@ class TestCompletenessDefect:
         ]
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-12
+
+    @pytest.mark.parametrize(
+        "level, t", [(6, Fraction(5, 97)), (8, 0), (8, 3), (9, Fraction(-7, 12)), (9, Fraction(4**9 + 1, 2))]
+    )
+    def test_equals_the_sum_of_single_transforms_bit_for_bit(self, level, t):
+        mu, lam, eps = cantor4_measure(), jp_spectrum(level), 1e-10
+        ref = math.fsum(abs(ifs_transform(mu, t - x, eps / len(lam)).value) ** 2 for x in lam)
+        assert bits(completeness_defect(mu, lam, t, eps)) == bits(ref)
 
     def test_builds_no_fraction_per_lambda(self, monkeypatch):
         mu, lam, t = cantor4_measure(), jp_spectrum(8), Fraction(3, 7)
