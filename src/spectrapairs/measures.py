@@ -9,6 +9,7 @@ completeness diagnostic Q(t) = sum_lambda |mu_hat(t - lambda)|^2.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from functools import lru_cache
 from fractions import Fraction
@@ -202,22 +203,9 @@ def _float_powers(scale: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _depth_bounds(scale: int, eps: float, c: float) -> np.ndarray:
-    """For each power scale^k of ``_float_powers``, the largest float r
-    with c r / (scale - 1) <= log1p(eps) scale^k, each side rounded in
-    floats.  Rounding is monotone, so a ratio r lies past entry k exactly
-    when c r / (scale - 1) lies past log1p(eps) scale^k.  Each entry is
-    found by bisecting the bit patterns of the floats from 0 to inf."""
-    bound = math.log1p(eps) * _float_powers(scale)
-    # 0.0 meets every bound; the pattern past inf, a NaN, meets none.
-    lo = np.zeros(len(bound), np.int64)
-    hi = np.full(len(bound), 0x7FF0000000000001)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while (hi - lo > 1).any():
-            mid = lo + (hi - lo) // 2
-            meets = c * mid.view(float) / (scale - 1) <= bound
-            lo, hi = np.where(meets, mid, lo), np.where(meets, hi, mid)
-    return lo.view(float)
+def _depth_thresholds(scale: int, eps: float) -> np.ndarray:
+    """log1p(eps) * scale^k for the powers of ``_float_powers``."""
+    return math.log1p(eps) * _float_powers(scale)
 
 
 @lru_cache(maxsize=64)
@@ -252,21 +240,22 @@ def _least_power(lhs: int, rhs: int, scale: int, least: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _level_table(scale: int, bits: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables of the two-digit zero levels k = 1, ..., bits // s + 1, which
-    hold every level at which a |Z| < 2^bits can vanish, with 2^s the
-    largest power of two dividing scale (k = 1 alone for odd scale): the
-    powers 2^(s k) (0 for odd scale), and scale^k and 2 scale^k at index
-    k, each capped at cap.  Index 0 holds cap and 2 cap, which no
-    |Z| < cap matches."""
+def _level_table(scale: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of the two-digit zero levels k < m, with scale^m the first
+    power past cap, which hold every level at which a |Z| <= cap / 2 can
+    vanish.  With 2^s the largest power of two dividing scale, they are
+    2^(s k) for k = 1, ..., m, capped at cap (0 alone for odd scale), and
+    scale^k and 2 scale^k at index k.  Indices 0 and m hold cap and 2 cap,
+    which no |Z| < cap matches."""
+    powers = [1]
+    while powers[-1] <= cap:
+        powers.append(powers[-1] * scale)
+    powers[0] = powers[-1] = cap
     s = (scale & -scale).bit_length() - 1
-    count = bits // s + 1 if s else 1
+    twos = [min(1 << (s * k), cap) for k in range(1, len(powers))] if s else [0]
     dtype = np.int64 if cap <= _CAP64 else object
-    twos = [min(2 ** (s * k), cap) for k in range(1, count + 1)] if s else [0]
-    powers = [cap] + [min(scale**k, cap) for k in range(1, count + 1)]
-    return (
-        np.array(twos, dtype), np.array(powers, dtype), np.array([2 * p for p in powers], dtype)
-    )
+    powers = np.array(powers, dtype)
+    return np.array(twos, dtype), powers, 2 * powers
 
 
 def _fmod(N: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -305,14 +294,13 @@ def _ifs_kernel(
     Depth: |m_D(s) - 1| <= 2 pi max|d| |s|, so the tail of the product
     past K is within exp(delta) - 1 of 1 with
     delta = 2 pi max|d| |t| / (R^K (R-1)); K is the least depth with
-    delta <= log1p(eps).  With c = 2 pi max|d|, it is found by one
-    ``searchsorted`` of |t| in the cached table of the largest floats r
-    with c r / (R - 1) <= log1p(eps) R^k, for R^k < 2^1000: the same
-    comparison, rounding for rounding, as of c |t| / (R - 1) with
-    log1p(eps) R^k.  Where every |u| and v of t = u / v is below 2^53,
-    the |t| are one array division.  Past the table, and for |t| past the
-    float range, the same inequality, on the same float constants, is
-    solved in integers, so the error bound holds at any |t|.
+    delta <= log1p(eps).  It is found by one ``searchsorted`` of
+    c |t| / (R - 1), c = 2 pi max|d|, in the cached float table
+    log1p(eps) R^k for R^k < 2^1000.  Where every |u| and v of t = u / v
+    is below 2^53, the |t| are one array division, which rounds as each
+    abs(u) / v does.  Past the table, and for |t| past the float range,
+    the same inequality, on the same float constants, is solved in
+    integers, so the error bound holds at any |t|.
 
     Phases: with digits a / D and t = u / v, digit a turns by
     a u / (D v R^k) at level k, reduced exactly to the remainder of a u
@@ -349,15 +337,18 @@ def _ifs_kernel(
     cap = max(_CAP64, 2 * reach * top_u, 2 * D * top_v)
     dtype = np.int64 if cap == _CAP64 else object
     U, V = np.array(nums, dtype), np.array(dens, dtype)
-    bounds = _depth_bounds(R, eps, c)
+    thresholds = _depth_thresholds(R, eps)
     if top_u < 2**53 and top_v < 2**53:
         # Every |u| and v is a float: one division rounds as abs(u) / v.
         ratios = abs(U) / V
     else:
-        ratios = [_ratio(u, v) for u, v in zip(nums, dens)]
-    depths = bounds.searchsorted(ratios)
-    # No ratio exceeds that of the largest |u| over 1.
-    if not _ratio(top_u, 1) <= bounds[-1]:
+        ratios = np.array([_ratio(u, v) for u, v in zip(nums, dens)])
+    # No delta exceeds that of the largest |u| over 1: only past the table
+    # may one overflow, or be 0 * inf, which Python's floats take silently.
+    past = not c * _ratio(top_u, 1) / (R - 1) <= thresholds[-1]
+    with np.errstate(over="ignore", invalid="ignore") if past else contextlib.nullcontext():
+        depths = thresholds.searchsorted(c * ratios / (R - 1))
+    if past:
         rate = Fraction(c) / ((R - 1) * Fraction(math.log1p(eps)))
         for j in (depths == len(floats)).nonzero()[0].tolist():
             depths[j] = _least_power(
@@ -371,16 +362,18 @@ def _ifs_kernel(
     elif symbolic:
         # Two digits: level k vanishes iff Z = Y / (D v), Y = 2 (a2 - a1) u,
         # is R^k times an odd integer, that is iff Z = R^k mod 2 R^k.  The
-        # lowest set bit of Z, 2^e, picks the one k with s k = e (s the
-        # 2-adic valuation of R), or k = 1 for odd R; a k with s k != e
-        # fails the congruence, and so do Z = 0 and a Z that is not an
-        # integer.
+        # lowest set bit of Z, 2^e, picks the one candidate k with s k = e
+        # (s the 2-adic valuation of R), or k = 1 for odd R.  Every other k
+        # fails the congruence, so the candidate is clipped to the depth;
+        # Z = 0 fails it too, and Z D v != Y marks a Z that is no integer.
         z = 2 * (a[1] - a[0])
         Y = z * U
         Z = Y // DV
-        twos, power, twice = _level_table(R, -(-(z * top_u).bit_length() // 64) * 64, cap)
-        level = twos.searchsorted(Z & -Z, "right")
-        hits = ((Z * DV == Y) & (Z % twice[level] == power[level]) & (level <= depths)).nonzero()[0]
+        # A cap past int64 differs from call to call: its table is not kept.
+        table = _level_table if cap == _CAP64 else _level_table.__wrapped__
+        twos, power, twice = table(R, cap)
+        level = np.minimum(twos.searchsorted(Z & -Z, "right"), depths)
+        hits = ((Z * DV == Y) & (Z % twice[level] == power[level])).nonzero()[0]
         levels = level[hits]
     if len(hits) == len(nums):
         # Every term is an exact zero: no values are evaluated.

@@ -505,6 +505,22 @@ class TestTwoDigitZeroLevel:
             assert per_level_zero(mu, 4**k, 1, plain.depth) == 0
             assert ifs_transform(mu, 4**k, 1e-12) == plain
 
+    def test_zero_levels_near_ten_to_the_4000_stay_cheap(self):
+        # Z = 2 t = 6^k m for odd m, 3 not dividing m, vanishes at level k,
+        # below the depth of about 5156.  The level tables of a 13,300-bit
+        # cap must stop near 6^5142: tables of every power 6^k below
+        # 2^13300 took over a second to build.
+        mu = IFSMeasure(6, (0, 1))
+        ts = [3 * 6**5140, -3 * 6**5140, 5 * 6**5100 // 2, -(6**4000) * 7 // 2]
+        start = time.perf_counter()
+        batch = ifs_transforms(mu, ts, 1e-12)
+        elapsed = time.perf_counter() - start
+        assert batch.values.tolist() == [0j] * 4
+        assert batch.depths.tolist() == [5141, 5141, 5100, 4000]
+        assert [odd_level(2 * t, 6, 6000) for t in ts] == [5141, 5141, 5100, 4000]
+        assert elapsed < 0.5
+        assert ifs_transform(mu, ts[3], 1e-12) == (0j, 4000)
+
 
 def assert_batch_equals_single(mu, ts, eps, symbolic):
     """ifs_transforms on ts equals ifs_transform on each t, to the bit."""
