@@ -102,23 +102,22 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _mask(indices: Iterable[int]) -> int:
-    return sum(1 << i for i in set(indices))
-
-
 class Session:
     """Single-owner mutable deduction state over a fixed ground set.
 
     Sources and targets are int bitmasks over the element indices.  A move
-    c0 + c1*alpha is the integer pair (c0*D, c1*D), found by dividing D by
-    each denominator, where D is a common denominator of the elements and
-    the generating moves; since D > 0, the pairs sort as ``Affine._key``
-    does.  Each pair is interned once as a small int id in the move table,
-    so refining D rescales the table and nothing else.  The store keys each
-    fact by its source and move id, beside a per-source ``{move id:
-    target}`` index.  ``close`` writes new R3 and trivial facts to both;
-    every other write, and every shrink (R4), goes through ``_add``.
-    ``facts`` and ``trace`` are built from the store when read.
+    c0 + c1*alpha is (x, y) = (c0*D, c1*D), by dividing D by each
+    denominator, D a common denominator of the elements and of every move
+    seen, and is stored as one int, its code x + W*y with W = 2H + 1.  H is
+    at least twice every |x| stored (base differences, the totals ``close``
+    may form, seeded moves), so adding two codes adds their moves without
+    aliasing, and a code decodes to the x in [-H, H] congruent to it mod W.
+    Refining D or widening H recodes the store, rows, trace and generators.
+    The store keys each fact by its source and move code, beside a
+    per-source ``{code: target}`` index.  ``close`` writes new R3 and
+    trivial facts to both; every other write, and every shrink (R4), goes
+    through ``_add``.  ``facts`` and ``trace`` are built from the store when
+    read.
     """
 
     def __init__(
@@ -133,20 +132,16 @@ class Session:
         self.closed = False
         self.rounds_used = 0
         self._full = (1 << len(self.elements)) - 1
-        # Move table: id -> (c0*D, c1*D), and its inverse.
-        self._den = 1
-        self._pairs: list[tuple[int, int]] = []
-        self._ids: dict[tuple[int, int], int] = {}
-        for value in (*self.elements, *moves):
-            self._widen(value)
-        self._generators = frozenset(self._intern(self._pair(m)) for m in moves)
-        # Minimal known target per (source, move id), in insertion order,
+        self._den, self._half, self._width, self._generators = 1, 0, 1, frozenset()
+        # Minimal known target per (source, move code), in insertion order,
         # and the same facts grouped by source.
         self._facts: dict[tuple[int, int], int] = {}
         self._by_source: dict[int, dict[int, int]] = {}
-        # (rule, source, move id, target, parents), each parent a (source,
-        # move id, target) triple of the store.
+        # (rule, source, move code, target, parents), each parent a (source,
+        # move code, target) triple of the store.
         self._trace: list[tuple] = []
+        self._refine((*self.elements, *moves))
+        self._generators = frozenset(map(self._lookup, moves))
 
     @property
     def facts(self) -> dict[tuple[frozenset[int], Affine], frozenset[int]]:
@@ -164,9 +159,8 @@ class Session:
         return self._format_trace(len(self._trace))
 
     def _format_trace(self, length: int) -> list[dict]:
-        """The first ``length`` entries of the trace.  Refining D keeps
-        every move id's value, so a prefix reads the same at any later
-        time."""
+        """The first ``length`` entries of the trace.  Recoding keeps every
+        entry's moves, so a prefix reads the same at any later time."""
         name = self._names()
         return [
             {
@@ -183,45 +177,67 @@ class Session:
         """The trace as it stands, formatted when it is first called."""
         return partial(self._format_trace, len(self._trace))
 
-    def _affine(self, move_id: int) -> Affine:
-        c0, c1 = self._pairs[move_id]
+    def _pair(self, code: int) -> tuple[int, int]:
+        """The move (c0*D, c1*D) of a code; these sort as ``Affine._key``."""
+        x = (code + self._half) % self._width - self._half
+        return x, (code - x) // self._width
+
+    def _affine(self, code: int) -> Affine:
+        c0, c1 = self._pair(code)
         return Affine(Fraction(c0, self._den), Fraction(c1, self._den))
 
     def _names(self):
-        """str of the Affine of a move id, memoized for one formatting pass."""
-        return cache(lambda move_id: str(self._affine(move_id)))
-
-    def _pair(self, move: Affine) -> Optional[tuple[int, int]]:
-        """The move as (c0*D, c1*D); None when it is not on that grid."""
-        q0, r0 = divmod(self._den, move.const.denominator)
-        q1, r1 = divmod(self._den, move.sym.denominator)
-        return None if r0 or r1 else (move.const.numerator * q0, move.sym.numerator * q1)
-
-    def _intern(self, pair: tuple[int, int]) -> int:
-        """The id of a move pair, the next free one if the pair is new."""
-        move_id = self._ids.get(pair)
-        if move_id is None:
-            move_id = self._ids[pair] = len(self._pairs)
-            self._pairs.append(pair)
-        return move_id
+        """str of the Affine of a move code, memoized for one formatting pass."""
+        return cache(lambda code: str(self._affine(code)))
 
     def _lookup(self, move) -> Optional[int]:
-        """The id of a move; None, and no new id, when it has none yet."""
-        return self._ids.get(self._pair(_coerce(move)))
+        """The code of a move; None off the grid, or past +-H, where it may alias."""
+        move = _coerce(move)
+        q0, r0 = divmod(self._den, move.const.denominator)
+        q1, r1 = divmod(self._den, move.sym.denominator)
+        x = move.const.numerator * q0
+        if r0 or r1 or abs(x) > self._half:
+            return None
+        return x + self._width * move.sym.numerator * q1
 
-    def _widen(self, move: Affine) -> None:
-        """Refine D until the move is on the grid, rescaling the move table."""
-        k = lcm(self._den, move.const.denominator, move.sym.denominator) // self._den
-        if k == 1:
+    def _refine(self, moves: Sequence[Affine], top: int = 0) -> None:
+        """Refine D until every move is on the grid, and widen H to twice
+        every |c0*D| of the moves and twice ``top`` (on the current grid),
+        recoding what the session stores."""
+        den = lcm(self._den, *(lcm(m.const.denominator, m.sym.denominator) for m in moves))
+        k = den // self._den
+        tops = (abs(m.const.numerator) * (den // m.const.denominator) for m in moves)
+        half = 2 * max(self._half // 2 * k, top * k, *tops)
+        if half == self._half and k == 1:
             return
-        self._den *= k
-        self._pairs = [(c0 * k, c1 * k) for c0, c1 in self._pairs]
-        self._ids = {pair: move_id for move_id, pair in enumerate(self._pairs)}
+        old_half, old_width = self._half, self._width
+        self._den, self._half, self._width = den, half, 2 * half + 1
+
+        def recode(code: int) -> int:
+            x = (code + old_half) % old_width - old_half
+            return k * (x + self._width * ((code - x) // old_width))
+
+        self._generators = frozenset(map(recode, self._generators))
+        self._facts = {(s, recode(m)): t for (s, m), t in self._facts.items()}
+        self._by_source = {
+            s: {recode(m): t for m, t in row.items()} for s, row in self._by_source.items()
+        }
+        self._trace[:] = [
+            (rule, s, recode(m), t, tuple((ps, recode(pm), pt) for ps, pm, pt in parents))
+            for rule, s, m, t, parents in self._trace
+        ]
+
+    def _mask(self, indices: Iterable[int]) -> int:
+        """The bitmask of element indices, each checked to be one."""
+        indices = set(indices)
+        if not indices <= set(range(len(self.elements))):
+            raise InvalidInputError(f"indices must lie in range({len(self.elements)})")
+        return sum(1 << i for i in indices)
 
     def has_fact(self, source: Iterable[int], move, target: Iterable[int]) -> bool:
         """True when the stored fact for (source, move) implies the given one."""
-        known = self._facts.get((_mask(source), self._lookup(move)))
-        return known is not None and known & ~_mask(target) == 0
+        known = self._facts.get((self._mask(source), self._lookup(move)))
+        return known is not None and known & ~self._mask(target) == 0
 
     def add_fact(
         self,
@@ -234,23 +250,15 @@ class Session:
         """Insert a fact, eagerly intersecting targets (R4).  Returns True
         when knowledge grew.  ``parents`` lists the (source, move, target)
         facts it was derived from, for the trace."""
-        if not source or not target:
+        mask, move = self._mask, _coerce(move)
+        s, t = mask(source), mask(target)
+        if not s or not t:
             raise InvalidInputError("source and target must be nonempty")
-        parents = [(s, _coerce(m), t) for s, m, t in parents or ()]
-        move = _coerce(move)
-        for m in (move, *(m for _, m, _ in parents)):
-            self._widen(m)
-
-        def intern(m):
-            return self._intern(self._pair(m))
-
-        return self._add(
-            rule,
-            _mask(source),
-            intern(move),
-            _mask(target),
-            tuple((_mask(s), intern(m), _mask(t)) for s, m, t in parents),
-        )
+        parents = [(mask(ps), _coerce(pm), mask(pt)) for ps, pm, pt in parents or ()]
+        self._refine((move, *(pm for _, pm, _ in parents)))
+        code = self._lookup
+        parents = tuple((ps, code(pm), pt) for ps, pm, pt in parents)
+        return self._add(rule, s, code(move), t, parents)
 
     def _add(self, rule: str, s: int, m: int, t: int, parents=()) -> bool:
         """``add_fact`` on the store's own types, for a nonempty s and t."""
@@ -275,10 +283,9 @@ class Session:
     def to_json(self) -> dict:
         """The session as JSON, its facts sorted by source, then move."""
         name = self._names()
-        pairs = self._pairs
         facts = sorted(
             ((_bits(s), m, _bits(t)) for (s, m), t in self._facts.items()),
-            key=lambda fact: (fact[0], pairs[fact[1]]),
+            key=lambda fact: (fact[0], self._pair(fact[1])),
         )
         return {
             "elements": [str(e) for e in self.elements],
@@ -312,25 +319,31 @@ def new_session(
     if round_budget < 1:
         raise InvalidInputError("round budget must be at least 1")
     session = Session(elements, move_set, round_budget)
-    points = [session._pair(e) for e in elements]
-    zero = session._intern((0, 0))
-    for i, (a0, a1) in enumerate(points):
-        session._add("base", 1 << i, zero, 1 << i)
-        for j, (b0, b1) in enumerate(points):
+    # Codes add as moves do: once H covers the elements' span, b - a is b' - a'.
+    den = session._den
+    spread = [e.const.numerator * (den // e.const.denominator) for e in elements]
+    session._refine((), max(spread) - min(spread))
+    points = [session._lookup(e) for e in elements]
+    for i, a in enumerate(points):
+        session._add("base", 1 << i, 0, 1 << i)
+        for j, b in enumerate(points):
             if i != j:
-                session._add("base", 1 << i, session._intern((b0 - a0, b1 - a1)), 1 << j)
+                session._add("base", 1 << i, b - a, 1 << j)
     return session
 
 
-def _allowed_moves(session: Session) -> tuple[dict[tuple[int, int], Optional[int]], int]:
+def _allowed_moves(session: Session) -> tuple[set[int], int]:
     """Closure of the generating moves under addition, up to
     round_budget + 1 summands (one from the start, one more per pass);
-    caps which compositions R3 may produce.  Each pass extends only the
-    sums new in the previous one: a sum of k + 2 summands is a (k + 1)-sum
-    plus a generator, and if that (k + 1)-sum has fewer summands, so has
-    the whole.  Returns a table from each sum to its move id (None until
-    first used), and the work, |new| * |base| per pass, charged before it."""
-    base = {session._pairs[g] for g in session._generators} | {(0, 0)}
+    caps which compositions R3 may produce.  H is first widened to twice
+    the largest |c0*D| a sum reaches, so these codes never alias.  Each
+    pass extends only the sums new in the previous one: a sum of k + 2
+    summands is a (k + 1)-sum plus a generator, and if that (k + 1)-sum has
+    fewer summands, so has the whole.  Returns the codes of the sums, and
+    the work, |new| * |base| per pass, charged before it."""
+    reach = max((abs(session._pair(g)[0]) for g in session._generators), default=0)
+    session._refine((), (session.round_budget + 1) * reach)
+    base = session._generators | {0}
     current = set(base)
     new = base
     work = 0
@@ -340,9 +353,9 @@ def _allowed_moves(session: Session) -> tuple[dict[tuple[int, int], Optional[int
         work += len(new) * len(base)
         if work > CLOSE_WORK_BUDGET:  # compared inline: this runs once per pass
             check_work("arrow closure", work, CLOSE_WORK_BUDGET)
-        new = {(a0 + b0, a1 + b1) for a0, a1 in new for b0, b1 in base} - current
+        new = {a + b for a in new for b in base} - current
         current |= new
-    return dict.fromkeys(current), work
+    return current, work
 
 
 def close(session: Session) -> Session:
@@ -354,43 +367,40 @@ def close(session: Session) -> Session:
     earlier, and targets only shrink, so it could record nothing now.  The
     facts, ``rounds_used`` and the trace are those of joining every pair.
 
-    R3 memoizes m + m2 per pair of move ids from one table of admissible
-    totals, interning a total on first use; the identity S ->(0) S would
-    only rebuild its partners, so it composes nothing.  R3 checks the live
-    per-source index first, since a stored fact implies most results.  New
-    keys from R3 (a partner's target: no smaller than the source) and new
-    trivial facts are written here; the rest, shrinks too, go via ``_add``.
+    R2 walks no partner of a fact whose target is a single line, which has
+    no nonempty proper subset to cancel.  R3 composes m and m2 by adding
+    their codes; the identity S ->(0) S would only rebuild its partners, so
+    it composes nothing.  R3 checks the live per-source index first, since
+    a stored fact implies most results, and tests the sum against the set
+    of admissible totals only when none does.  New keys from R3 (a
+    partner's target: no smaller than the source) and new trivial facts
+    are written here; the rest, shrinks too, go via ``_add``.
 
     Work, against ``CLOSE_WORK_BUDGET`` and counted before it is done:
     |new| * |base| for each pass of the allowed sums; |A|^2 for each move
     whose trivial facts are added, since the round visits each of them as
     an R3 partner of the |A| base facts into its source; and for each
     snapshot fact of a round, 1 plus the lengths of its R2 and R3 partner
-    lists.
+    lists, walked or not.
     """
-    totals, work = _allowed_moves(session)
+    allowed, work = _allowed_moves(session)
     budget = CLOSE_WORK_BUDGET
     facts = session._facts
     store = session._by_source
     trace = session._trace
-    pairs = session._pairs
     add = session._add
-    intern = session._intern
     full = session._full
-    zero = session._ids.get((0, 0))
     singletons = [1 << i for i in range(len(session.elements))]
     generators = session._generators
     covered: set = set()  # moves whose trivial facts are all present
     delta: set = set()  # keys added or shrunk since the last snapshot
-    # sums[m][m2]: the id of m + m2, or -1 when R3 may not compose it.
-    sums: dict[int, dict[int, int]] = {}
 
     for round_index in range(session.round_budget):
         changed = False
         # Trivial facts: every singleton maps into the whole space at every
         # move currently in play.  R2 cancels known images out of these.
         in_play = {m for _, m in facts} | generators
-        new_moves = sorted(in_play - covered, key=pairs.__getitem__)
+        new_moves = sorted(in_play - covered, key=session._pair)
         work = check_work(
             "arrow closure", work + len(new_moves) * len(singletons) ** 2, budget
         )
@@ -437,36 +447,25 @@ def close(session: Session) -> Session:
                 if add("R1", full ^ s, m, full ^ t, ((s, m, t),)):
                     delta.add((full ^ s, m))
                     changed = True
-            # R2 cancellation: c is a proper subset of t.
-            for s2, c in r2_partners:
+            # R2 cancellation: c is a proper subset of t, so t has two lines.
+            for s2, c in r2_partners if t & (t - 1) else ():
                 if not s2 & s and c & t == c and c != t:
                     if add("R2", s, m, t ^ c, ((s, m, t), (s2, m, c))):
                         delta.add(key)
                         changed = True
             # R3 composition (first fact must be dimension-preserving).
-            if r3_partners and (m != zero or s != t):
+            if r3_partners and (m or s != t):
                 known_for_s = store[s]
-                row = sums.setdefault(m, {})
-                a0, a1 = pairs[m]
                 for m2, r in r3_partners.items():
-                    m3 = row.get(m2)
-                    if m3 is None:
-                        b0, b1 = pairs[m2]
-                        total = (a0 + b0, a1 + b1)
-                        m3 = totals.get(total, -1)
-                        if m3 is None:
-                            m3 = totals[total] = intern(total)
-                        row[m2] = m3
-                    if m3 < 0:
-                        continue
+                    m3 = m + m2
                     known = known_for_s.get(m3)
+                    if known is not None and known & r == known or m3 not in allowed:
+                        continue
                     if known is None:
                         facts[s, m3] = known_for_s[m3] = r
                         trace.append(("R3", s, m3, r, ((s, m, t), (t, m2, r))))
-                    elif known & r != known:
-                        add("R3", s, m3, r, ((s, m, t), (t, m2, r)))
                     else:
-                        continue
+                        add("R3", s, m3, r, ((s, m, t), (t, m2, r)))
                     delta.add((s, m3))
                     changed = True
         session.rounds_used = round_index + 1
@@ -490,10 +489,10 @@ def extract_permutation(session: Session, move) -> Optional[PermutationAction]:
     if not session.closed:
         raise InvalidInputError("session must be closed first")
     move = _coerce(move)
-    move_id = session._lookup(move)
+    code = session._lookup(move)
     images = []
     for i in range(len(session.elements)):
-        t = session._facts.get((1 << i, move_id))
+        t = session._facts.get((1 << i, code))
         if t is None or t.bit_count() != 1:
             return None
         images.append(t.bit_length() - 1)

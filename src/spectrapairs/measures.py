@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -300,7 +301,8 @@ def _ifs_kernel(
     is below 2^53, the |t| are one array division, which rounds as each
     abs(u) / v does.  Past the table, and for |t| past the float range,
     the same inequality, on the same float constants, is solved in
-    integers, so the error bound holds at any |t|.
+    integers, so the error bound holds at any |t|.  Where c is below the
+    normal floats, every depth is solved so, with 2 pi < 710/113.
 
     Phases: with digits a / D and t = u / v, digit a turns by
     a u / (D v R^k) at level k, reduced exactly to the remainder of a u
@@ -343,16 +345,22 @@ def _ifs_kernel(
         ratios = abs(U) / V
     else:
         ratios = np.array([_ratio(u, v) for u, v in zip(nums, dens)])
+    # Below the normal range c has lost its precision, or is 0, so it
+    # bounds no delta; at eps = inf, log1p(eps) R^k = inf certifies depth 0.
+    coarse = not c >= sys.float_info.min
     # No delta exceeds that of the largest |u| over 1: only past the table
     # may one overflow, or be 0 * inf, which Python's floats take silently.
-    past = not c * _ratio(top_u, 1) / (R - 1) <= thresholds[-1]
+    past = coarse or not c * _ratio(top_u, 1) / (R - 1) <= thresholds[-1]
     with np.errstate(over="ignore", invalid="ignore") if past else contextlib.nullcontext():
-        depths = thresholds.searchsorted(c * ratios / (R - 1))
-    if past:
-        rate = Fraction(c) / ((R - 1) * Fraction(math.log1p(eps)))
-        for j in (depths == len(floats)).nonzero()[0].tolist():
+        depths = thresholds.searchsorted(np.zeros_like(ratios) if coarse else c * ratios / (R - 1))
+    if past and thresholds[-1] < math.inf:
+        bound = Fraction(710, 113) * Fraction(top_digit, D) if coarse else Fraction(c)
+        rate = bound / ((R - 1) * Fraction(math.log1p(eps)))
+        least = 0 if coarse else len(floats)
+        redo = np.flatnonzero(U) if coarse else (depths == least).nonzero()[0]
+        for j in redo.tolist():
             depths[j] = _least_power(
-                abs(nums[j]) * rate.numerator, dens[j] * rate.denominator, R, len(floats)
+                abs(nums[j]) * rate.numerator, dens[j] * rate.denominator, R, least
             )
     DV = D * V
     hits = levels = []

@@ -66,6 +66,29 @@ class TestNewSession:
             with pytest.raises(InvalidInputError):
                 new_session([0, 1, 2], [1, -1], round_budget=budget)
 
+    @pytest.mark.parametrize("index", [5, 3, -1])
+    def test_index_outside_the_ground_set_is_invalid(self, index):
+        # {5} on three points once stored a fact that the next close turned
+        # into a false contradiction; -1 raised a bare ValueError.  Nothing
+        # is stored, and the 1/7 does not refine the grid.
+        session = new_session([0, 1, 2], [1, -1], round_budget=2)
+        before = (session.to_json(), session.trace, session._den, session._half)
+        seventh = Fraction(1, 7)
+        calls = [
+            lambda: session.add_fact(frozenset({index}), 1, frozenset({0})),
+            lambda: session.add_fact(frozenset({0}), seventh, frozenset({1, index})),
+            lambda: session.add_fact(
+                frozenset({0}), seventh, frozenset({1}), parents=[([index], 1, [0])]
+            ),
+            lambda: session.has_fact({index}, 1, {0}),
+            lambda: session.has_fact({0}, 1, {index}),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="range"):
+                call()
+        assert (session.to_json(), session.trace, session._den, session._half) == before
+        assert close(session).has_fact({0}, 1, {1})
+
     def test_large_ground_set_is_too_large_before_seeding(self, monkeypatch):
         # Each of the |A|^2 base facts is charged 1 + |A| units: 202 points
         # fit in 2^23, 203 do not.
@@ -406,14 +429,15 @@ class TestDeferredTrace:
 
 
 class TestMoveTable:
-    """Moves are interned as ids in a per-session table; reading a move the
-    session has never seen must not add one."""
+    """Moves are coded as ints on the session's grid (its common
+    denominator D and code range H); reading a move the session has never
+    seen must not change the grid."""
 
     UNSEEN = (Affine(Fraction(7)), Affine(Fraction(1, 7)), Affine(Fraction(0), Fraction(9)))
 
     def test_unseen_moves_read_as_absent_and_add_no_id(self):
         s = close(three_point_session(budget=3))
-        before = (s.to_json(), s.trace, list(s._pairs))
+        before = (s.to_json(), s.trace, s._den, s._half)
         naive = naive_arrows.close(
             naive_arrows.new_session(s.elements, s.moves, round_budget=3)
         )
@@ -422,7 +446,7 @@ class TestMoveTable:
             assert not naive.has_fact({0}, move, {0, 1, 2})
             assert extract_permutation(s, move) is None
             assert (frozenset({0}), move) not in s.facts
-            assert (s.to_json(), s.trace, list(s._pairs)) == before
+            assert (s.to_json(), s.trace, s._den, s._half) == before
 
     def test_off_grid_fact_after_close_matches_naive_engine(self):
         # 1/7 refines the common denominator of {0, 1, 2} after closing, in
@@ -447,12 +471,87 @@ class TestMoveTable:
         assert outcomes[1] == outcomes[3]
         assert outcomes[0][0] == [True, True, False]
 
+    def test_sums_of_moves_at_the_edge_of_the_code_range(self):
+        # Scaled by 1/3 and offset by -2/3, the admissible totals reach
+        # |c0 D| = H / 2, so R3 sums of two stored moves reach H.  With a
+        # code width of H + 1, which only the totals fit, such a sum reads
+        # as an admissible total, and at budget 5 close reports a false
+        # contradiction.
+        c, t = Fraction(1, 3), Fraction(-2, 3)
+        ground = [Affine(t), Affine(c + t), Affine(t, c)]
+        moves = [b - a for a in ground for b in ground if a != b]
+        for budget in (3, 5):
+            session = new_session(ground, moves, round_budget=budget)
+            allowed = arrows._allowed_moves(session)[0]
+            assert 2 * max(abs(session._pair(code)[0]) for code in allowed) == session._half
+            assert _assert_matches_naive_engine(ground, budget) == "closed"
+
+    def test_fact_past_the_code_range_after_close_matches_naive_engine(self):
+        # 50 + 2a lies past H and a parent's -1/7 off the grid: both recode
+        # the store, rows, trace and generators, and a second close
+        # continues from them.  (A parent's move is given as the naive
+        # engine records it.)
+        moves = [ONE, A_SYM, A_SYM - ONE, ONE - A_SYM, -A_SYM, -ONE]
+        far = Affine(Fraction(50), Fraction(2))
+        outcomes = []
+        for engine in (arrows, naive_arrows):
+            s = engine.close(engine.new_session([ZERO, ONE, A_SYM], moves, round_budget=3))
+            half = getattr(s, "_half", None)
+            grew = [
+                s.add_fact(frozenset({0}), far, frozenset({1, 2})),
+                s.add_fact(
+                    frozenset({1}), far, frozenset({0, 2}),
+                    parents=[([0], "-1/7", [1])],
+                ),
+            ]
+            if engine is arrows:
+                assert s._half > half and s._den % 7 == 0
+                _assert_index_matches_store(s)
+            outcomes.append((grew, s.to_json(), list(s.trace), dict(s.facts)))
+            s = engine.close(s)
+            outcomes.append((s.to_json(), list(s.trace), dict(s.facts)))
+        assert outcomes[0] == outcomes[2]
+        assert outcomes[1] == outcomes[3]
+
+    def test_generic_rational_moves_on_a_large_denominator(self):
+        # The 20 moves 1/p, p the first 20 primes: D is their product, about
+        # 5.6e26, so every code is past 64 bits.
+        primes = [p for p in range(2, 72) if all(p % q for q in range(2, p))]
+        ground = [Fraction(k) for k in range(3)]
+        moves = [Fraction(1, p) for p in primes]
+        assert len(primes) == 20
+        got = _outcome(arrows, ground, moves, 2)
+        assert got == _outcome(naive_arrows, ground, moves, 2)
+        assert got[0] == "closed" and len(got[1]["facts"]) > 100
+
+    def test_moves_past_the_code_range_read_as_absent(self):
+        # A move with c0 D past H has the code of a stored move when taken
+        # mod the code width; it must read as absent.
+        s = close(three_point_session(budget=3))
+        naive = naive_arrows.close(
+            naive_arrows.new_session(s.elements, s.moves, round_budget=3)
+        )
+        width = 2 * s._half + 1
+        assert extract_permutation(s, ONE).sigma == (1, 2, 0)
+        before = (s.to_json(), s.trace, s._den, s._half)
+        for move in (ONE, A_SYM - ONE, ZERO):
+            c0, c1 = move.const * s._den, move.sym * s._den
+            for alias in (Affine((c0 + width) / s._den, (c1 - 1) / s._den),
+                          Affine((c0 - width) / s._den, (c1 + 1) / s._den)):
+                assert s.has_fact({0}, move, {0, 1, 2})
+                assert not s.has_fact({0}, alias, {0, 1, 2})
+                assert not naive.has_fact({0}, alias, {0, 1, 2})
+                assert extract_permutation(s, alias) is None
+                assert (frozenset({0}), alias) not in s.facts
+        assert (s.to_json(), s.trace, s._den, s._half) == before
+
 
 def test_compositions_are_capped_at_budget_plus_one_summands():
     # The generators themselves are one summand and each pass adds one.
     for budget, top in ((1, 2), (3, 4)):
         session = new_session([0, 1, 2], [1], round_budget=budget)
-        assert arrows._allowed_moves(session)[0].keys() == {(k, 0) for k in range(top + 1)}
+        allowed = arrows._allowed_moves(session)[0]
+        assert {session._pair(code) for code in allowed} == {(k, 0) for k in range(top + 1)}
 
 
 def test_saturation_does_no_affine_arithmetic_or_formatting(monkeypatch):

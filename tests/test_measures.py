@@ -409,6 +409,20 @@ class TestPastTheDepthTable:
         assert symbolic == (value, depth) or symbolic.value == 0
         assert ifs_transform(mu, -t, eps, symbolic=False) == (value.conjugate(), depth)
 
+    @pytest.mark.parametrize("top", [Fraction(1, 10**400), Fraction(3, 10**310)], ids=["zero", "subnormal"])
+    def test_digits_below_the_normal_float_range(self, top):
+        # The float c = 2 pi max|d| is 0.0 for 10^-400 and subnormal for
+        # 3 * 10^-310; a zero rate once made the depth solve raise.
+        mu = IFSMeasure(4, (0, top))
+        for t in (1 / top, Fraction(-7, 3) / top):
+            for eps in (1e-12, 1e-5):
+                value, depth = ifs_transform(mu, t, eps)
+                assert abs(value - mp_transform(mu.digits, mu.scale, t)) <= eps
+                assert certified_delta(mu, t, depth) <= math.log1p(eps)
+                batch = ifs_transforms(mu, [0, t, 5], eps)
+                assert batch.values[1] == value and batch.depths.tolist() == [0, depth, 0]
+        assert ifs_transforms(mu, [1 / top], math.inf).depths.tolist() == [0]
+
     def test_depth_grows_one_level_per_power_across_the_table_end(self):
         for mu in (cantor4_measure(), IFSMeasure(5, (0, 1)), IFSMeasure(2, (0, 1))):
             end = next(k for k in range(2000) if mu.scale**k >= 2**1000)
