@@ -107,17 +107,19 @@ class Session:
 
     Sources and targets are int bitmasks over the element indices.  A move
     c0 + c1*alpha is (x, y) = (c0*D, c1*D), by dividing D by each
-    denominator, D a common denominator of the elements and of every move
-    seen, and is stored as one int, its code x + W*y with W = 2H + 1.  H is
-    at least twice every |x| stored (base differences, the totals ``close``
-    may form, seeded moves), so adding two codes adds their moves without
-    aliasing, and a code decodes to the x in [-H, H] congruent to it mod W.
-    Refining D or widening H recodes the store, rows, trace and generators.
+    denominator, and is stored as one int, its code x + W*y with W = 2H + 1.
+    The grid is fixed when the session is built: D is a common denominator
+    of the elements and moves, and H is twice the largest |x| of an
+    element, of a base difference (the elements' span) and of a total
+    ``close`` may form, (round_budget + 1) * the largest |x| of a move.  So
+    adding two codes adds their moves without aliasing, and a code decodes
+    to the x in [-H, H] congruent to it mod W.  Only ``add_fact`` with a
+    move off the grid or past +-H refines D or widens H, recoding the
+    store, rows, trace and generators.
     The store keys each fact by its source and move code, beside a
-    per-source ``{code: target}`` index.  ``close`` writes new R3 and
-    trivial facts to both; every other write, and every shrink (R4), goes
-    through ``_add``.  ``facts`` and ``trace`` are built from the store when
-    read.
+    per-source ``{code: target}`` index.  Every write, each shrink (R4)
+    too, goes through ``_add``.  ``facts`` and ``trace`` are built from the
+    store when read.
     """
 
     def __init__(
@@ -132,7 +134,12 @@ class Session:
         self.closed = False
         self.rounds_used = 0
         self._full = (1 << len(self.elements)) - 1
-        self._den, self._half, self._width, self._generators = 1, 0, 1, frozenset()
+        den = lcm(*(lcm(m.const.denominator, m.sym.denominator) for m in (*self.elements, *moves)))
+        xs = [e.const.numerator * (den // e.const.denominator) for e in self.elements]
+        reach = max((abs(m.const.numerator) * den // m.const.denominator for m in moves), default=0)
+        span = max(xs, default=0) - min(xs, default=0)
+        self._den, self._half = den, 2 * max(*map(abs, xs), span, (round_budget + 1) * reach)
+        self._width = 2 * self._half + 1
         # Minimal known target per (source, move code), in insertion order,
         # and the same facts grouped by source.
         self._facts: dict[tuple[int, int], int] = {}
@@ -140,7 +147,8 @@ class Session:
         # (rule, source, move code, target, parents), each parent a (source,
         # move code, target) triple of the store.
         self._trace: list[tuple] = []
-        self._refine((*self.elements, *moves))
+        # Keys written since the last snapshot of ``close`` (its first round reads none).
+        self._changed: set[tuple[int, int]] = set()
         self._generators = frozenset(map(self._lookup, moves))
 
     @property
@@ -200,14 +208,15 @@ class Session:
             return None
         return x + self._width * move.sym.numerator * q1
 
-    def _refine(self, moves: Sequence[Affine], top: int = 0) -> None:
+    def _refine(self, moves: Sequence[Affine]) -> None:
         """Refine D until every move is on the grid, and widen H to twice
-        every |c0*D| of the moves and twice ``top`` (on the current grid),
-        recoding what the session stores."""
+        every |c0*D| of the moves, recoding what the session stores.  Only
+        ``add_fact`` calls it: the grid built with the session covers every
+        move ``close`` forms."""
         den = lcm(self._den, *(lcm(m.const.denominator, m.sym.denominator) for m in moves))
         k = den // self._den
         tops = (abs(m.const.numerator) * (den // m.const.denominator) for m in moves)
-        half = 2 * max(self._half // 2 * k, top * k, *tops)
+        half = 2 * max(self._half // 2 * k, *tops)
         if half == self._half and k == 1:
             return
         old_half, old_width = self._half, self._width
@@ -261,7 +270,8 @@ class Session:
         return self._add(rule, s, code(move), t, parents)
 
     def _add(self, rule: str, s: int, m: int, t: int, parents=()) -> bool:
-        """``add_fact`` on the store's own types, for a nonempty s and t."""
+        """``add_fact`` on the store's own types, for a nonempty s and t; the
+        one writer of the store, index, trace and change set."""
         key = (s, m)
         known = self._facts.get(key)
         if known is not None:
@@ -270,6 +280,7 @@ class Session:
                 return False
             rule += "+R4"
         self._trace.append((rule, s, m, t, parents))
+        self._changed.add(key)
         if t.bit_count() < s.bit_count():
             raise InconsistencyError(
                 f"target {_bits(t)} smaller than source {_bits(s)} "
@@ -319,10 +330,7 @@ def new_session(
     if round_budget < 1:
         raise InvalidInputError("round budget must be at least 1")
     session = Session(elements, move_set, round_budget)
-    # Codes add as moves do: once H covers the elements' span, b - a is b' - a'.
-    den = session._den
-    spread = [e.const.numerator * (den // e.const.denominator) for e in elements]
-    session._refine((), max(spread) - min(spread))
+    # Codes add as moves do: H covers the elements' span, so b - a is b' - a'.
     points = [session._lookup(e) for e in elements]
     for i, a in enumerate(points):
         session._add("base", 1 << i, 0, 1 << i)
@@ -335,14 +343,12 @@ def new_session(
 def _allowed_moves(session: Session) -> tuple[set[int], int]:
     """Closure of the generating moves under addition, up to
     round_budget + 1 summands (one from the start, one more per pass);
-    caps which compositions R3 may produce.  H is first widened to twice
-    the largest |c0*D| a sum reaches, so these codes never alias.  Each
-    pass extends only the sums new in the previous one: a sum of k + 2
+    caps which compositions R3 may produce.  The session's H is at least
+    twice the largest |c0*D| a sum reaches, so these codes never alias.
+    Each pass extends only the sums new in the previous one: a sum of k + 2
     summands is a (k + 1)-sum plus a generator, and if that (k + 1)-sum has
     fewer summands, so has the whole.  Returns the codes of the sums, and
     the work, |new| * |base| per pass, charged before it."""
-    reach = max((abs(session._pair(g)[0]) for g in session._generators), default=0)
-    session._refine((), (session.round_budget + 1) * reach)
     base = session._generators | {0}
     current = set(base)
     new = base
@@ -363,18 +369,19 @@ def close(session: Session) -> Session:
 
     Rounds are semi-naive: a rule fires on a fact, or on a pair of facts,
     only when one of them was added or shrank since the previous round's
-    snapshot.  A pair of unchanged facts fired on the same inputs a round
-    earlier, and targets only shrink, so it could record nothing now.  The
-    facts, ``rounds_used`` and the trace are those of joining every pair.
+    snapshot (the keys ``_add`` recorded meanwhile).  A pair of unchanged
+    facts fired on the same inputs a round earlier, and targets only
+    shrink, so it could record nothing now.  The facts, ``rounds_used`` and
+    the trace are those of joining every pair; a round that appends nothing
+    to the trace ends the closure.
 
     R2 walks no partner of a fact whose target is a single line, which has
     no nonempty proper subset to cancel.  R3 composes m and m2 by adding
-    their codes; the identity S ->(0) S would only rebuild its partners, so
-    it composes nothing.  R3 checks the live per-source index first, since
-    a stored fact implies most results, and tests the sum against the set
-    of admissible totals only when none does.  New keys from R3 (a
-    partner's target: no smaller than the source) and new trivial facts
-    are written here; the rest, shrinks too, go via ``_add``.
+    their codes, on a grid that covers every admissible total; the identity
+    S ->(0) S would only rebuild its partners, so it composes nothing.  R3
+    checks the live per-source index first, since a stored fact implies
+    most results, and tests the sum against the set of admissible totals
+    only when none does.  Every fact is written by ``_add``.
 
     Work, against ``CLOSE_WORK_BUDGET`` and counted before it is done:
     |new| * |base| for each pass of the allowed sums; |A|^2 for each move
@@ -393,10 +400,9 @@ def close(session: Session) -> Session:
     singletons = [1 << i for i in range(len(session.elements))]
     generators = session._generators
     covered: set = set()  # moves whose trivial facts are all present
-    delta: set = set()  # keys added or shrunk since the last snapshot
 
     for round_index in range(session.round_budget):
-        changed = False
+        recorded = len(trace)
         # Trivial facts: every singleton maps into the whole space at every
         # move currently in play.  R2 cancels known images out of these.
         in_play = {m for _, m in facts} | generators
@@ -406,18 +412,13 @@ def close(session: Session) -> Session:
         )
         for m in new_moves:
             for i in singletons:
-                if (i, m) not in facts:
-                    facts[i, m] = store[i][m] = full
-                    trace.append(("trivial", i, m, full, ()))
-                    delta.add((i, m))
-                    changed = True
+                add("trivial", i, m, full)
         covered = in_play
 
         # Each fact with its square flag |S| = |T|, which R1 and R3 need
         # and which makes it an R2 partner.
         snapshot = [(key, t, key[0].bit_count() == t.bit_count()) for key, t in facts.items()]
-        fresh = delta
-        delta = set()
+        fresh, session._changed = session._changed, set()
         # R2 partners (dimension-preserving facts) by move and R3 partners
         # by source, in snapshot order: from every fact (for R3, a copy of
         # the per-source index), and from the fresh ones only, which is all
@@ -444,32 +445,21 @@ def close(session: Session) -> Session:
                 check_work("arrow closure", work, budget)
             # R1 complement.
             if is_fresh and square and s != full:
-                if add("R1", full ^ s, m, full ^ t, ((s, m, t),)):
-                    delta.add((full ^ s, m))
-                    changed = True
+                add("R1", full ^ s, m, full ^ t, ((s, m, t),))
             # R2 cancellation: c is a proper subset of t, so t has two lines.
             for s2, c in r2_partners if t & (t - 1) else ():
                 if not s2 & s and c & t == c and c != t:
-                    if add("R2", s, m, t ^ c, ((s, m, t), (s2, m, c))):
-                        delta.add(key)
-                        changed = True
+                    add("R2", s, m, t ^ c, ((s, m, t), (s2, m, c)))
             # R3 composition (first fact must be dimension-preserving).
             if r3_partners and (m or s != t):
                 known_for_s = store[s]
                 for m2, r in r3_partners.items():
                     m3 = m + m2
                     known = known_for_s.get(m3)
-                    if known is not None and known & r == known or m3 not in allowed:
-                        continue
-                    if known is None:
-                        facts[s, m3] = known_for_s[m3] = r
-                        trace.append(("R3", s, m3, r, ((s, m, t), (t, m2, r))))
-                    else:
+                    if (known is None or known & r != known) and m3 in allowed:
                         add("R3", s, m3, r, ((s, m, t), (t, m2, r)))
-                    delta.add((s, m3))
-                    changed = True
         session.rounds_used = round_index + 1
-        if not changed:
+        if len(trace) == recorded:
             break
     session.closed = True
     return session

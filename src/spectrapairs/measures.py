@@ -476,8 +476,11 @@ Measure = Union[AtomicMeasure, IFSMeasure]
 
 
 def _transforms(mu: Measure, nums: Sequence[int], den: int, eps: float, symbolic: bool = True) -> np.ndarray:
-    """mu_hat(nums[j] / den) for each j."""
+    """mu_hat(nums[j] / den) for each j.  An atomic mu first counts its
+    |mu| * len(nums) phases against ``errors.WORK_BUDGET``."""
     if isinstance(mu, AtomicMeasure):
+        size = len(mu.points)
+        check_work(f"transforms of {size} atoms", size * len(nums), errors.WORK_BUDGET)
         return _atomic_transforms(mu, nums, den)
     return _ifs_kernel(mu, nums, [den] * len(nums), eps, symbolic).values
 
@@ -489,10 +492,13 @@ def gram_matrix(
 
     G[i, j] depends on lambda_j - lambda_i alone and mu_hat(-x) is the
     conjugate of mu_hat(x), so the transform runs once per distinct
-    |lambda_j - lambda_i|.
+    |lambda_j - lambda_i|.  Counts |Lambda|^2 against
+    ``errors.WORK_BUDGET`` before any array is built, and for an atomic mu
+    |mu| times the distinct differences before their phases are formed.
     """
     lam = RationalPhases(Lambda)
     n = len(lam.numerators)
+    check_work(f"a Gram matrix of {n} points", n * n, errors.WORK_BUDGET)
     G = np.eye(n, dtype=complex)
     if n < 2:
         return G
@@ -531,7 +537,8 @@ def completeness_defect(mu: Measure, Lambda: Sequence, t, eps: float = 1e-10) ->
     """Parseval diagnostic Q(t) = sum_lambda |mu_hat(t - lambda)|^2.
 
     Equals 1 for all t exactly when {e_lambda} is an orthonormal basis;
-    each transform is evaluated to accuracy eps / |Lambda|.
+    each transform is evaluated to accuracy eps / |Lambda|.  An atomic mu
+    counts |mu| * |Lambda| against ``errors.WORK_BUDGET`` first.
     """
     lam = RationalPhases(Lambda)
     if not lam.numerators:

@@ -311,6 +311,35 @@ def _ground_and_budget(draw):
     return ground, draw(st.integers(1, len(ground) + 2))
 
 
+# The closure benchmark's non-spectral, symbolic and closed rational shapes,
+# with the budget each runs at and its outcome.
+_CLOSURE_SHAPES = [
+    (("0", "1", "1/3"), 5, "inconsistent"),
+    (("0", "1", "5/2"), 4, "inconsistent"),
+    (("0", "1", "2", "3/2"), 6, "inconsistent"),
+    (("0", "1", "2", "4/3"), 6, "inconsistent"),
+    (("0", "1", "2", "3", "11"), 5, "inconsistent"),
+    (("0", "1", "a"), 4, "closed"),
+    (("0", "1", "7/2"), 3, "closed"),
+    (("0", "1", "5/4"), 4, "closed"),
+    (("0", "1", "2", "3"), 5, "closed"),
+    (("0", "1", "2", "1/3"), 4, "closed"),
+    (("0", "1", "2", "5/3"), 4, "closed"),
+    (("0", "1", "2", "3", "4"), 5, "closed"),
+]
+
+
+def _shape_id(value):
+    return ",".join(value) if isinstance(value, tuple) else str(value)
+
+
+def _scaled(shape):
+    """A shape as the scaled copy c * A + t the benchmark runs it as (c *
+    alpha for "a")."""
+    c, t = Fraction(3, 7), Fraction(-5, 3)
+    return [Affine(t, c) if x == "a" else Affine(c * Fraction(x) + t) for x in shape]
+
+
 class TestAgainstNaiveEngine:
     """The engine against the naive loop it replaced (tests/naive_arrows.py):
     same facts, rounds, trace and error, byte for byte."""
@@ -334,33 +363,9 @@ class TestAgainstNaiveEngine:
             "inconsistent"
         )
 
-    @pytest.mark.parametrize(
-        "shape,budget,outcome",
-        [
-            (("0", "1", "1/3"), 5, "inconsistent"),
-            (("0", "1", "5/2"), 4, "inconsistent"),
-            (("0", "1", "2", "3/2"), 6, "inconsistent"),
-            (("0", "1", "2", "4/3"), 6, "inconsistent"),
-            (("0", "1", "2", "3", "11"), 5, "inconsistent"),
-            (("0", "1", "a"), 4, "closed"),
-            (("0", "1", "7/2"), 3, "closed"),
-            (("0", "1", "5/4"), 4, "closed"),
-            (("0", "1", "2", "3"), 5, "closed"),
-            (("0", "1", "2", "1/3"), 4, "closed"),
-            (("0", "1", "2", "5/3"), 4, "closed"),
-            (("0", "1", "2", "3", "4"), 5, "closed"),
-        ],
-        ids=lambda v: ",".join(v) if isinstance(v, tuple) else str(v),
-    )
+    @pytest.mark.parametrize("shape,budget,outcome", _CLOSURE_SHAPES, ids=_shape_id)
     def test_benchmark_closure_shapes_scaled(self, shape, budget, outcome):
-        # The closure benchmark's non-spectral, symbolic and closed rational
-        # shapes, as the scaled copy c * A + t it runs them as (c * alpha
-        # for "a").
-        c, t = Fraction(3, 7), Fraction(-5, 3)
-        ground = [
-            Affine(t, c) if x == "a" else Affine(c * Fraction(x) + t) for x in shape
-        ]
-        assert _assert_matches_naive_engine(ground, budget) == outcome
+        assert _assert_matches_naive_engine(_scaled(shape), budget) == outcome
 
     def test_zero_move_stops_extending_sums_early(self):
         # With the zero move alone, the first pass forms no new sum, so the
@@ -372,6 +377,57 @@ class TestAgainstNaiveEngine:
         # A seeded move of 1/7 refines the common denominator of {0, 1, 2}.
         seeds = [({0}, Affine(Fraction(1, 7)), {1, 2}), ({1}, Affine(Fraction(-1, 7)), {0, 2})]
         assert _assert_matches_naive_engine([Fraction(k) for k in range(3)], 4, seeds) == "closed"
+
+
+class TestOneWriter:
+    """``Session._add`` writes every fact, and the grid a session is built
+    with is the one ``close`` works on."""
+
+    @pytest.mark.parametrize("shape,budget,outcome", _CLOSURE_SHAPES, ids=_shape_id)
+    def test_every_trace_entry_is_appended_by_add(self, monkeypatch, shape, budget, outcome):
+        appended = 0
+        add = arrows.Session._add
+
+        def counted(self, *args):
+            nonlocal appended
+            before = len(self._trace)
+            try:
+                return add(self, *args)
+            finally:
+                appended += len(self._trace) - before
+
+        monkeypatch.setattr(arrows.Session, "_add", counted)
+        ground = _scaled(shape)
+        session = new_session(ground, [b - a for a in ground for b in ground if a != b], budget)
+        try:
+            close(session)
+        except InconsistencyError:
+            assert outcome == "inconsistent"
+        else:
+            assert outcome == "closed"
+        assert appended == len(session._trace) > 0
+        _assert_index_matches_store(session)
+
+    @pytest.mark.parametrize("case", ["symbolic", "primes"])
+    def test_close_keeps_the_grid_of_new_session(self, monkeypatch, case):
+        if case == "symbolic":
+            session = three_point_session()
+        else:
+            primes = [p for p in range(2, 72) if all(p % q for q in range(2, p))]
+            session = new_session([0, 1, 2], [Fraction(1, p) for p in primes], round_budget=2)
+
+        def unreachable(self, moves):
+            raise AssertionError("close recoded the session")
+
+        grid = (session._den, session._half)
+        monkeypatch.setattr(arrows.Session, "_refine", unreachable)
+        close(session)
+        assert (session._den, session._half) == grid
+
+    def test_session_built_directly_without_moves(self):
+        session = arrows.Session([ZERO, Affine(Fraction(1, 2))], frozenset(), 3)
+        assert (session._den, session._half, session._generators) == (2, 2, frozenset())
+        assert arrows.Session([], frozenset(), 1)._half == 0
 
 
 class TestDeferredTrace:

@@ -155,6 +155,7 @@ def _file(tmp_path, text):
 
 
 _MEASURE_FORMAT = 'measure file must be a JSON object {"points": [...], "weights": [...]}'
+_SET_FORMAT = "set file must be a JSON array of fraction strings"
 
 MALFORMED = {
     "truncated_set": lambda tmp: [
@@ -179,6 +180,13 @@ MALFORMED = {
         "frame-bounds", "--lambda", data("lambda_01.json"),
         "--measure", _file(tmp, '{"scale": 4, "digits": ["0", "2"]}'),
     ],
+    # Valid JSON of the wrong top-level type.
+    "set_file_object": lambda tmp: [
+        "find-spectrum", "--set", _file(tmp, '{"a": 1}'), "--qmax", "3", "--span", "1",
+    ],
+    "measure_file_array": lambda tmp: [
+        "frame-bounds", "--lambda", data("lambda_01.json"), "--measure", _file(tmp, "[1, 2]"),
+    ],
     "eps_nan": lambda tmp: [
         "cantor", "--level", "2", "--check", "completeness", "--grid", "3", "--eps", "nan",
     ],
@@ -196,6 +204,13 @@ MALFORMED = {
     "line_set_a_long_decimal": lambda tmp: ["decide-line-set", "--n", "3", "--a", "1" * 100000 + ".5"],
 }
 
+# The message of each malformed case whose message is fixed.
+MALFORMED_MESSAGES = {
+    "scale_digits_measure": _MEASURE_FORMAT,
+    "set_file_object": _SET_FORMAT,
+    "measure_file_array": _MEASURE_FORMAT,
+}
+
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_input_exits_1_with_one_json_object_and_no_traceback(name, tmp_path):
@@ -211,8 +226,8 @@ def test_malformed_input_exits_1_with_one_json_object_and_no_traceback(name, tmp
     result = json.loads(proc.stdout)
     assert (result["status"], result["reason"]) == ("invalid_input", "invalid_input")
     assert len(result["message"]) < 300  # the input is not echoed whole
-    if name == "scale_digits_measure":
-        assert result["message"] == _MEASURE_FORMAT
+    if name in MALFORMED_MESSAGES:
+        assert result["message"] == MALFORMED_MESSAGES[name]
 
 
 def test_missing_file_is_domain_error():
@@ -231,18 +246,24 @@ def test_arrow_close_budget_below_one_is_invalid_input(budget):
     assert result["reason"] == "invalid_input"
 
 
-def test_tsv_goes_to_stderr():
+@pytest.mark.parametrize(
+    "check, extra, header, rows",
+    [("completeness", ["--grid", "3"], "t\tq", 3), ("orthogonality", [], "i\tj\tre\tim", 4)],
+    ids=["completeness", "orthogonality"],
+)
+def test_tsv_goes_to_stderr(check, extra, header, rows):
     proc = subprocess.run(
         [
             sys.executable, "-m", "spectrapairs.cli",
-            "cantor", "--level", "0", "--check", "completeness",
-            "--grid", "3", "--eps", "1e-8", "--tsv",
+            "cantor", "--level", "0", "--check", check, *extra, "--eps", "1e-8", "--tsv",
         ],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
     json.loads(proc.stdout)  # stdout stays pure JSON
-    assert proc.stderr.splitlines()[0] == "t\tq"
+    lines = proc.stderr.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + rows
 
 
 def test_exact_only_work_does_not_import_numpy():
@@ -660,6 +681,20 @@ LIBRARY_SECONDS_CASES = {
     "permutation_representation_4300": "permutation_representation(4300, 4299, 1)",
     # A witness of 2,000,001 points: about 8 s uncounted.
     "construct_line_spectrum_2000001": "construct_line_spectrum(2000001, 2000000, 1)",
+    # A 3000 x 3000 Gram matrix: about 1.1 s and 520 MB uncounted, and its
+    # memory grows as |Lambda|^2.
+    "gram_matrix_3000_points": "gram_matrix(cantor4_measure(), range(3000))",
+    # 1000 frequencies are within the Gram count, but 5000 atoms at each
+    # of 999 distinct differences are not: about 0.3 s and 270 MB uncounted.
+    "gram_matrix_5000_atoms": (
+        "gram_matrix(AtomicMeasure.uniform(Fraction(k, 5000) for k in range(5000)), range(1000))"
+    ),
+    # 5000 atoms at each of 1000 frequencies: about 0.3 s and 220 MB
+    # uncounted.
+    "completeness_defect_5000_atoms": (
+        "completeness_defect(AtomicMeasure.uniform(Fraction(k, 5000) for k in range(5000)),"
+        " range(1000), Fraction(1, 3))"
+    ),
 }
 
 
@@ -669,7 +704,8 @@ def test_library_refuses_within_seconds(name):
         "from fractions import Fraction\n"
         "import numpy\n"
         "from spectrapairs.errors import TooLargeError\n"
-        "from spectrapairs.measures import AtomicMeasure, frame_bounds\n"
+        "from spectrapairs.measures import AtomicMeasure, cantor4_measure, completeness_defect,"
+        " frame_bounds, gram_matrix\n"
         "from spectrapairs.representation import FiniteRep, is_wandering,"
         " multiplication_representation, permutation_representation\n"
         "from spectrapairs.sets import FiniteRationalSet\n"

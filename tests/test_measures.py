@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectrapairs.errors import InvalidInputError
+from spectrapairs import errors, measures
+from spectrapairs.errors import InvalidInputError, TooLargeError
 from spectrapairs.exact import CycSum, root_sum_is_zero
 from spectrapairs.measures import (
     AtomicMeasure,
@@ -671,6 +672,23 @@ class TestGramMatrix:
                             ref = ifs_transform(mu, lj - li, eps, symbolic).value
                         assert abs(G[i, j] - ref) <= eps
 
+    def test_work_is_counted_before_any_array_is_built(self, monkeypatch):
+        # Against a small declared budget: past |Lambda|^2 entries no array
+        # is built, and for an atomic mu past |mu| times the distinct
+        # differences no phase is formed.
+        def unreachable(*args):
+            raise AssertionError("an array was built over budget")
+
+        monkeypatch.setattr(errors, "WORK_BUDGET", 16)
+        assert gram_matrix(cantor4_measure(), range(4)).shape == (4, 4)  # 16 entries
+        assert gram_matrix(uniform(*range(5)), range(4)).shape == (4, 4)  # 5 * 3 phases
+        monkeypatch.setattr(measures, "_unit_roots", unreachable)
+        with pytest.raises(TooLargeError, match="transforms of 6 atoms"):
+            gram_matrix(uniform(*range(6)), range(4))  # 6 * 3 phases
+        monkeypatch.setattr(np, "eye", unreachable)
+        with pytest.raises(TooLargeError, match="Gram matrix of 5 points"):
+            gram_matrix(cantor4_measure(), range(5))  # 25 entries
+
 
 class TestFrameBounds:
     def test_examples(self):
@@ -769,6 +787,17 @@ class TestCompletenessDefect:
         completeness_defect(mu, lam, t)
         monkeypatch.undo()
         assert len(built) < 10
+
+    def test_atomic_work_is_counted_before_phases_are_formed(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("phases were formed over budget")
+
+        mu = uniform(0, "1/2")
+        monkeypatch.setattr(errors, "WORK_BUDGET", 16)
+        assert completeness_defect(mu, range(8), Fraction(1, 3)) > 0  # 2 * 8 phases
+        monkeypatch.setattr(measures, "_unit_roots", unreachable)
+        with pytest.raises(TooLargeError, match="transforms of 2 atoms"):
+            completeness_defect(mu, range(9), Fraction(1, 3))  # 2 * 9
 
     def test_bessel_bound(self):
         mu = cantor4_measure()
