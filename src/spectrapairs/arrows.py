@@ -33,7 +33,7 @@ from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InconsistencyError, InvalidInputError, check_work
-from .exact import rational
+from .exact import integer, rational
 from .sets import FiniteRationalSet, Irrational
 
 __all__ = [
@@ -238,7 +238,7 @@ class Session:
 
     def _mask(self, indices: Iterable[int]) -> int:
         """The bitmask of element indices, each checked to be one."""
-        indices = set(indices)
+        indices = {integer(i, "index") for i in indices}
         if not indices <= set(range(len(self.elements))):
             raise InvalidInputError(f"indices must lie in range({len(self.elements)})")
         return sum(1 << i for i in indices)
@@ -327,6 +327,7 @@ def new_session(
     move_set = frozenset(_coerce(m) for m in moves)
     if not move_set:
         raise InvalidInputError("moves must be nonempty")
+    round_budget = integer(round_budget, "round budget")
     if round_budget < 1:
         raise InvalidInputError("round budget must be at least 1")
     session = Session(elements, move_set, round_budget)

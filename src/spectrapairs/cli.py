@@ -85,15 +85,15 @@ def _cmd_arrow_close(args) -> dict:
 
 
 def _cmd_rep_roundtrip(args) -> dict:
+    points, weights = read_measure(args.measure)
+    spectrum = read_set(args.spectrum)
+    _check_parse("rep-roundtrip", points, spectrum)
     from .representation import (
         is_wandering,
         measure_from_representation,
         multiplication_representation,
     )
 
-    points, weights = read_measure(args.measure)
-    spectrum = read_set(args.spectrum)
-    _check_parse("rep-roundtrip", points, spectrum)
     mu, S = parse_measure(points, weights), parse_set(spectrum)
     rep = multiplication_representation(mu)
     back = measure_from_representation(rep)
@@ -129,22 +129,24 @@ def _cmd_perm_rep(args) -> dict:
 
 
 def _cmd_cantor(args) -> dict:
-    import numpy as np
-
-    from .measures import cantor4_measure, completeness_defect, gram_matrix, jp_spectrum
-
     if args.grid < 1:
         raise InvalidInputError("grid must be positive")
     if not args.eps >= CANTOR_MIN_EPS:  # NaN too
         raise InvalidInputError(f"eps must be at least {CANTOR_MIN_EPS}")
-    if args.level >= 0:
-        # Gram entries, or transforms of the completeness sweep, over the
-        # points of jp_spectrum(level).  From level 21 on every count is
-        # over the budget, so the level is capped at 21: the count stays a
-        # lower bound, and a huge --level costs nothing to count.
-        size = 2 ** (min(args.level, 21) + 1)
-        work = size * size if args.check == "orthogonality" else args.grid * size
-        check_work(f"cantor --check {args.check}", work, errors.WORK_BUDGET)
+    if args.level < 0:
+        raise InvalidInputError("level must be between 0 and 20")
+    # Gram entries, or transforms of the completeness sweep, over the
+    # points of jp_spectrum(level).  From level 21 on every count is over
+    # the budget, so the level is capped at 21: the count stays a lower
+    # bound, and a huge --level costs nothing to count.  Every refusal
+    # comes before numpy is loaded.
+    size = 2 ** (min(args.level, 21) + 1)
+    work = size * size if args.check == "orthogonality" else args.grid * size
+    check_work(f"cantor --check {args.check}", work, errors.WORK_BUDGET)
+    import numpy as np
+
+    from .measures import cantor4_measure, completeness_defect, gram_matrix, jp_spectrum
+
     mu = cantor4_measure()
     lam = jp_spectrum(args.level)
     if args.check == "orthogonality":
@@ -184,11 +186,11 @@ def _cmd_cantor(args) -> dict:
 
 
 def _cmd_frame_bounds(args) -> dict:
-    from .measures import frame_bounds
-
     points, weights = read_measure(args.measure)
     lam = read_set(getattr(args, "lambda"))
     _check_parse("frame-bounds", points, lam)
+    from .measures import frame_bounds
+
     report = frame_bounds(parse_measure(points, weights), parse_set(lam).elements)
     return {"lower": report.lower, "upper": report.upper}
 
@@ -278,6 +280,21 @@ def run(argv) -> tuple[int, dict]:
 
 
 def main(argv=None) -> int:
+    """The entry point of the console script and of ``python -m
+    spectrapairs.cli``: run argv, print its result as one JSON line and
+    return the exit code.
+
+    Before any handler imports numpy, BLAS is held to one thread, unless
+    the caller's environment names a count: each run's matrices are
+    bounded by ``errors.WORK_BUDGET``, too small to repay the pool of
+    worker threads that loading numpy otherwise starts, one per core.
+    ``OMP_NUM_THREADS`` is OpenBLAS's fallback, after its own
+    ``OPENBLAS_NUM_THREADS``, and MKL's variable, so either one set by the
+    caller still wins.  Only here, in the process's own entry point: an
+    import of this module and ``run`` leave the environment as it is, and
+    a process that has already loaded numpy keeps its pool."""
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OMP_NUM_THREADS", "1")
     code, result = run(sys.argv[1:] if argv is None else argv)
     try:
         print(json.dumps(result), flush=True)

@@ -15,14 +15,16 @@ an exponential sum sum_x e^{2 pi i x t} at t = u / v is decided as
 ``root_sum(M)``, the sum of zeta_M^{n_x} over the numerators n_x, at its
 least order M = D v / gcd(u, D v), which the caller computes in integers.
 A grid counts its numerators once, on its first ``root_sum``.  Every point
-set takes its rationals through ``rational``, so no numpy integer reaches
-an exact product.  A grid counts its own size as it is built, against
+set takes its rationals through ``rational``, and every integer parameter
+goes through ``integer``, so no numpy integer reaches an exact product or
+count.  A grid counts its own size as it is built, against
 ``GRID_WORK_BUDGET``, so every point set that holds one is bounded.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +34,7 @@ from .errors import InvalidInputError, check_work
 
 __all__ = [
     "rational",
+    "integer",
     "cyclotomic_polynomial",
     "CycSum",
     "root_sum_is_zero",
@@ -78,6 +81,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     Computed by exact division of x^n - 1 by Phi_d over the proper
     divisors d of n; memoized since callers revisit small orders often.
     """
+    n = integer(n, "cyclotomic order")
     if n < 1:
         raise InvalidInputError("cyclotomic order must be positive")
     poly = [-1] + [0] * (n - 1) + [1]
@@ -96,10 +100,20 @@ class CycSum:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Mapping[int, int]):
+        index = operator.index
+        try:
+            terms = [(index(e), index(c)) for e, c in coeffs.items()]
+        except TypeError:
+            raise InvalidInputError("exponents and coefficients must be integers") from None
+        self._reduce(integer(order, "order"), terms)
+
+    def _reduce(self, order: int, terms: Iterable[tuple[int, int]]) -> None:
+        """Set the fields from a Python-int order and (exponent,
+        coefficient) pairs of Python ints."""
         if order < 1:
             raise InvalidInputError("order must be positive")
         reduced: dict[int, int] = {}
-        for e, c in coeffs.items():
+        for e, c in terms:
             e %= order
             reduced[e] = reduced.get(e, 0) + c
         if not all(reduced.values()):
@@ -233,6 +247,17 @@ def rational(x) -> Fraction:
     return Fraction(int(x.numerator), int(x.denominator))
 
 
+def integer(x, name: str) -> int:
+    """x as a Python int, through ``operator.index``: the one rule by
+    which every integer parameter is taken.  A numpy integer becomes a
+    Python int, so no exact count made from it wraps around in int64; a
+    float, a Fraction or a string is invalid input, reported as ``name``."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, not {type(x).__name__}") from None
+
+
 class RationalPhases:
     """A finite list of rationals x as Python-int numerators over one
     common denominator, for exact exponential sums sum_x e^{2 pi i x t}
@@ -267,4 +292,10 @@ class RationalPhases:
         and zeta_M -> zeta_M^w is an automorphism of Q(zeta_M)."""
         if self._counts is None:
             self._counts = Counter(self.numerators)
-        return CycSum(order, self._counts)
+        # The counts are Python ints already: only the order is converted,
+        # and only when it is not an int, since every zero test comes here.
+        if type(order) is not int:
+            order = integer(order, "order")
+        s = CycSum.__new__(CycSum)
+        s._reduce(order, self._counts.items())
+        return s

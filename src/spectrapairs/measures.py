@@ -20,7 +20,7 @@ import numpy as np
 
 from . import errors
 from .errors import InvalidInputError, check_work
-from .exact import RationalPhases, rational, root_sum_is_zero
+from .exact import RationalPhases, integer, rational, root_sum_is_zero
 
 __all__ = [
     "AtomicMeasure",
@@ -91,6 +91,7 @@ class IFSMeasure:
     __slots__ = ("scale", "digits", "phases")
 
     def __init__(self, scale: int, digits: Iterable):
+        scale = integer(scale, "scale")
         digs = tuple(sorted(rational(d) for d in digits))
         if scale < 2:
             raise InvalidInputError("scale must be at least 2")
@@ -463,6 +464,7 @@ def ifs_transform(mu: IFSMeasure, t, eps: float, symbolic: bool = True) -> IFSTr
 
 def jp_spectrum(level: int) -> tuple[int, ...]:
     """All sums sum_{k=0}^{level} 4^k l_k with binary digits l_k."""
+    level = integer(level, "level")
     if level < 0 or level > 20:
         raise InvalidInputError("level must be between 0 and 20")
     points = [0]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import errors
 from .errors import InvalidInputError, check_work
-from .exact import RationalPhases, rational
+from .exact import RationalPhases, integer, rational
 from .measures import AtomicMeasure, _unit_roots
 from .sets import FiniteRationalSet
 
@@ -157,12 +157,13 @@ def generator_shift(n: int, p: int, q: int) -> int:
     reduced, so q is prime to n."""
     from .spectral import _check_line_set
 
-    _check_line_set(n, p, q)
+    n, p, q = _check_line_set(n, p, q)
     return pow(q, -1, n)
+
 
 def shift_for_time(n: int, p: int, q: int, j: int) -> int:
     """Shift amount of U(j/q) = (cyclic shift)^j, exactly."""
-    return (j * generator_shift(n, p, q)) % n
+    return integer(j, "j") * generator_shift(n, p, q) % integer(n, "n")
 
 
 def permutation_representation(n: int, p: int, q: int) -> FiniteRep:
@@ -176,6 +177,7 @@ def permutation_representation(n: int, p: int, q: int) -> FiniteRep:
     ``errors.WORK_BUDGET`` after the preconditions.
     """
     s = generator_shift(n, p, q)
+    n, q = integer(n, "n"), integer(q, "q")
     check_work("permutation representation", n * n, errors.WORK_BUDGET)
     V = _unit_roots(RationalPhases(range(n)), range(n), n) / math.sqrt(n)
     eigenvalues = [Fraction(((-m * s) % n) * q, n) for m in range(n)]

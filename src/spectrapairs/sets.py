@@ -79,7 +79,7 @@ class FiniteRationalSet:
         return iter(self.elements)
 
     def __contains__(self, x) -> bool:
-        return Fraction(x) in self.elements
+        return rational(x) in self.elements
 
     def __eq__(self, other) -> bool:
         return (

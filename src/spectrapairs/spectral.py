@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 from . import errors
 from .errors import InvalidInputError, check_work
-from .exact import RationalPhases, rational, root_sum_is_zero
+from .exact import RationalPhases, integer, rational, root_sum_is_zero
 from .sets import ElementInput, FiniteRationalSet, Irrational
 
 __all__ = [
@@ -96,9 +96,11 @@ class SpectralDecision(NamedTuple):
         return out
 
 
-def _check_line_set(n: int, p: int, q: int) -> None:
+def _check_line_set(n: int, p: int, q: int) -> tuple[int, int, int]:
     """Preconditions of the line-set constructions for {0, ..., n-2, p/q}:
-    the spectral case of the criterion, with p/q in reduced form."""
+    the spectral case of the criterion, with p/q in reduced form.  Returns
+    n, p and q as Python ints."""
+    n, p, q = integer(n, "n"), integer(p, "p"), integer(q, "q")
     if n < 3:
         raise InvalidInputError("n must be at least 3")
     if q < 1:
@@ -107,12 +109,13 @@ def _check_line_set(n: int, p: int, q: int) -> None:
         raise InvalidInputError("p/q must be in reduced form")
     if (p + q) % n != 0:
         raise InvalidInputError("(p + q) must be divisible by n")
+    return n, p, q
 
 
 def construct_line_spectrum(n: int, p: int, q: int) -> FiniteRationalSet:
     """Witness spectrum {0, q/n, ..., (n-1) q/n} for {0, ..., n-2, p/q};
     counts 2 n against ``errors.WORK_BUDGET`` after the preconditions."""
-    _check_line_set(n, p, q)
+    n, p, q = _check_line_set(n, p, q)
     check_work("line-set witness", 2 * n, errors.WORK_BUDGET)
     # Implied by the preconditions: a common prime of q and n would divide p.
     assert math.gcd(q, n) == 1
@@ -121,6 +124,7 @@ def construct_line_spectrum(n: int, p: int, q: int) -> FiniteRationalSet:
 
 def decide_line_set(n: int, a: ElementInput) -> SpectralDecision:
     """Closed-form spectrality decision for {0, 1, ..., n-2, a}."""
+    n = integer(n, "n")
     if n < 3:
         raise InvalidInputError("n must be at least 3")
     if isinstance(a, Irrational):
@@ -151,7 +155,7 @@ def search_spectrum(
     built, then one unit per pair test and |A| * words(M) units per zero
     test, words(M) the 64-bit words of M.
     """
-    span = Fraction(span)
+    q_max, span = integer(q_max, "q_max"), rational(span)
     if q_max < 1 or span <= 0:
         raise InvalidInputError("q_max must be >= 1 and span positive")
     work = -(-span.numerator * q_max * (q_max + 1) // (2 * span.denominator))  # ceil

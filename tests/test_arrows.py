@@ -5,6 +5,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,6 +89,18 @@ class TestNewSession:
                 call()
         assert (session.to_json(), session.trace, session._den, session._half) == before
         assert close(session).has_fact({0}, 1, {1})
+
+    def test_numpy_indices_and_budget_are_python_ints(self):
+        # 1 << np.int64(69) wraps around in int64: the fact {69} ->(0) {69}
+        # was reported missing, and {65} read as an empty source.
+        session = new_session(range(70), [1], round_budget=np.int64(1))
+        assert type(session.round_budget) is int
+        assert session.has_fact([np.int64(69)], 0, [np.int64(69)])
+        assert session.add_fact([np.int64(65)], 1, [np.int64(66)]) is False
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            session.has_fact([1.0], 0, [1])
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            new_session([0, 1], [1], round_budget=2.0)
 
     def test_large_ground_set_is_too_large_before_seeding(self, monkeypatch):
         # Each of the |A|^2 base facts is charged 1 + |A| units: 202 points

@@ -288,6 +288,127 @@ assert "numpy" not in sys.modules, "numpy was imported"
     assert proc.returncode == 0, proc.stderr
 
 
+def _env(**variables):
+    """The environment for a CLI child: the package from src, no BLAS
+    thread count of the caller's, then ``variables``."""
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(variables)
+    return env
+
+
+def test_refusals_of_numpy_commands_do_not_import_numpy(tmp_path):
+    # Each is refused from its arguments or its files' arrays alone, so it
+    # need not pay for loading numpy.
+    long_element = _file(tmp_path, json.dumps(["1" * 140000]))
+    measure, spectrum = data("measure_half.json"), data("lambda_01.json")
+    refusals = [
+        ["cantor", "--level", "30", "--check", "orthogonality"],
+        ["cantor", "--level", "30", "--check", "completeness"],
+        ["cantor", "--level", "-1", "--check", "orthogonality"],
+        ["cantor", "--level", "1", "--check", "completeness", "--grid", "0"],
+        ["cantor", "--level", "1", "--check", "orthogonality", "--eps", "nan"],
+        ["rep-roundtrip", "--measure", "/nonexistent.json", "--spectrum", spectrum],
+        ["rep-roundtrip", "--measure", spectrum, "--spectrum", spectrum],
+        ["rep-roundtrip", "--measure", measure, "--spectrum", long_element],
+        ["frame-bounds", "--measure", "/nonexistent.json", "--lambda", spectrum],
+        ["frame-bounds", "--measure", measure, "--lambda", long_element],
+    ]
+    script = """
+import json, sys
+from spectrapairs.cli import run
+for argv in json.loads(sys.argv[1]):
+    code, result = run(argv)
+    assert code == 1, (argv, result)
+    assert "numpy" not in sys.modules, " ".join(argv) + " imported numpy"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(refusals)],
+        capture_output=True, text=True, env=_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# Runs main() on a numpy command, then prints the process's threads and
+# its BLAS variables.
+_THREADS_SCRIPT = """
+import json, os, sys
+before = dict(os.environ)
+import spectrapairs.cli as cli
+assert cli.run(["decide-line-set", "--n", "3", "--a", "2/1"])[0] == 0
+assert dict(os.environ) == before, "import or run changed the environment"
+if sys.argv[1] == "numpy first":
+    import numpy
+cli.main(["frame-bounds", "--measure", sys.argv[2], "--lambda", sys.argv[3]])
+names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+print(json.dumps([len(os.listdir("/proc/self/task"))] + [os.environ.get(n) for n in names]))
+"""
+
+
+def _threads(env, order="cli first"):
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", _THREADS_SCRIPT, order,
+            data("measure_half.json"), data("lambda_01.json"),
+        ],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _numpy_threads(env):
+    """The threads of a process that only imports numpy, under env."""
+    script = "import os, numpy; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+linux_only = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task"
+)
+
+
+@linux_only
+def test_main_runs_blas_on_one_thread_unless_the_caller_chose():
+    # Loading numpy starts one BLAS thread per core; main() holds it to
+    # one.  On a 1-core machine the count is 1 either way.
+    assert _threads(_env()) == [1, "1", None]
+    # OPENBLAS_NUM_THREADS comes before OMP_NUM_THREADS in OpenBLAS, so a
+    # caller's value of either one wins.
+    for variable in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        env = _env(**{variable: "2"})
+        threads, omp, openblas = _threads(env)
+        assert threads == _numpy_threads(env), variable
+        assert {"OMP_NUM_THREADS": omp, "OPENBLAS_NUM_THREADS": openblas}[variable] == "2"
+    # A numpy that is already loaded keeps its pool.
+    env = _env()
+    assert _threads(env, "numpy first") == [_numpy_threads(env), None, None]
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("frame-bounds", "--lambda"), ("rep-roundtrip", "--spectrum")]
+)
+def test_report_does_not_depend_on_the_core_count(command, flag, tmp_path):
+    # From 129 points on, OpenBLAS splits these products over its threads,
+    # and a second thread changed the last bits of both reports.  The CLI
+    # runs one thread unless told otherwise, so its stdout is that of
+    # OMP_NUM_THREADS=1.  On a 1-core machine the two runs agree anyway.
+    argv = [
+        sys.executable, "-m", "spectrapairs.cli", command,
+        "--measure", _uniform_measure(tmp_path, 129), flag, _integer_set(tmp_path, 129),
+    ]
+    runs = [
+        subprocess.run(argv, capture_output=True, text=True, env=env)
+        for env in (_env(), _env(OMP_NUM_THREADS="1"))
+    ]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, ""), (0, "")]
+    assert runs[0].stdout == runs[1].stdout
+
+
 # One case per subcommand, and the layer it must leave unloaded.
 LAYER_CASES = {
     "decide_spectral": "spectrapairs.arrows",
@@ -636,7 +757,9 @@ def test_cli_answers_within_seconds(name, tmp_path):
 
 
 # Library calls that ran for seconds to minutes while only the CLI counted
-# their work: each must raise TooLargeError in a fresh process within 5 s.
+# their work, or while a numpy integer wrapped a count around in int64:
+# each must raise TooLargeError, or answer where LIBRARY_ANSWERS says so,
+# in a fresh process within 5 s.
 LIBRARY_SECONDS_CASES = {
     # 2000 distinct 12-digit denominators and 250,000 points over one
     # more: past 120 s for their numerators of up to 24,000 digits.
@@ -695,7 +818,22 @@ LIBRARY_SECONDS_CASES = {
         "completeness_defect(AtomicMeasure.uniform(Fraction(k, 5000) for k in range(5000)),"
         " range(1000), Fraction(1, 3))"
     ),
+    # An np.int64 span: Fraction(span) kept it, and the candidate count
+    # wrapped around to a negative number under the budget.
+    "search_spectrum_numpy_span": (
+        "search_spectrum(FiniteRationalSet([0, 1, 2]), 10, numpy.int64(2**63 // 110 + 1000))"
+    ),
+    # An np.int64 q_max: q_max * (q_max + 1) wrapped around the same way.
+    "search_spectrum_numpy_q_max": (
+        "search_spectrum(FiniteRationalSet([0, 1, 2]), numpy.int64(3037000500), 1)"
+    ),
+    # An np.int64 scale: its powers wrapped around in int64 and never
+    # reached the 2^1000 that ends the float table.
+    "ifs_transform_numpy_scale": "ifs_transform(IFSMeasure(numpy.int64(4), (0, 2)), 1, 1e-10)",
 }
+
+# The cases that answer, and what they print.
+LIBRARY_ANSWERS = {"ifs_transform_numpy_scale": "IFSTransformValue(value=0j, depth=1)"}
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_SECONDS_CASES))
@@ -704,14 +842,15 @@ def test_library_refuses_within_seconds(name):
         "from fractions import Fraction\n"
         "import numpy\n"
         "from spectrapairs.errors import TooLargeError\n"
-        "from spectrapairs.measures import AtomicMeasure, cantor4_measure, completeness_defect,"
-        " frame_bounds, gram_matrix\n"
+        "from spectrapairs.measures import AtomicMeasure, IFSMeasure, cantor4_measure,"
+        " completeness_defect, frame_bounds, gram_matrix, ifs_transform\n"
         "from spectrapairs.representation import FiniteRep, is_wandering,"
         " multiplication_representation, permutation_representation\n"
         "from spectrapairs.sets import FiniteRationalSet\n"
-        "from spectrapairs.spectral import certify_spectral_pair, construct_line_spectrum\n"
+        "from spectrapairs.spectral import certify_spectral_pair, construct_line_spectrum,"
+        " search_spectrum\n"
         "try:\n"
-        f"    {LIBRARY_SECONDS_CASES[name]}\n"
+        f"    print({LIBRARY_SECONDS_CASES[name]})\n"
         "except TooLargeError as exc:\n"
         "    print(exc.reason)\n"
     )
@@ -721,7 +860,8 @@ def test_library_refuses_within_seconds(name):
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=5
     )
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "too_large\n")
+    expected = LIBRARY_ANSWERS.get(name, "too_large")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", expected + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -766,7 +906,9 @@ def test_long_set_file_is_counted_before_it_is_parsed(command, flag, long_set_fi
     assert json.loads(proc.stdout)["reason"] == "too_large"
 
 
-@pytest.mark.parametrize("command, flag", [("frame-bounds", "--lambda"), ("rep-roundtrip", "--spectrum")])
+@pytest.mark.parametrize(
+    "command, flag", [("frame-bounds", "--lambda"), ("rep-roundtrip", "--spectrum")]
+)
 def test_support_over_a_denominator_past_the_float_range(command, flag, tmp_path):
     # Every phase modulus of the support {0, 1/10^400} is 10^400 or more,
     # past the float range: both commands once ended in a traceback.

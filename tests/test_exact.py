@@ -16,6 +16,7 @@ from spectrapairs.exact import (
     RationalPhases,
     _split_order,
     cyclotomic_polynomial,
+    integer,
     rational,
     root_sum_is_zero,
 )
@@ -318,6 +319,34 @@ def test_grid_holds_python_ints_whatever_the_input(points, denominator, numerato
     for x in points:
         r = rational(x)
         assert type(r) is Fraction and type(r.numerator) is int and type(r.denominator) is int
+
+
+@pytest.mark.parametrize("x", [7, np.int64(7), np.uint8(7), np.int32(7)])
+def test_integer_gives_a_python_int(x):
+    assert (integer(x, "x"), type(integer(x, "x"))) == (7, int)
+
+
+@pytest.mark.parametrize("x", [7.0, np.float64(7), Fraction(7), "7", None])
+def test_integer_refuses_a_non_integer(x):
+    with pytest.raises(InvalidInputError, match="^x must be an integer"):
+        integer(x, "x")
+
+
+def test_numpy_order_and_terms_are_python_ints():
+    # An np.int64 exponent reduced mod an order past int64 raised
+    # OverflowError.
+    order = 2 * (2**64 + 13)
+    s = CycSum(np.int64(6), {np.int64(0): np.int64(1), np.int64(3): 1})
+    assert root_sum_is_zero(s) and type(s.order) is int
+    s = CycSum(order, {np.int64(0): 1, order // 2: np.int64(1)})
+    assert root_sum_is_zero(s)
+    assert all(type(e) is int and type(c) is int for e, c in s.coeffs.items())
+    assert cyclotomic_polynomial(np.int64(6)) == cyclotomic_polynomial(6)
+    s = RationalPhases([0, 1]).root_sum(np.int64(2))
+    assert root_sum_is_zero(s) and type(s.order) is int
+    for order, coeffs in ((6.0, {0: 1}), (6, {0.5: 1}), (6, {0: Fraction(1)})):
+        with pytest.raises(InvalidInputError, match="must be an integer|must be integers"):
+            CycSum(order, coeffs)
 
 
 def _point_sets():

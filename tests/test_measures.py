@@ -351,6 +351,14 @@ class TestTransformKernel:
             )
             assert abs(atomic_transform(mu, t) - ref) <= 1e-15
 
+    def test_numpy_integer_scale_is_a_python_int(self):
+        # The transform of an np.int64 scale never returned (see
+        # LIBRARY_SECONDS_CASES in test_cli.py).
+        mu = IFSMeasure(np.int64(4), (0, 2))
+        assert type(mu.scale) is int and mu == cantor4_measure()
+        with pytest.raises(InvalidInputError, match="scale must be an integer"):
+            IFSMeasure(4.0, (0, 2))
+
     def test_numpy_integer_support_reduced_exactly(self):
         # np.int64 support points once made the phases wrap around in
         # int64: this read 0.188-0.391j.

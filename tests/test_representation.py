@@ -231,6 +231,21 @@ class TestPermutationRepresentation:
             C[(i + s) % n, i] = 1.0
         assert np.max(np.abs(evaluate_group_element(rep, Fraction(1, q)) - C)) < 1e-12
 
+    def test_numpy_integers_are_taken_as_python_ints(self):
+        # pow(q, -1, n) on numpy integers raised a bare TypeError.
+        n, p, q = np.int64(3), np.int64(2), np.int64(1)
+        s = generator_shift(n, p, q)
+        assert (s, type(s)) == (1, int)
+        t = shift_for_time(n, p, q, np.int64(2))
+        assert (t, type(t)) == (2, int)
+        rep = permutation_representation(np.int64(6), np.int64(5), np.int64(7))
+        assert rep.eigenvalues == permutation_representation(6, 5, 7).eigenvalues
+
+    @pytest.mark.parametrize("n, p, q, j", [(3.0, 2, 1, 1), (3, 2, "1", 1), (3, 2, 1, 0.5)])
+    def test_non_integer_is_invalid_input(self, n, p, q, j):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            shift_for_time(n, p, q, j)
+
     def test_generator_power_nq_is_identity(self):
         for n, p, q in [(3, 2, 1), (4, 3, 1), (5, 1, 4), (6, 5, 7)]:
             assert shift_for_time(n, p, q, n * q) == 0

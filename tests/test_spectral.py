@@ -279,6 +279,14 @@ class TestConstructLineSpectrum:
         assert is_spectral_pair(fset(0, 1, "1/2"), construct_line_spectrum(3, 1, 2))
         assert is_spectral_pair(fset(0, 1, 2, 3), construct_line_spectrum(4, 3, 1))
 
+    def test_numpy_integers_are_taken_as_python_ints(self):
+        B = construct_line_spectrum(np.int64(3), np.int64(2), np.int64(1))
+        assert B == fset(0, "1/3", "2/3")
+        assert all(type(b.numerator) is int and type(b.denominator) is int for b in B)
+        assert decide_line_set(np.int64(3), np.int64(2)) == decide_line_set(3, 2)
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            decide_line_set(3.0, 2)
+
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):
             construct_line_spectrum(3, 2, 4)  # not reduced
@@ -307,6 +315,8 @@ class TestSearchSpectrum:
             search_spectrum(fset(0, 1), 0, 1)
         with pytest.raises(InvalidInputError):
             search_spectrum(fset(0, 1), 2, 0)
+        with pytest.raises(InvalidInputError, match="q_max must be an integer"):
+            search_spectrum(fset(0, 1), 2.0, 1)
 
     @given(
         numerators=st.one_of(
