@@ -29,11 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
-from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InconsistencyError, InvalidInputError, check_work
-from .exact import integer, rational
+from .exact import RationalPhases, integer, rational
 from .sets import FiniteRationalSet, Irrational
 
 __all__ = [
@@ -108,14 +107,15 @@ class Session:
     Sources and targets are int bitmasks over the element indices.  A move
     c0 + c1*alpha is (x, y) = (c0*D, c1*D), by dividing D by each
     denominator, and is stored as one int, its code x + W*y with W = 2H + 1.
-    The grid is fixed when the session is built: D is a common denominator
-    of the elements and moves, and H is twice the largest |x| of an
-    element, of a base difference (the elements' span) and of a total
-    ``close`` may form, (round_budget + 1) * the largest |x| of a move.  So
-    adding two codes adds their moves without aliasing, and a code decodes
-    to the x in [-H, H] congruent to it mod W.  Only ``add_fact`` with a
-    move off the grid or past +-H refines D or widens H, recoding the
-    store, rows, trace and generators.
+    The grid is fixed when the session is built: D is the denominator of
+    the ``RationalPhases`` of the elements' and moves' c0 and c1, which
+    counts its cost against ``GRID_WORK_BUDGET``, and whose numerators give
+    the codes of the elements and generating moves.  H is twice the largest
+    |x| of an element, of a base difference (the elements' span) and of a
+    total ``close`` may form, (round_budget + 1) * the largest |x| of a
+    move.  So adding two codes adds their moves without aliasing, and a
+    code decodes to the x in [-H, H] congruent to it mod W.  ``add_fact``
+    refuses a move off the grid or past +-H, so the trace is append-only.
     The store keys each fact by its source and move code, beside a
     per-source ``{code: target}`` index.  Every write, each shrink (R4)
     too, goes through ``_add``.  ``facts`` and ``trace`` are built from the
@@ -134,12 +134,19 @@ class Session:
         self.closed = False
         self.rounds_used = 0
         self._full = (1 << len(self.elements)) - 1
-        den = lcm(*(lcm(m.const.denominator, m.sym.denominator) for m in (*self.elements, *moves)))
-        xs = [e.const.numerator * (den // e.const.denominator) for e in self.elements]
-        reach = max((abs(m.const.numerator) * den // m.const.denominator for m in moves), default=0)
-        span = max(xs, default=0) - min(xs, default=0)
-        self._den, self._half = den, 2 * max(*map(abs, xs), span, (round_budget + 1) * reach)
+        points = (*self.elements, *moves)
+        grid = RationalPhases([p.const for p in points] + [p.sym for p in points])
+        xs, ys = grid.numerators[: len(points)], grid.numerators[len(points) :]
+        n = len(self.elements)
+        reach = max(map(abs, xs[n:]), default=0)
+        span = max(xs[:n], default=0) - min(xs[:n], default=0)
+        self._den = grid.denominator
+        self._half = 2 * max(*map(abs, xs[:n]), span, (round_budget + 1) * reach)
         self._width = 2 * self._half + 1
+        codes = [x + self._width * y for x, y in zip(xs, ys)]
+        # The codes of the elements, in order, and of the generating moves.
+        self._points = codes[:n]
+        self._generators = frozenset(codes[n:])
         # Minimal known target per (source, move code), in insertion order,
         # and the same facts grouped by source.
         self._facts: dict[tuple[int, int], int] = {}
@@ -149,7 +156,6 @@ class Session:
         self._trace: list[tuple] = []
         # Keys written since the last snapshot of ``close`` (its first round reads none).
         self._changed: set[tuple[int, int]] = set()
-        self._generators = frozenset(map(self._lookup, moves))
 
     @property
     def facts(self) -> dict[tuple[frozenset[int], Affine], frozenset[int]]:
@@ -167,8 +173,9 @@ class Session:
         return self._format_trace(len(self._trace))
 
     def _format_trace(self, length: int) -> list[dict]:
-        """The first ``length`` entries of the trace.  Recoding keeps every
-        entry's moves, so a prefix reads the same at any later time."""
+        """The first ``length`` entries of the trace.  Entries are only
+        appended, on a grid that never changes, so a prefix reads the same
+        at any later time."""
         name = self._names()
         return [
             {
@@ -208,34 +215,6 @@ class Session:
             return None
         return x + self._width * move.sym.numerator * q1
 
-    def _refine(self, moves: Sequence[Affine]) -> None:
-        """Refine D until every move is on the grid, and widen H to twice
-        every |c0*D| of the moves, recoding what the session stores.  Only
-        ``add_fact`` calls it: the grid built with the session covers every
-        move ``close`` forms."""
-        den = lcm(self._den, *(lcm(m.const.denominator, m.sym.denominator) for m in moves))
-        k = den // self._den
-        tops = (abs(m.const.numerator) * (den // m.const.denominator) for m in moves)
-        half = 2 * max(self._half // 2 * k, *tops)
-        if half == self._half and k == 1:
-            return
-        old_half, old_width = self._half, self._width
-        self._den, self._half, self._width = den, half, 2 * half + 1
-
-        def recode(code: int) -> int:
-            x = (code + old_half) % old_width - old_half
-            return k * (x + self._width * ((code - x) // old_width))
-
-        self._generators = frozenset(map(recode, self._generators))
-        self._facts = {(s, recode(m)): t for (s, m), t in self._facts.items()}
-        self._by_source = {
-            s: {recode(m): t for m, t in row.items()} for s, row in self._by_source.items()
-        }
-        self._trace[:] = [
-            (rule, s, recode(m), t, tuple((ps, recode(pm), pt) for ps, pm, pt in parents))
-            for rule, s, m, t, parents in self._trace
-        ]
-
     def _mask(self, indices: Iterable[int]) -> int:
         """The bitmask of element indices, each checked to be one."""
         indices = {integer(i, "index") for i in indices}
@@ -258,16 +237,22 @@ class Session:
     ) -> bool:
         """Insert a fact, eagerly intersecting targets (R4).  Returns True
         when knowledge grew.  ``parents`` lists the (source, move, target)
-        facts it was derived from, for the trace."""
-        mask, move = self._mask, _coerce(move)
+        facts it was derived from, for the trace.  The move and each
+        parent's must lie on the session's grid; otherwise nothing is
+        stored and ``InvalidInputError`` is raised."""
+        mask, code = self._mask, self._code
         s, t = mask(source), mask(target)
         if not s or not t:
             raise InvalidInputError("source and target must be nonempty")
-        parents = [(mask(ps), _coerce(pm), mask(pt)) for ps, pm, pt in parents or ()]
-        self._refine((move, *(pm for _, pm, _ in parents)))
-        code = self._lookup
-        parents = tuple((ps, code(pm), pt) for ps, pm, pt in parents)
+        parents = tuple((mask(ps), code(pm), mask(pt)) for ps, pm, pt in parents or ())
         return self._add(rule, s, code(move), t, parents)
+
+    def _code(self, move) -> int:
+        """The code of a move, which must lie on the grid, within +-H."""
+        code = self._lookup(move)
+        if code is None:
+            raise InvalidInputError(f"move {_coerce(move)} is off the session's grid")
+        return code
 
     def _add(self, rule: str, s: int, m: int, t: int, parents=()) -> bool:
         """``add_fact`` on the store's own types, for a nonempty s and t; the
@@ -332,7 +317,7 @@ def new_session(
         raise InvalidInputError("round budget must be at least 1")
     session = Session(elements, move_set, round_budget)
     # Codes add as moves do: H covers the elements' span, so b - a is b' - a'.
-    points = [session._lookup(e) for e in elements]
+    points = session._points
     for i, a in enumerate(points):
         session._add("base", 1 << i, 0, 1 << i)
         for j, b in enumerate(points):

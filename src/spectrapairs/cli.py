@@ -136,12 +136,13 @@ def _cmd_cantor(args) -> dict:
     if args.level < 0:
         raise InvalidInputError("level must be between 0 and 20")
     # Gram entries, or transforms of the completeness sweep, over the
-    # points of jp_spectrum(level).  From level 21 on every count is over
-    # the budget, so the level is capped at 21: the count stays a lower
-    # bound, and a huge --level costs nothing to count.  Every refusal
-    # comes before numpy is loaded.
+    # points of jp_spectrum(level), plus 64 for each Q(t): its fixed cost,
+    # measured at about 37 transforms.  From level 21 on every count is
+    # over the budget, so the level is capped at 21: the count stays a
+    # lower bound, and a huge --level costs nothing to count.  Every
+    # refusal comes before numpy is loaded.
     size = 2 ** (min(args.level, 21) + 1)
-    work = size * size if args.check == "orthogonality" else args.grid * size
+    work = size * size if args.check == "orthogonality" else args.grid * (size + 64)
     check_work(f"cantor --check {args.check}", work, errors.WORK_BUDGET)
     import numpy as np
 

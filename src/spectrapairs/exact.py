@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -239,9 +240,14 @@ def root_sum_is_zero(s: CycSum) -> bool:
 def rational(x) -> Fraction:
     """x as an exact Fraction of Python ints: the one rule by which every
     point set takes its inputs.  ``Fraction(x)`` alone keeps a numpy
-    integer as it is, and exact products of one wrap around silently."""
+    integer as it is, and exact products of one wrap around silently.
+    What is no rational number (NaN, an infinity, None, a complex number,
+    a string that ``Fraction`` cannot read) is invalid input."""
     if type(x) is not Fraction:
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise InvalidInputError(f"not a rational number: {reprlib.repr(x)}") from None
     if type(x.numerator) is int and type(x.denominator) is int:
         return x
     return Fraction(int(x.numerator), int(x.denominator))

@@ -4,14 +4,16 @@ set elements or spectra.
 Every file is read in two steps: ``read_set`` and ``read_measure`` return
 its JSON arrays, ``parse_set`` and ``parse_measure`` parse their elements.
 So every command counts its work from the arrays' lengths before it pays
-for parsing, several microseconds per element."""
+for parsing, several microseconds per element, and a file of more than
+``16 * errors.WORK_BUDGET`` bytes is refused before it is parsed."""
 
 from __future__ import annotations
 
 import json
 from typing import TYPE_CHECKING
 
-from .errors import InvalidInputError
+from . import errors
+from .errors import InvalidInputError, TooLargeError, check_work
 from .sets import FiniteRationalSet, parse_fraction
 
 if TYPE_CHECKING:
@@ -24,13 +26,17 @@ _MEASURE_FORMAT = 'measure file must be a JSON object {"points": [...], "weights
 
 def _read(path: str, kind: type, expected: str):
     """The JSON value in the file at ``path``.  A missing file raises
-    FileNotFoundError; any other unreadable file, bad JSON, or a top-level
-    value that is not a ``kind`` is invalid input, with message
-    ``expected`` for the last."""
+    FileNotFoundError; a file, or a pipe, of more than 16 bytes per unit
+    of ``errors.WORK_BUDGET`` is too large, refused before it is parsed;
+    any other unreadable file, bad JSON, or a top-level value that is not
+    a ``kind`` is invalid input, with message ``expected`` for the last."""
+    limit = 16 * errors.WORK_BUDGET
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
+        with open(path, "rb") as fh:
+            raw = fh.read(limit + 1)
+        check_work("reading an input file", len(raw), limit)
+        data = json.loads(raw)
+    except (FileNotFoundError, TooLargeError):
         raise
     except (OSError, ValueError, RecursionError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None

@@ -71,7 +71,7 @@ class TestNewSession:
     def test_index_outside_the_ground_set_is_invalid(self, index):
         # {5} on three points once stored a fact that the next close turned
         # into a false contradiction; -1 raised a bare ValueError.  Nothing
-        # is stored, and the 1/7 does not refine the grid.
+        # is stored, and the index is refused before the move off the grid.
         session = new_session([0, 1, 2], [1, -1], round_budget=2)
         before = (session.to_json(), session.trace, session._den, session._half)
         seventh = Fraction(1, 7)
@@ -290,10 +290,11 @@ def _assert_index_matches_store(session):
 
 def _outcome(engine, ground, moves, budget, seeds=()):
     """What ``close`` yields: the payload and trace, or the error's message
-    and trace."""
+    and trace.  Each seed is a (source, move, target, parents) fact added
+    before closing."""
     session = engine.new_session(ground, moves, round_budget=budget)
-    for source, move, target in seeds:
-        session.add_fact(frozenset(source), move, frozenset(target))
+    for source, move, target, parents in seeds:
+        session.add_fact(frozenset(source), move, frozenset(target), parents=parents)
     try:
         closed = engine.close(session)
     except InconsistencyError as exc:
@@ -386,10 +387,18 @@ class TestAgainstNaiveEngine:
         got = _outcome(arrows, [Fraction(0), Fraction(1)], [0], 3)
         assert got == _outcome(naive_arrows, [Fraction(0), Fraction(1)], [0], 3)
 
-    def test_seeded_fact_off_the_common_denominator(self):
-        # A seeded move of 1/7 refines the common denominator of {0, 1, 2}.
-        seeds = [({0}, Affine(Fraction(1, 7)), {1, 2}), ({1}, Affine(Fraction(-1, 7)), {0, 2})]
-        assert _assert_matches_naive_engine([Fraction(k) for k in range(3)], 4, seeds) == "closed"
+    @pytest.mark.parametrize("shape,budget", [case[:2] for case in _CLOSURE_SHAPES], ids=_shape_id)
+    def test_seeded_facts_on_the_grid(self, shape, budget):
+        # A seed at a sum of three generating moves, which is no base
+        # difference of these shapes, with two base facts as its parents
+        # (given as the naive engine records them), and a second seed that
+        # shrinks its target (R4).
+        ground = _scaled(shape)
+        m1, m2 = ground[1] - ground[0], ground[2] - ground[0]
+        move = m1 + m2 + m2
+        parents = [([0], str(m1), [1]), ([1], str(-m1), [0])]
+        seeds = [({0}, move, {1, 2}, parents), ({0}, move, {0, 2}, [])]
+        _assert_matches_naive_engine(ground, budget, seeds)
 
 
 class TestOneWriter:
@@ -422,18 +431,13 @@ class TestOneWriter:
         _assert_index_matches_store(session)
 
     @pytest.mark.parametrize("case", ["symbolic", "primes"])
-    def test_close_keeps_the_grid_of_new_session(self, monkeypatch, case):
+    def test_close_keeps_the_grid_of_new_session(self, case):
         if case == "symbolic":
             session = three_point_session()
         else:
             primes = [p for p in range(2, 72) if all(p % q for q in range(2, p))]
             session = new_session([0, 1, 2], [Fraction(1, p) for p in primes], round_budget=2)
-
-        def unreachable(self, moves):
-            raise AssertionError("close recoded the session")
-
         grid = (session._den, session._half)
-        monkeypatch.setattr(arrows.Session, "_refine", unreachable)
         close(session)
         assert (session._den, session._half) == grid
 
@@ -472,9 +476,8 @@ class TestDeferredTrace:
         expected = session.trace
         if read_first:
             assert exc.trace == expected
-        # 1/7 refines the session's common denominator after the raise.
-        assert session.add_fact(frozenset({0}), Affine(Fraction(1, 7)), frozenset({1, 2}))
-        assert session._den % 7 == 0
+        # 30 is on the grid (H = 36) but past every total close forms.
+        assert session.add_fact(frozenset({0}), Affine(Fraction(30)), frozenset({1, 2}))
         assert len(session.trace) == len(expected) + 1
         assert exc.trace == expected == session.trace[: len(expected)]
 
@@ -493,7 +496,7 @@ class TestDeferredTrace:
         expected = session.trace
         with pytest.raises(InconsistencyError) as exc:
             extract_permutation(session, 5)
-        session.add_fact(frozenset({0}), Fraction(1, 7), frozenset({1}))
+        session.add_fact(frozenset({0}), 6, frozenset({1}))
         assert exc.value.trace == expected
 
 
@@ -517,28 +520,29 @@ class TestMoveTable:
             assert (frozenset({0}), move) not in s.facts
             assert (s.to_json(), s.trace, s._den, s._half) == before
 
-    def test_off_grid_fact_after_close_matches_naive_engine(self):
-        # 1/7 refines the common denominator of {0, 1, 2} after closing, in
-        # the fact's move and in a parent's; the second fact shrinks the
-        # first's target (R4).
-        ground = [Fraction(k) for k in range(3)]
-        moves = [b - a for a in ground for b in ground if a != b]
-        seventh = Affine(Fraction(1, 7))
-        outcomes = []
-        for engine in (arrows, naive_arrows):
-            s = engine.close(engine.new_session(ground, moves, round_budget=3))
-            grew = [
-                s.add_fact(frozenset({0}), seventh, frozenset({1, 2}), parents=[([1], "-1/7", [0])]),
-                s.add_fact(frozenset({0}), seventh, frozenset({0, 2})),
-                s.add_fact(frozenset({0}), seventh, frozenset({0, 2})),
-            ]
-            # Copies: the naive session's trace and facts are live.
-            outcomes.append((grew, s.to_json(), list(s.trace), dict(s.facts)))
-            s = engine.close(s)
-            outcomes.append((s.to_json(), list(s.trace), dict(s.facts)))
-        assert outcomes[0] == outcomes[2]
-        assert outcomes[1] == outcomes[3]
-        assert outcomes[0][0] == [True, True, False]
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_add_fact_refuses_moves_off_the_grid(self, closed):
+        # 1/7 and 1/7 a are off the grid of D = 1; 50 + 2a and -(H + 1) lie
+        # past +-H.  Each is refused as the fact's move and as a parent's,
+        # and nothing is stored.
+        s = three_point_session(budget=3)
+        if closed:
+            close(s)
+        before = (s.to_json(), s.trace, s._den, s._half)
+        off = (
+            Affine(Fraction(1, 7)),
+            Affine(Fraction(0), Fraction(1, 7)),
+            Affine(Fraction(50), Fraction(2)),
+            Affine(Fraction(-s._half - 1)),
+        )
+        for move in off:
+            with pytest.raises(InvalidInputError, match="off the session's grid"):
+                s.add_fact(frozenset({0}), move, frozenset({1, 2}))
+            with pytest.raises(InvalidInputError, match="off the session's grid"):
+                s.add_fact(frozenset({0}), ONE, frozenset({1}), parents=[([1], move, [0])])
+            assert (s.to_json(), s.trace, s._den, s._half) == before
+        # The edge of the code range is on the grid.
+        assert s.add_fact(frozenset({0}), Affine(Fraction(-s._half)), frozenset({1, 2}))
 
     def test_sums_of_moves_at_the_edge_of_the_code_range(self):
         # Scaled by 1/3 and offset by -2/3, the admissible totals reach
@@ -554,33 +558,6 @@ class TestMoveTable:
             allowed = arrows._allowed_moves(session)[0]
             assert 2 * max(abs(session._pair(code)[0]) for code in allowed) == session._half
             assert _assert_matches_naive_engine(ground, budget) == "closed"
-
-    def test_fact_past_the_code_range_after_close_matches_naive_engine(self):
-        # 50 + 2a lies past H and a parent's -1/7 off the grid: both recode
-        # the store, rows, trace and generators, and a second close
-        # continues from them.  (A parent's move is given as the naive
-        # engine records it.)
-        moves = [ONE, A_SYM, A_SYM - ONE, ONE - A_SYM, -A_SYM, -ONE]
-        far = Affine(Fraction(50), Fraction(2))
-        outcomes = []
-        for engine in (arrows, naive_arrows):
-            s = engine.close(engine.new_session([ZERO, ONE, A_SYM], moves, round_budget=3))
-            half = getattr(s, "_half", None)
-            grew = [
-                s.add_fact(frozenset({0}), far, frozenset({1, 2})),
-                s.add_fact(
-                    frozenset({1}), far, frozenset({0, 2}),
-                    parents=[([0], "-1/7", [1])],
-                ),
-            ]
-            if engine is arrows:
-                assert s._half > half and s._den % 7 == 0
-                _assert_index_matches_store(s)
-            outcomes.append((grew, s.to_json(), list(s.trace), dict(s.facts)))
-            s = engine.close(s)
-            outcomes.append((s.to_json(), list(s.trace), dict(s.facts)))
-        assert outcomes[0] == outcomes[2]
-        assert outcomes[1] == outcomes[3]
 
     def test_generic_rational_moves_on_a_large_denominator(self):
         # The 20 moves 1/p, p the first 20 primes: D is their product, about

@@ -18,7 +18,7 @@ from functools import partial
 import pytest
 
 import spectrapairs
-from spectrapairs import arrows, cli, errors, exact, measures, representation, spectral
+from spectrapairs import arrows, cli, errors, exact, measures, representation, serialize, spectral
 from spectrapairs.cli import run
 from spectrapairs.errors import TooLargeError, check_work
 from spectrapairs.sets import FiniteRationalSet
@@ -603,6 +603,15 @@ def _line_pair(tmp_path, n, q):
     return ["check-pair", "--set-a", str(a), "--set-b", str(b)]
 
 
+def _prime_moves(count):
+    """``--moves`` 1/p over the first ``count`` of the 30,000 primes below
+    350,378, found by a sieve."""
+    primes = sorted(
+        set(range(2, 350378)) - {m for q in range(2, 592) for m in range(q * q, 350378, q)}
+    )
+    return ",".join(f"1/{p}" for p in primes[:count])
+
+
 SECONDS_CASES = {
     # 80 viable candidates for 5 places: C(80, 5) = 2.4e7 candidate sets
     # for a search that tries every combination.
@@ -720,6 +729,23 @@ SECONDS_CASES = {
         lambda tmp: ["cantor", "--level", "1000000000", "--check", "orthogonality"],
         1, {"reason": "too_large"},
     ),
+    # The largest level-0 sweep within the count, 15,887 * (2 + 64) units:
+    # 1.6-1.9 s, against 7.5 s for grid 100,000 when each Q(t) was charged
+    # 2 units.
+    "cantor_completeness_level_0_edge": (
+        lambda tmp: ["cantor", "--level", "0", "--check", "completeness", "--grid", "15887"],
+        0, {"status": "ok", "grid": 15887},
+    ),
+    # 15,779 moves 1/p, p prime, which fill the 128 KB limit on one argv
+    # string: the session's grid counts its lcm and refuses them (5.3 s
+    # when the session took the lcm uncounted).
+    "arrow_close_many_prime_denominators": (
+        lambda tmp: [
+            "arrow-close", "--set", data("set_012.json"),
+            "--moves", _prime_moves(15779), "--budget", "1",
+        ],
+        1, {"reason": "too_large"},
+    ),
     # An infinite error bound certifies depth 0: every transform is 1.
     "cantor_infinite_eps": (
         lambda tmp: ["cantor", "--level", "1", "--check", "orthogonality", "--eps", "inf"],
@@ -830,6 +856,12 @@ LIBRARY_SECONDS_CASES = {
     # An np.int64 scale: its powers wrapped around in int64 and never
     # reached the 2^1000 that ends the float table.
     "ifs_transform_numpy_scale": "ifs_transform(IFSMeasure(numpy.int64(4), (0, 2)), 1, 1e-10)",
+    # 30,000 moves 1/p, p prime: 22.5 s when the session took their lcm
+    # uncounted, quadratic in their number.
+    "new_session_30000_prime_denominators": (
+        "new_session([0, 1, 2], [Fraction(1, p) for p in sorted(set(range(2, 350378))"
+        " - {m for q in range(2, 592) for m in range(q * q, 350378, q)})])"
+    ),
 }
 
 # The cases that answer, and what they print.
@@ -841,6 +873,7 @@ def test_library_refuses_within_seconds(name):
     script = (
         "from fractions import Fraction\n"
         "import numpy\n"
+        "from spectrapairs.arrows import new_session\n"
         "from spectrapairs.errors import TooLargeError\n"
         "from spectrapairs.measures import AtomicMeasure, IFSMeasure, cantor4_measure,"
         " completeness_defect, frame_bounds, gram_matrix, ifs_transform\n"
@@ -967,7 +1000,7 @@ def test_cantor_over_work_budget_is_too_large(monkeypatch):
     monkeypatch.setattr(measures, "jp_spectrum", unreachable)
     for argv in (
         ["cantor", "--level", "3", "--check", "orthogonality"],  # 16^2 Gram entries
-        ["cantor", "--level", "3", "--check", "completeness", "--grid", "7"],  # 7 * 16
+        ["cantor", "--level", "3", "--check", "completeness", "--grid", "2"],  # 2 * (16 + 64)
     ):
         code, result = run(argv)
         assert code == 1
@@ -975,7 +1008,7 @@ def test_cantor_over_work_budget_is_too_large(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(errors, "WORK_BUDGET", 100)
     assert run(["cantor", "--level", "2", "--check", "orthogonality"])[0] == 0  # 64
-    assert run(["cantor", "--level", "3", "--check", "completeness", "--grid", "6"])[0] == 0  # 96
+    assert run(["cantor", "--level", "3", "--check", "completeness", "--grid", "1"])[0] == 0  # 80
 
 
 def _cli_message(argv):
@@ -1033,6 +1066,12 @@ OVER_BUDGET = {
     "grid_numerators": (
         exact, "GRID_WORK_BUDGET", 4,
         lambda: partial(exact.RationalPhases, [Fraction(k, 2**64) for k in (1, 3, 5)]), 5,
+    ),
+    # The session's grid over the elements and moves: one unit for each of
+    # the denominators 1, 2 and 3, which the third step passes.
+    "session_grid": (
+        exact, "GRID_WORK_BUDGET", 2,
+        lambda: partial(arrows.new_session, [0, 1, 2], [Fraction(1, 2), Fraction(1, 3)]), 3,
     ),
     # 3^2 base facts at 1 + 3 units each.
     "new_session": (
@@ -1167,6 +1206,37 @@ def test_set_files_are_charged_for_parsing_long_elements(command, monkeypatch, t
     code, result = run(argv)
     assert (code, result["reason"]) == (1, "too_large")
     assert result["message"].endswith(f" {work} units of work, over its budget of {work - 1}")
+
+
+def test_input_files_are_read_up_to_a_bound(monkeypatch, tmp_path):
+    # 16 bytes for each unit of the budget: 64 bytes at a budget of 4.  A
+    # longer file, or pipe, is refused before any of it is parsed.
+    monkeypatch.setattr(errors, "WORK_BUDGET", 4)
+    text = json.dumps(["0"] * 12) + "    "
+    path = tmp_path / "set.json"
+    path.write_text(text)
+    assert len(path.read_bytes()) == 64
+    assert serialize.read_set(str(path)) == ["0"] * 12
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("parsed a file over the bound")
+
+    monkeypatch.setattr(json, "load", unreachable)
+    monkeypatch.setattr(json, "loads", unreachable)
+    path.write_text(text + " ")
+    code, result = run(["find-spectrum", "--set", str(path), "--qmax", "2", "--span", "1"])
+    assert (code, result["reason"]) == (1, "too_large")
+    assert result["message"] == (
+        "reading an input file needs at least 65 units of work, over its budget of 64"
+    )
+    read, write = os.pipe()
+    os.write(write, (text + " ").encode())
+    os.close(write)
+    try:
+        with pytest.raises(TooLargeError, match="at least 65 units"):
+            serialize.read_set(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
 
 
 def test_cantor_grid_below_one_is_invalid_input():

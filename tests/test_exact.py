@@ -20,7 +20,8 @@ from spectrapairs.exact import (
     rational,
     root_sum_is_zero,
 )
-from spectrapairs.measures import AtomicMeasure, IFSMeasure
+from spectrapairs.arrows import new_session
+from spectrapairs.measures import AtomicMeasure, IFSMeasure, ifs_transform
 from spectrapairs.representation import (
     multiplication_representation,
     permutation_representation,
@@ -330,6 +331,40 @@ def test_integer_gives_a_python_int(x):
 def test_integer_refuses_a_non_integer(x):
     with pytest.raises(InvalidInputError, match="^x must be an integer"):
         integer(x, "x")
+
+
+# Every entry point that takes its points through ``rational``.
+_POINT_ENTRY_POINTS = {
+    "FiniteRationalSet": lambda x: FiniteRationalSet([0, x]),
+    "AtomicMeasure": lambda x: AtomicMeasure([0, x], [0.5, 0.5]),
+    "RationalPhases": lambda x: RationalPhases([0, x]),
+    "ifs_transform": lambda x: ifs_transform(IFSMeasure(4, (0, 2)), x, 1e-6),
+    "new_session element": lambda x: new_session([0, x], [1]),
+    "new_session move": lambda x: new_session([0, 1], [x]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_POINT_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "x, shown",
+    [
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (-float("inf"), "-inf"),
+        (None, "None"),
+        (1j, "1j"),
+        ("abc", "'abc'"),
+        ("1/0", "'1/0'"),
+        ("x" * 5000, "'" + "x" * 12 + "..." + "x" * 13 + "'"),
+    ],
+    ids=["nan", "inf", "-inf", "None", "1j", "abc", "1/0", "5000 x"],
+)
+def test_what_is_no_rational_is_invalid_input(entry, x, shown):
+    # NaN and "abc" escaped as ValueError, the infinities as OverflowError,
+    # None and 1j as TypeError.  The echo of the input is bounded.
+    with pytest.raises(InvalidInputError) as info:
+        _POINT_ENTRY_POINTS[entry](x)
+    assert str(info.value) == f"not a rational number: {shown}"
 
 
 def test_numpy_order_and_terms_are_python_ints():
