@@ -503,7 +503,7 @@ class TestDeferredTrace:
 class TestMoveTable:
     """Moves are coded as ints on the session's grid (its common
     denominator D and code range H); reading a move the session has never
-    seen must not change the grid."""
+    seen must not change the grid, and a fact at a move off it is refused."""
 
     UNSEEN = (Affine(Fraction(7)), Affine(Fraction(1, 7)), Affine(Fraction(0), Fraction(9)))
 
