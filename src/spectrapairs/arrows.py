@@ -302,7 +302,9 @@ def new_session(
     Work, against ``CLOSE_WORK_BUDGET`` and before any element is coerced:
     1 + |A| units for each of the |A|^2 base facts, which the first round
     of ``close`` visits with the |A| base facts of its target as R3
-    partners."""
+    partners.  Then, once the moves are taken and before the session's
+    grid is built over them, |moves u {0}|^2, the least that the first
+    pass of ``close``'s allowed sums charges."""
     check_work(f"seeding {len(A)} points", len(A) ** 2 * (1 + len(A)), CLOSE_WORK_BUDGET)
     elements = [_coerce(e) for e in A]
     if len(elements) < 2:
@@ -315,6 +317,8 @@ def new_session(
     round_budget = integer(round_budget, "round budget")
     if round_budget < 1:
         raise InvalidInputError("round budget must be at least 1")
+    base = len(move_set) + (Affine(Fraction(0)) not in move_set)
+    check_work("arrow closure", base * base, CLOSE_WORK_BUDGET)
     session = Session(elements, move_set, round_budget)
     # Codes add as moves do: H covers the elements' span, so b - a is b' - a'.
     points = session._points

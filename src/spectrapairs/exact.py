@@ -106,11 +106,7 @@ class CycSum:
             terms = [(index(e), index(c)) for e, c in coeffs.items()]
         except TypeError:
             raise InvalidInputError("exponents and coefficients must be integers") from None
-        self._reduce(integer(order, "order"), terms)
-
-    def _reduce(self, order: int, terms: Iterable[tuple[int, int]]) -> None:
-        """Set the fields from a Python-int order and (exponent,
-        coefficient) pairs of Python ints."""
+        order = integer(order, "order")
         if order < 1:
             raise InvalidInputError("order must be positive")
         reduced: dict[int, int] = {}
@@ -134,15 +130,12 @@ class CycSum:
         return f"CycSum(order={self.order}, coeffs={self.coeffs!r})"
 
 
-@lru_cache(maxsize=1024)
 def _split_order(order: int, bound: int) -> tuple[tuple[int, ...], int]:
     """The primes p <= ``bound`` dividing ``order``, increasing, and the
     cofactor ``rest`` of ``order`` whose prime factors all exceed ``bound``.
 
     Trial division only: the zero test never needs the primes above the
-    number of terms.  Memoized, since the zero tests over one grid meet
-    the same few orders and term counts again and again; the primes come
-    as a tuple, so no caller can change a cached value.
+    number of terms.
     """
     primes = []
     rest = order
@@ -156,38 +149,28 @@ def _split_order(order: int, bound: int) -> tuple[tuple[int, ...], int]:
     return tuple(primes), rest
 
 
-def _group(terms: dict[int, int], modulus: int, div: int, order: int) -> list[dict[int, int]]:
-    """Terms grouped by exponent mod ``modulus``, each group re-keyed by
-    (e // div) mod ``order``, which is one-to-one on a group."""
-    groups: dict[int, dict[int, int]] = {}
-    for e, c in terms.items():
-        group = groups.get(e % modulus)
-        if group is None:
-            groups[e % modulus] = group = {}
-        group[e // div % order] = c
-    return list(groups.values())
-
-
-def _minus(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    diff = dict(a)
-    for e, c in b.items():
-        c = diff.get(e, 0) - c
-        if c:
-            diff[e] = c
-        else:
-            del diff[e]
-    return diff
+@lru_cache(maxsize=1024)
+def _step(order: int, k: int) -> tuple[int, int, int]:
+    """The tower step for k terms at ``order``, as (m, r, sub): the terms
+    fall into classes by exponent mod m, each a sum at order ``sub`` with
+    exponent e // r if r > 0, else e mod sub.  sub = 1 is the base case.
+    Memoized, since the zero tests over one grid meet the same few orders
+    and term counts again and again."""
+    primes, rest = _split_order(order, k)
+    if rest > 1:
+        return rest, 0, order // rest
+    rad = math.prod(primes)
+    if rad < order:
+        return order // rad, order // rad, rad
+    return primes[-1], 0, order // primes[-1]
 
 
 def _vanishes(order: int, terms: dict[int, int]) -> bool:
     """Whether sum_e c_e zeta_order^e = 0, for exponents in [0, order) and
     nonzero coefficients, descending the tower Q(zeta_N) > Q(zeta_{N/p}).
 
-    A prime order p <= k is the base case: all p exponents occur, and the
-    sum vanishes iff they share one coefficient, since Phi_p = 1 + x + ...
-    + x^{p-1} is the minimal polynomial of zeta_p.  Otherwise each step
+    With k terms, write N = S * Q where S holds the primes <= k.  Each step
     reduces the test to sums that must all vanish at a smaller order.
-    With k terms, write N = S * Q where S holds the primes <= k.
     - Q > 1: the terms fall into at most k classes mod each prime of Q, so
       some class is empty and every class mod Q must vanish on its own, as
       a sum in Q(zeta_S) (exponent e mod S, up to a Galois twist).
@@ -200,31 +183,54 @@ def _vanishes(order: int, terms: dict[int, int]) -> bool:
       class is empty.  Otherwise each S_i - S_j must vanish, for S_j the
       smallest class, which keeps the terms passed down within twice the
       terms at hand.
-    A single nonzero term never vanishes.
+    The base case is a step to order 1 (N prime with N <= k, or no prime
+    <= k): the sum vanishes iff all N exponents occur, with one
+    coefficient, as Phi_p = 1 + x + ... + x^{p-1} is the minimal
+    polynomial of zeta_p.  A single nonzero term never vanishes.  Each
+    step reads each term once, into class dicts of its own, and subtracts
+    the smallest class from the others in place; ``terms`` is not changed.
     """
     k = len(terms)
     if k < 2:
-        return k == 0
-    primes, rest = _split_order(order, k)
-    if primes == (order,):
-        return len(set(terms.values())) == 1
-    rad = math.prod(primes)
-    if rest > 1:
-        sub = order // rest
-        groups = _group(terms, rest, 1, sub)
-    elif rad < order:
-        sub = rad
-        groups = _group(terms, order // rad, order // rad, sub)
+        return not k
+    m, r, sub = _step(order, k)
+    if sub == 1:
+        return k == order and len(set(terms.values())) == 1
+    classes: dict[int, dict[int, int]] = {}
+    get = classes.get
+    if r:
+        for e, c in terms.items():
+            cls = get(e % r)
+            if cls is None:
+                classes[e % r] = cls = {}
+            cls[e // r] = c
     else:
-        p = primes[-1]
-        sub = order // p
-        groups = _group(terms, p, 1, sub)
-        if len(groups) == p:
-            base = min(groups, key=len)
-            groups = [_minus(group, base) for group in groups if group != base]
-    if any(len(group) == 1 for group in groups):
-        return False
-    return all(_vanishes(sub, group) for group in groups)
+        for e, c in terms.items():
+            cls = get(e % m)
+            if cls is None:
+                classes[e % m] = cls = {}
+            cls[e % sub] = c
+        if len(classes) == m:  # only a squarefree step meets all m classes
+            base = min(classes.values(), key=len)
+            for cls in classes.values():
+                if cls != base:
+                    pull = cls.get
+                    for e, c in base.items():
+                        c = pull(e, 0) - c
+                        if c:
+                            cls[e] = c
+                        else:
+                            del cls[e]
+                    if not _vanishes(sub, cls):
+                        return False
+            return True
+    for cls in classes.values():
+        if len(cls) == 1:
+            return False
+    for cls in classes.values():
+        if not _vanishes(sub, cls):
+            return False
+    return True
 
 
 def root_sum_is_zero(s: CycSum) -> bool:
@@ -267,26 +273,39 @@ def integer(x, name: str) -> int:
 class RationalPhases:
     """A finite list of rationals x as Python-int numerators over one
     common denominator, for exact exponential sums sum_x e^{2 pi i x t}
-    at rational t.  Python ints are read as they are, every other point
-    through ``rational``.  The count of each numerator, which only
-    ``root_sum`` reads, is taken once, on its first call.  As it is built,
-    the grid counts its cost in 64-bit words against ``GRID_WORK_BUDGET``:
-    words(D) * words(d) for each step of the lcm D over the distinct
-    denominators d, least first, then floor(bits(D) / 64) per numerator."""
+    at rational t.  Python ints and Fractions of Python ints are read as
+    they are, every other point through ``rational``.  The count of each
+    numerator, which only ``root_sum`` reads, is taken once, on its first
+    call.  As it is built, the grid counts its cost in 64-bit words
+    against ``GRID_WORK_BUDGET``: words(D) * words(d) for each step of the
+    lcm D over the distinct denominators d, least first, then
+    floor(bits(D) / 64) per numerator."""
 
     __slots__ = ("denominator", "numerators", "_counts")
 
     def __init__(self, points: Iterable):
-        points = [x if type(x) is int else rational(x) for x in points]
+        nums, dens = [], []
+        for x in points:
+            if type(x) is int:
+                n, d = x, 1
+            else:
+                n, d = (x if type(x) is Fraction else rational(x)).as_integer_ratio()
+                if type(n) is not int or type(d) is not int:  # a Fraction of numpy ints
+                    n, d = rational(x).as_integer_ratio()
+            nums.append(n)
+            dens.append(d)
+        budget = GRID_WORK_BUDGET  # compared inline; check_work only raises
         D, work = 1, 0
-        for d in sorted({x.denominator for x in points}):
-            step = ((D.bit_length() + 63) // 64) * ((d.bit_length() + 63) // 64)
-            work = check_work("common-denominator grid", work + step, GRID_WORK_BUDGET)
+        for d in sorted(set(dens)):
+            work += ((D.bit_length() + 63) // 64) * ((d.bit_length() + 63) // 64)
+            if work > budget:
+                check_work("common-denominator grid", work, budget)
             D = math.lcm(D, d)
-        work += len(points) * (D.bit_length() // 64)
-        check_work("common-denominator grid", work, GRID_WORK_BUDGET)
+        work += len(nums) * (D.bit_length() // 64)
+        if work > budget:
+            check_work("common-denominator grid", work, budget)
         self.denominator = D
-        self.numerators = [x.numerator * (D // x.denominator) for x in points]
+        self.numerators = [n * (D // d) for n, d in zip(nums, dens)]
         self._counts = None
 
     def root_sum(self, order: int) -> CycSum:
@@ -295,13 +314,22 @@ class RationalPhases:
         By Galois conjugation sum_x e^{2 pi i x t} at t = u / v vanishes
         iff this sum does at its least order M = D v / gcd(u, D v): the
         sum is sum_x zeta_M^{n_x w} with w = u / gcd(u, D v) prime to M,
-        and zeta_M -> zeta_M^w is an automorphism of Q(zeta_M)."""
-        if self._counts is None:
-            self._counts = Counter(self.numerators)
-        # The counts are Python ints already: only the order is converted,
-        # and only when it is not an int, since every zero test comes here.
-        if type(order) is not int:
-            order = integer(order, "order")
+        and zeta_M -> zeta_M^w is an automorphism of Q(zeta_M).
+
+        One pass over the distinct numerators into a new dict, so every
+        call returns a fresh sum; the counts are positive, so no
+        coefficient is zero."""
+        counts = self._counts
+        if counts is None:
+            counts = self._counts = Counter(self.numerators)
+        if type(order) is not int or order < 1:
+            return CycSum(order, counts)  # converts the order, or refuses it
+        reduced: dict[int, int] = {}
+        get = reduced.get
+        for n, c in counts.items():
+            n %= order
+            reduced[n] = get(n, 0) + c
         s = CycSum.__new__(CycSum)
-        s._reduce(order, self._counts.items())
+        s.order = order
+        s.coeffs = reduced
         return s

@@ -68,12 +68,15 @@ def certify_spectral_pair(A: FiniteRationalSet, B: FiniteRationalSet) -> PairCer
     its first nonzero column."""
     if len(A) != len(B):
         raise InvalidInputError("sets must have equal size")
-    N = A.phases.denominator * B.phases.denominator
+    phases, gcd, budget = A.phases, math.gcd, CERTIFY_WORK_BUDGET
+    N = phases.denominator * B.phases.denominator
     column_work = len(A) * ((N.bit_length() + 63) // 64)
-    pairs = itertools.combinations(B.phases.numerators, 2)
-    for columns, (m1, m2) in enumerate(pairs, 1):
-        check_work("pair certification", columns * column_work, CERTIFY_WORK_BUDGET)
-        if not _column_sum_is_zero(A.phases, N // math.gcd(m2 - m1, N)):
+    work = 0
+    for m1, m2 in itertools.combinations(B.phases.numerators, 2):
+        work += column_work
+        if work > budget:  # compared inline: this runs once per column
+            check_work("pair certification", work, budget)
+        if not _column_sum_is_zero(phases, N // gcd(m2 - m1, N)):
             return PairCertificate(False)
     return PairCertificate(True)
 
@@ -160,36 +163,45 @@ def search_spectrum(
         raise InvalidInputError("q_max must be >= 1 and span positive")
     work = -(-span.numerator * q_max * (q_max + 1) // (2 * span.denominator))  # ceil
     check_work("spectrum search", work, SEARCH_WORK_BUDGET)
-    D = A.phases.denominator
+    phases, size, gcd, budget = A.phases, len(A), math.gcd, SEARCH_WORK_BUDGET
+    D = phases.denominator
     zero_set: dict[int, bool] = {}  # A's zero set: whether the sums of order M vanish
     # p/q < span has a p >= 1 only for q > 1 / span, so every q visited
     # gives a candidate and the count above bounds this loop too.
     q_min = span.denominator // span.numerator + 1
     candidates = {Fraction(p, q) for q in range(q_min, q_max + 1) for p in range(1, math.ceil(span * q))}
-    rest = sorted(candidates, reverse=True)
-    chosen = [Fraction(0)]
+    # Each candidate as its reduced (numerator, denominator), read once.
+    rest = [c.as_integer_ratio() for c in sorted(candidates, reverse=True)]
+    chosen = [(0, 1)]
     # left[k]: the candidates above chosen[k] that pass with all of
     # chosen[: k + 1], decreasing, so that pop() takes the least.
-    left: list[list[Fraction]] = []
-    while len(chosen) < len(A):
-        work = check_work("spectrum search", work + len(rest), SEARCH_WORK_BUDGET)
-        kept, b = [], chosen[-1]
+    left: list[list[tuple[int, int]]] = []
+    while len(chosen) < size:
+        # Budgets are compared inline, and ``check_work`` called only to
+        # raise: the pair loop below runs once per candidate.
+        work += len(rest)
+        if work > budget:
+            check_work("spectrum search", work, budget)
+        kept, (bp, bq) = [], chosen[-1]
+        Dbq = D * bq
         for c in rest:
-            u = c.numerator * b.denominator - b.numerator * c.denominator
-            v = D * c.denominator * b.denominator
-            M = v // math.gcd(u, v)  # the order of (c - b) / D
-            if M not in zero_set:
-                zero_test = len(A) * ((M.bit_length() + 63) // 64)
-                work = check_work("spectrum search", work + zero_test, SEARCH_WORK_BUDGET)
-                zero_set[M] = _column_sum_is_zero(A.phases, M)
-            if zero_set[M]:
+            cp, cq = c
+            v = Dbq * cq
+            M = v // gcd(cp * bq - bp * cq, v)  # the order of (c - b) / D
+            vanishes = zero_set.get(M)
+            if vanishes is None:
+                work += size * ((M.bit_length() + 63) // 64)
+                if work > budget:
+                    check_work("spectrum search", work, budget)
+                vanishes = zero_set[M] = _column_sum_is_zero(phases, M)
+            if vanishes:
                 kept.append(c)
         left.append(kept)
-        while len(left[-1]) < len(A) - len(chosen):  # too few left to complete B
+        while len(left[-1]) < size - len(chosen):  # too few left to complete B
             left.pop()
             chosen.pop()
             if not left:
                 return None
         rest = left[-1]
         chosen.append(rest.pop())
-    return FiniteRationalSet(chosen)
+    return FiniteRationalSet(Fraction(p, q) for p, q in chosen)

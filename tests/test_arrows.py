@@ -118,6 +118,23 @@ class TestNewSession:
         monkeypatch.undo()
         assert len(new_session(range(202), [1])._facts) == 202**2
 
+    def test_many_moves_are_too_large_before_the_grid(self, monkeypatch):
+        # close's first pass charges |moves u {0}|^2, each distinct move
+        # once; new_session charges it before the session builds its grid.
+        def unreachable(*args):
+            raise AssertionError("a grid was built over budget")
+
+        monkeypatch.setattr(arrows, "RationalPhases", unreachable)
+        with pytest.raises(TooLargeError, match="needs at least 40000400001 units"):
+            new_session([0, 1], range(1, 200001))
+        monkeypatch.setattr(arrows, "CLOSE_WORK_BUDGET", 16)
+        with pytest.raises(AssertionError):  # 1, 2, 3 and 0, with 1 twice
+            new_session([0, 1], [1, 2, 3, Fraction(2, 2)])
+        with pytest.raises(AssertionError):  # the zero move counted once
+            new_session([0, 1], [0, 1, 2, 3])
+        with pytest.raises(TooLargeError, match="needs at least 25 units"):
+            new_session([0, 1], [1, 2, 3, 4])
+
     def test_large_ground_set_is_too_large_before_coercing(self, monkeypatch):
         # The count depends on |A| alone, so no element is converted first.
         def unreachable(value):

@@ -857,11 +857,16 @@ LIBRARY_SECONDS_CASES = {
     # reached the 2^1000 that ends the float table.
     "ifs_transform_numpy_scale": "ifs_transform(IFSMeasure(numpy.int64(4), (0, 2)), 1, 1e-10)",
     # 30,000 moves 1/p, p prime: 22.5 s when the session took their lcm
-    # uncounted, quadratic in their number.
+    # uncounted, quadratic in their number.  The move count now refuses
+    # them before the grid is built.
     "new_session_30000_prime_denominators": (
         "new_session([0, 1, 2], [Fraction(1, p) for p in sorted(set(range(2, 350378))"
         " - {m for q in range(2, 592) for m in range(q * q, 350378, q)})])"
     ),
+    # 200,000 integer moves: a grid charged nothing per numerator below
+    # 2^64, then 1 s and 90 MB to build a session that the first close
+    # refused.  Coercing the moves still takes about 0.7 s and 36 MB.
+    "new_session_200000_moves": "new_session([0, 1], range(1, 200001))",
 }
 
 # The cases that answer, and what they print.
@@ -1077,6 +1082,12 @@ OVER_BUDGET = {
     "new_session": (
         arrows, "CLOSE_WORK_BUDGET", 35,
         lambda: partial(arrows.new_session, [0, 1, 2], [1]), 36,
+    ),
+    # The moves and 0, 5 distinct, squared: the first pass of the allowed
+    # sums, charged before the session's grid.  The seed count is 2^2 x 3.
+    "new_session_moves": (
+        arrows, "CLOSE_WORK_BUDGET", 24,
+        lambda: partial(arrows.new_session, [0, 1], [1, 2, 3, Fraction(4), 4]), 25,
     ),
     # The first pass of the allowed sums: 5 sums by the 5 of the base.
     "close_allowed_sums": (

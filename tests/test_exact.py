@@ -27,6 +27,7 @@ from spectrapairs.representation import (
     permutation_representation,
 )
 from spectrapairs.sets import FiniteRationalSet
+from spectrapairs.spectral import construct_line_spectrum
 
 
 def evaluate_cyc(s):
@@ -177,6 +178,102 @@ def _cyc_sums(draw):
 @given(_cyc_sums())
 def test_zero_test_agrees_with_phi_division(s):
     assert root_sum_is_zero(s) == _phi_divides(s)
+
+
+# Orders of 2 to 4 small primes with prime powers, such as the column
+# orders of certification, where the tower meets both rekeys.  The odd
+# ones also reach the base case with fewer terms than its order: an even
+# order leaves no prime order but 2 on the way down.
+_MANY_TERM_ORDERS = (24, 72, 105, 120, 210, 245, 315, 360, 576, 840, 1260)
+
+
+@st.composite
+def _many_term_sums(draw):
+    # Rotated p-gons and rotated d-gons (d | N, d <= 24) vanish; they are
+    # added with mixed signs until 15 to 80 terms remain.  About half the
+    # sums then get one to three stray terms or a p-gon short of one
+    # vertex (p - 1 equal terms, which never vanish), so both verdicts
+    # occur often.
+    order = draw(st.sampled_from(_MANY_TERM_ORDERS))
+    gons = [d for d in range(2, 25) if order % d == 0]
+    primes = [p for p in gons if all(p % q for q in range(2, p))]
+    target = draw(st.integers(15, 56))
+    coeffs: dict[int, int] = {}
+    for _ in range(40):
+        if sum(1 for c in coeffs.values() if c) >= target:
+            break
+        d = draw(st.sampled_from(primes if draw(st.booleans()) else gons))
+        shift = draw(st.integers(0, order - 1))
+        c = draw(st.sampled_from([-2, -1, 1, 1, 2]))
+        for j in range(d):
+            e = (shift + j * (order // d)) % order
+            coeffs[e] = coeffs.get(e, 0) + c
+    stray = draw(st.sampled_from(["none", "terms", "short gon"]))
+    if stray == "terms":
+        for _ in range(draw(st.integers(1, 3))):
+            e = draw(st.integers(0, order - 1))
+            coeffs[e] = coeffs.get(e, 0) + draw(st.sampled_from([-1, 1]))
+    elif stray == "short gon":
+        p = draw(st.sampled_from([p for p in primes if p > 2]))
+        shift = draw(st.integers(0, order - 1))
+        c = draw(st.sampled_from([-1, 1, 2]))
+        for j in range(1, p):
+            e = (shift + j * (order // p)) % order
+            coeffs[e] = coeffs.get(e, 0) + c
+    return CycSum(order, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_many_term_sums())
+def test_many_term_zero_test_agrees_with_phi_division(s):
+    assert root_sum_is_zero(s) == _phi_divides(s)
+
+
+def test_many_term_sums_reach_both_verdicts():
+    # The strategy above is only a test if it draws many terms and both
+    # verdicts; this pins that on a fixed draw.
+    sums = []
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(_many_term_sums())
+    def collect(s):
+        sums.append(s)
+
+    collect()
+    many = [s for s in sums if 15 <= len(s.coeffs) <= 80]
+    verdicts = [root_sum_is_zero(s) for s in many]
+    assert len(many) >= 0.8 * len(sums)
+    assert 0.25 <= sum(verdicts) / len(verdicts) <= 0.75
+
+
+def _line_pair(n):
+    """{0, ..., n-2, p/q} and its witness {jq/n}, for q the least prime
+    >= 5 prime to n and p = 2n - q, so that p + q = 0 mod n."""
+    q = next(q for q in (5, 7, 11, 13) if n % q)
+    p = 2 * n - q
+    return FiniteRationalSet([*range(n - 1), Fraction(p, q)]), construct_line_spectrum(n, p, q)
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_line_pair_orders_agree_with_phi_division(n):
+    # Every order M | N = D E of the pair's grids: the column orders
+    # vanish, since the pair is spectral, and the others are decided as
+    # Phi_M division decides them.
+    A, B = _line_pair(n)
+    N = A.phases.denominator * B.phases.denominator
+    columns = {
+        N // math.gcd(m2 - m1, N)
+        for i, m1 in enumerate(B.phases.numerators)
+        for m2 in B.phases.numerators[i + 1 :]
+    }
+    verdicts = {}
+    for order in range(1, N + 1):
+        if N % order == 0:
+            s = A.phases.root_sum(order)
+            verdicts[order] = root_sum_is_zero(s)
+            assert verdicts[order] == _phi_divides(s), s
+    assert all(verdicts[order] for order in columns)
+    assert not all(verdicts.values())
 
 
 @settings(max_examples=400, deadline=None)
