@@ -302,24 +302,29 @@ def new_session(
     Work, against ``CLOSE_WORK_BUDGET`` and before any element is coerced:
     1 + |A| units for each of the |A|^2 base facts, which the first round
     of ``close`` visits with the |A| base facts of its target as R3
-    partners.  Then, once the moves are taken and before the session's
-    grid is built over them, |moves u {0}|^2, the least that the first
-    pass of ``close``'s allowed sums charges."""
+    partners.  Then, before the session's grid is built over the moves,
+    |moves u {0}|^2, the least that the first pass of ``close``'s allowed
+    sums charges; the moves are taken one by one, and none is coerced
+    once those seen so far put the count over the budget."""
     check_work(f"seeding {len(A)} points", len(A) ** 2 * (1 + len(A)), CLOSE_WORK_BUDGET)
     elements = [_coerce(e) for e in A]
     if len(elements) < 2:
         raise InvalidInputError("ground set needs at least two elements")
     if len({e._key() for e in elements}) != len(elements):
         raise InvalidInputError("ground set has repeated elements")
-    move_set = frozenset(_coerce(m) for m in moves)
+    zero, move_set, base = Affine(Fraction(0)), set(), 0
+    for m in moves:
+        move_set.add(_coerce(m))
+        base = len(move_set) + (zero not in move_set)
+        if base * base > CLOSE_WORK_BUDGET:
+            break
     if not move_set:
         raise InvalidInputError("moves must be nonempty")
     round_budget = integer(round_budget, "round budget")
     if round_budget < 1:
         raise InvalidInputError("round budget must be at least 1")
-    base = len(move_set) + (Affine(Fraction(0)) not in move_set)
     check_work("arrow closure", base * base, CLOSE_WORK_BUDGET)
-    session = Session(elements, move_set, round_budget)
+    session = Session(elements, frozenset(move_set), round_budget)
     # Codes add as moves do: H covers the elements' span, so b - a is b' - a'.
     points = session._points
     for i, a in enumerate(points):

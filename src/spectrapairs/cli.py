@@ -16,30 +16,15 @@ from fractions import Fraction
 
 from . import errors
 from .errors import InconsistencyError, InvalidInputError, check_work
-from .serialize import parse_measure, parse_set, read_measure, read_set
+from .serialize import load
 from .sets import Irrational, parse_fraction
 
 __all__ = ["run", "main"]
-
-# Parsing an element costs time quadratic in its length.  Only characters
-# past 18 (about one machine word) are charged: S'^2 over C, S' the sum of
-# a file's elements' characters past 18.
-GRID_DIGITS_SQUARED_PER_UNIT = 2**14
 
 # The least ``cantor --eps``: a smaller error is below what the
 # double-precision product can hold, and the transform depth grows with
 # log(1 / eps) uncounted.
 CANTOR_MIN_EPS = 1e-15
-
-
-def _check_parse(command: str, *files: list) -> None:
-    """Count parsing the files' elements, 2 per element and S'^2 / C per
-    file, before any is parsed; the library counts the rest."""
-    work = 0
-    for items in files:
-        digits = sum(max(0, len(str(x)) - 18) for x in items)
-        work += 2 * len(items) + digits * digits // GRID_DIGITS_SQUARED_PER_UNIT
-    check_work(command, work, errors.WORK_BUDGET)
 
 
 def _cmd_decide_line_set(args) -> dict:
@@ -52,18 +37,15 @@ def _cmd_decide_line_set(args) -> dict:
 def _cmd_check_pair(args) -> dict:
     from .spectral import certify_spectral_pair
 
-    a, b = read_set(args.set_a), read_set(args.set_b)
-    _check_parse("check-pair", a, b)
-    cert = certify_spectral_pair(parse_set(a), parse_set(b))
+    cert = certify_spectral_pair(*load("check-pair", args.set_a, args.set_b))
     return {"spectral_pair": cert.is_pair, "exact": cert.exact}
 
 
 def _cmd_find_spectrum(args) -> dict:
     from .spectral import search_spectrum
 
-    items = read_set(args.set)
-    _check_parse("find-spectrum", items)
-    result = search_spectrum(parse_set(items), args.qmax, parse_fraction(args.span))
+    (A,) = load("find-spectrum", args.set)
+    result = search_spectrum(A, args.qmax, parse_fraction(args.span))
     if result is None:
         return {
             "status": "not_found",
@@ -77,24 +59,20 @@ def _cmd_find_spectrum(args) -> dict:
 def _cmd_arrow_close(args) -> dict:
     from .arrows import close, new_session
 
-    items = read_set(args.set)
-    _check_parse("arrow-close", items)
+    (A,) = load("arrow-close", args.set)
     moves = [parse_fraction(m) for m in args.moves.split(",") if m.strip()]
-    session = close(new_session(parse_set(items), moves, round_budget=args.budget))
+    session = close(new_session(A, moves, round_budget=args.budget))
     return session.to_json()
 
 
 def _cmd_rep_roundtrip(args) -> dict:
-    points, weights = read_measure(args.measure)
-    spectrum = read_set(args.spectrum)
-    _check_parse("rep-roundtrip", points, spectrum)
+    mu, S = load("rep-roundtrip", args.spectrum, measure=args.measure)
     from .representation import (
         is_wandering,
         measure_from_representation,
         multiplication_representation,
     )
 
-    mu, S = parse_measure(points, weights), parse_set(spectrum)
     rep = multiplication_representation(mu)
     back = measure_from_representation(rep)
     report = is_wandering(rep, S)
@@ -187,12 +165,10 @@ def _cmd_cantor(args) -> dict:
 
 
 def _cmd_frame_bounds(args) -> dict:
-    points, weights = read_measure(args.measure)
-    lam = read_set(getattr(args, "lambda"))
-    _check_parse("frame-bounds", points, lam)
+    mu, lam = load("frame-bounds", getattr(args, "lambda"), measure=args.measure)
     from .measures import frame_bounds
 
-    report = frame_bounds(parse_measure(points, weights), parse_set(lam).elements)
+    report = frame_bounds(mu, lam.elements)
     return {"lower": report.lower, "upper": report.upper}
 
 

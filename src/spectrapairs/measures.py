@@ -193,35 +193,32 @@ class IFSTransforms(NamedTuple):
     depths: np.ndarray  # int64, one per t
 
 
+class _Powers(NamedTuple):
+    """scale^k for k = 0, 1, ... while scale^k < 2^1000, the levels whose
+    phases the kernel divides in floats: as floats, as int64 capped at
+    ``_CAP64``, and as Python ints."""
+
+    floats: np.ndarray
+    int64: np.ndarray
+    ints: np.ndarray
+
+
 @lru_cache(maxsize=64)
-def _float_powers(scale: int) -> np.ndarray:
-    """scale^k as floats for k = 0, 1, ... while scale^k < 2^1000: the
-    levels whose phases the kernel divides in floats."""
-    out, power = [], 1
-    while power < 2**1000:
-        out.append(float(power))
-        power *= scale
-    return np.array(out)
+def _powers(scale: int) -> _Powers:
+    ints = [1]
+    while ints[-1] * scale < 2**1000:
+        ints.append(ints[-1] * scale)
+    return _Powers(
+        np.array([float(p) for p in ints]),
+        np.array([min(p, _CAP64) for p in ints], dtype=np.int64),
+        np.array(ints, dtype=object),
+    )
 
 
 @lru_cache(maxsize=64)
 def _depth_thresholds(scale: int, eps: float) -> np.ndarray:
-    """log1p(eps) * scale^k for the powers of ``_float_powers``."""
-    return math.log1p(eps) * _float_powers(scale)
-
-
-@lru_cache(maxsize=64)
-def _least_wide(scale: int) -> tuple[int, ...]:
-    """For each power scale^k of ``_float_powers``, the least x with
-    x scale^k >= 2^1000."""
-    return tuple(-(-(2**1000) // scale**k) for k in range(len(_float_powers(scale))))
-
-
-@lru_cache(maxsize=64)
-def _scale_powers(scale: int, count: int, cap: int) -> np.ndarray:
-    """scale^k for k < count, each capped at cap."""
-    dtype = np.int64 if cap <= _CAP64 else object
-    return np.array([min(scale**k, cap) for k in range(count)], dtype=dtype)
+    """log1p(eps) * scale^k for the powers of ``_powers``."""
+    return math.log1p(eps) * _powers(scale).floats
 
 
 def _ratio(u: int, v: int) -> float:
@@ -335,7 +332,8 @@ def _ifs_kernel(
     top_digit = max(map(abs, a))
     reach = max(top_digit, 2 * (a[-1] - a[0]))
     c = 2 * math.pi * (top_digit / D)
-    floats = _float_powers(R)
+    scale_powers = _powers(R)
+    floats = scale_powers.floats
     top_u, top_v = max(map(abs, nums), default=0), max(dens, default=1)
     cap = max(_CAP64, 2 * reach * top_u, 2 * D * top_v)
     dtype = np.int64 if cap == _CAP64 else object
@@ -395,11 +393,9 @@ def _ifs_kernel(
     # A term with D v R^K >= 2^1000, as every term past the table has, may
     # overflow its float divisors: it divides in Python ints, keyed -K.
     keys, groups = live, set(live.tolist()) - {0}
-    wide = _least_wide(R)
-    if groups and (max(groups) >= len(floats) or wide[max(groups)] <= cap):
+    if groups and cap * R ** max(groups) >= 2**1000:
         keys = np.array([
-            -K if K >= len(floats) or D * v >= wide[K] else K
-            for K, v in zip(live.tolist(), dens)
+            -K if D * v * R**K >= 2**1000 else K for K, v in zip(live.tolist(), dens)
         ])
         groups = set(keys.tolist()) - {0}
     if not groups:
@@ -414,7 +410,7 @@ def _ifs_kernel(
         if deep:
             powers = np.array([R**k for k in range(1, K + 1)], dtype=object)
         else:
-            powers = _scale_powers(R, -(-(K + 1) // 64) * 64, cap)[1 : K + 1]
+            powers = (scale_powers.int64 if cap == _CAP64 else scale_powers.ints)[1 : K + 1]
         for lo in range(0, len(terms), rows):
             idx = terms[lo : lo + rows]
             u, Dv = U[idx], DV[idx]

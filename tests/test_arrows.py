@@ -1,6 +1,7 @@
 """Deduction engine: base facts, closure rules, permutation extraction,
 rationality obstruction, and soundness against a concrete model."""
 
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -125,7 +126,7 @@ class TestNewSession:
             raise AssertionError("a grid was built over budget")
 
         monkeypatch.setattr(arrows, "RationalPhases", unreachable)
-        with pytest.raises(TooLargeError, match="needs at least 40000400001 units"):
+        with pytest.raises(TooLargeError, match="needs at least 8392609 units"):
             new_session([0, 1], range(1, 200001))
         monkeypatch.setattr(arrows, "CLOSE_WORK_BUDGET", 16)
         with pytest.raises(AssertionError):  # 1, 2, 3 and 0, with 1 twice
@@ -134,6 +135,21 @@ class TestNewSession:
             new_session([0, 1], [0, 1, 2, 3])
         with pytest.raises(TooLargeError, match="needs at least 25 units"):
             new_session([0, 1], [1, 2, 3, 4])
+
+    def test_moves_past_the_budget_are_not_coerced(self, monkeypatch):
+        # The count passes 2^23 at 2896 distinct moves and 0, 2897^2: the
+        # two elements and those moves are coerced, none of the rest.
+        coerced = []
+
+        def counting(value):
+            coerced.append(value)
+            return coerce(value)
+
+        coerce = arrows._coerce
+        monkeypatch.setattr(arrows, "_coerce", counting)
+        with pytest.raises(TooLargeError, match="needs at least 8392609 units"):
+            new_session([0, 1], range(1, 200001))
+        assert len(coerced) <= math.isqrt(arrows.CLOSE_WORK_BUDGET) + 2
 
     def test_large_ground_set_is_too_large_before_coercing(self, monkeypatch):
         # The count depends on |A| alone, so no element is converted first.

@@ -156,6 +156,7 @@ def _file(tmp_path, text):
 
 _MEASURE_FORMAT = 'measure file must be a JSON object {"points": [...], "weights": [...]}'
 _SET_FORMAT = "set file must be a JSON array of fraction strings"
+_WEIGHTS = "measure weights must be JSON numbers"
 
 MALFORMED = {
     "truncated_set": lambda tmp: [
@@ -171,6 +172,14 @@ MALFORMED = {
     "non_numeric_weight": lambda tmp: [
         "frame-bounds", "--lambda", data("lambda_01.json"),
         "--measure", _file(tmp, '{"points": ["0", "1/2"], "weights": ["x", 0.5]}'),
+    ],
+    "boolean_weight": lambda tmp: [
+        "frame-bounds", "--lambda", data("lambda_01.json"),
+        "--measure", _file(tmp, '{"points": ["0"], "weights": [true]}'),
+    ],
+    "string_weight": lambda tmp: [
+        "frame-bounds", "--lambda", data("lambda_01.json"),
+        "--measure", _file(tmp, '{"points": ["0"], "weights": ["1"]}'),
     ],
     "fewer_weights_than_points": lambda tmp: [
         "frame-bounds", "--lambda", data("lambda_01.json"),
@@ -206,6 +215,9 @@ MALFORMED = {
 
 # The message of each malformed case whose message is fixed.
 MALFORMED_MESSAGES = {
+    "non_numeric_weight": _WEIGHTS,
+    "boolean_weight": _WEIGHTS,
+    "string_weight": _WEIGHTS,
     "scale_digits_measure": _MEASURE_FORMAT,
     "set_file_object": _SET_FORMAT,
     "measure_file_array": _MEASURE_FORMAT,
@@ -272,7 +284,7 @@ import sys
 import spectrapairs
 from spectrapairs import arrows, serialize, spectral
 from spectrapairs.cli import run
-A = serialize.parse_set(serialize.read_set(sys.argv[1]))
+(A,) = serialize.load("loading a set", sys.argv[1])
 assert spectral.is_spectral_pair(A, spectral.construct_line_spectrum(3, 2, 1))
 arrows.close(arrows.new_session(A, [1, 2], round_budget=2))
 assert run(["check-pair", "--set-a", sys.argv[1], "--set-b", sys.argv[1]])[0] == 0
@@ -737,8 +749,8 @@ SECONDS_CASES = {
         0, {"status": "ok", "grid": 15887},
     ),
     # 15,779 moves 1/p, p prime, which fill the 128 KB limit on one argv
-    # string: the session's grid counts its lcm and refuses them (5.3 s
-    # when the session took the lcm uncounted).
+    # string: the count of the moves refuses them before the session's
+    # grid takes their lcm (5.3 s when the session took it uncounted).
     "arrow_close_many_prime_denominators": (
         lambda tmp: [
             "arrow-close", "--set", data("set_012.json"),
@@ -910,38 +922,81 @@ def long_set_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize(
-    "command, flag",
-    [
-        ("frame-bounds", "--lambda"),
-        ("rep-roundtrip", "--spectrum"),
-        ("check-pair", "--set-a"),
-        ("check-pair", "--set-b"),
-        ("find-spectrum", "--set"),
-        ("arrow-close", "--set"),
-    ],
-)
-def test_long_set_file_is_counted_before_it_is_parsed(command, flag, long_set_file, tmp_path):
+@pytest.fixture(scope="module")
+def long_measure_file(tmp_path_factory):
+    """A measure file of 2^20 - 1 points, as long to parse.  Weights of 1
+    keep it under the 16 MiB read bound; their sum would be refused only
+    after the points are parsed."""
+    n = 2**20 - 1
+    path = tmp_path_factory.mktemp("long") / "measure.json"
+    path.write_text(json.dumps({"points": [f"{k}/7" for k in range(n)], "weights": [1] * n}))
+    return str(path)
+
+
+# Every file option: (subcommand, flag).
+LONG_FILE_CASES = [
+    ("frame-bounds", "--lambda"),
+    ("frame-bounds", "--measure"),
+    ("rep-roundtrip", "--spectrum"),
+    ("rep-roundtrip", "--measure"),
+    ("check-pair", "--set-a"),
+    ("check-pair", "--set-b"),
+    ("find-spectrum", "--set"),
+    ("arrow-close", "--set"),
+]
+
+
+@pytest.mark.parametrize("command, flag", LONG_FILE_CASES)
+def test_long_set_file_is_counted_before_it_is_parsed(
+    command, flag, long_set_file, long_measure_file, tmp_path
+):
     # With small other inputs the count is over the budget from the file's
     # array length alone.  Parsing every element first takes about 7 s,
-    # so the 5 s timeout of the other CLI cases tells the two apart.
+    # so the 5 s timeout of the other CLI cases tells the two apart.  The
+    # long file comes last: argparse keeps the last value of a flag.
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(HERE), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    small_measure, small_set = _uniform_measure(tmp_path, 1), data("set_012.json")
     others = {
-        "frame-bounds": ["--measure", _uniform_measure(tmp_path, 1)],
-        "rep-roundtrip": ["--measure", _uniform_measure(tmp_path, 1)],
-        "check-pair": ["--set-b" if flag == "--set-a" else "--set-a", data("set_012.json")],
+        "frame-bounds": ["--measure", small_measure, "--lambda", small_set],
+        "rep-roundtrip": ["--measure", small_measure, "--spectrum", small_set],
+        "check-pair": ["--set-a", small_set, "--set-b", small_set],
         "find-spectrum": ["--qmax", "2", "--span", "1"],
         "arrow-close": ["--moves", "1"],
     }
-    argv = [command, *others[command], flag, long_set_file]
+    long_file = long_measure_file if flag == "--measure" else long_set_file
+    argv = [command, *others[command], flag, long_file]
     proc = subprocess.run(
         [sys.executable, "-m", "spectrapairs.cli", *argv],
         capture_output=True, text=True, env=env, timeout=5,
     )
     assert (proc.returncode, proc.stderr) == (1, "")
-    assert json.loads(proc.stdout)["reason"] == "too_large"
+    result = json.loads(proc.stdout)
+    # Refused by the parse count, not by the 16 MiB read bound.
+    assert (result["reason"], result["message"].split(" needs ")[0]) == ("too_large", command)
+
+
+def test_long_file_cases_cover_every_file_option(monkeypatch):
+    # A file option is one whose value its handler passes to
+    # serialize.load.  LAYER_CASES runs every subcommand, each up to its
+    # load.
+    class Loaded(Exception):
+        pass
+
+    def load(what, *paths, measure=None):
+        raise Loaded([p for p in (*paths, measure) if p is not None])
+
+    monkeypatch.setattr(cli, "load", load)
+    options = set()
+    for name in LAYER_CASES:
+        command, *rest = CASES[name]
+        flag_of = dict(zip(rest[1::2], rest[::2]))
+        try:
+            run(CASES[name])
+        except Loaded as loaded:
+            options |= {(command, flag_of[path]) for path in loaded.args[0]}
+    assert options == set(LONG_FILE_CASES)
 
 
 @pytest.mark.parametrize(
@@ -1210,7 +1265,7 @@ def test_set_files_are_charged_for_parsing_long_elements(command, monkeypatch, t
         a.write_text(json.dumps({"points": points, "weights": [1 / 2] * 2}))
         argv = ["frame-bounds", "--measure", str(a), "--lambda", str(b)]
         work = 2 * (2 + 1) + 24**2
-    monkeypatch.setattr(cli, "GRID_DIGITS_SQUARED_PER_UNIT", 1)
+    monkeypatch.setattr(serialize, "GRID_DIGITS_SQUARED_PER_UNIT", 1)
     monkeypatch.setattr(errors, "WORK_BUDGET", work)
     assert run(argv)[0] == 0
     monkeypatch.setattr(errors, "WORK_BUDGET", work - 1)
