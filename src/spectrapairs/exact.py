@@ -14,10 +14,11 @@ here, with points put over a common denominator D by ``RationalPhases``:
 an exponential sum sum_x e^{2 pi i x t} at t = u / v is decided as
 ``root_sum(M)``, the sum of zeta_M^{n_x} over the numerators n_x, at its
 least order M = D v / gcd(u, D v), which the caller computes in integers.
-A grid counts its numerators once, on its first ``root_sum``.  Every point
-set takes its rationals through ``rational``, and every integer parameter
-goes through ``integer``, so no numpy integer reaches an exact product or
-count.  A grid counts its own size as it is built, against
+A grid counts its numerators once, on its first ``root_sum``, and each
+sum holds those counts unreduced until the zero test classes them.  Every
+point set takes its rationals through ``rational``, and every integer
+parameter goes through ``integer``, so no numpy integer reaches an exact
+product or count.  A grid counts its own size as it is built, against
 ``GRID_WORK_BUDGET``, so every point set that holds one is bounded.
 """
 
@@ -91,14 +92,29 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _reduce(order: int, terms) -> dict[int, int]:
+    """The (exponent, coefficient) pairs ``terms`` as a new dict, each
+    exponent reduced mod ``order`` and the coefficients of equal exponents
+    added."""
+    reduced: dict[int, int] = {}
+    get = reduced.get
+    for e, c in terms:
+        e %= order
+        reduced[e] = get(e, 0) + c
+    return reduced
+
+
 class CycSum:
     """Formal integer combination sum_e c_e zeta_N^e of N-th roots of unity.
 
     Exponents are reduced mod N at construction; zero coefficients are
-    dropped.
+    dropped.  A sum made by ``RationalPhases.root_sum`` holds its grid's
+    numerator counts as they are, unreduced: ``coeffs`` is formed from
+    them, into a dict of its own, on its first read, and
+    ``root_sum_is_zero`` reads the counts without forming it.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_coeffs", "_counts")
 
     def __init__(self, order: int, coeffs: Mapping[int, int]):
         index = operator.index
@@ -109,15 +125,22 @@ class CycSum:
         order = integer(order, "order")
         if order < 1:
             raise InvalidInputError("order must be positive")
-        reduced: dict[int, int] = {}
-        for e, c in terms:
-            e %= order
-            reduced[e] = reduced.get(e, 0) + c
+        reduced = _reduce(order, terms)
         if not all(reduced.values()):
             # A zero coefficient or a cancellation left a zero: drop it.
             reduced = {e: c for e, c in reduced.items() if c}
         self.order = order
-        self.coeffs = reduced
+        self._coeffs = reduced
+        self._counts = None
+
+    @property
+    def coeffs(self) -> dict[int, int]:
+        """The nonzero coefficients by exponent in [0, order)."""
+        coeffs = self._coeffs
+        if coeffs is None:  # a grid's counts are positive: no zero to drop
+            coeffs = self._coeffs = _reduce(self.order, self._counts.items())
+            self._counts = None
+        return coeffs
 
     def __eq__(self, other):
         return (
@@ -189,11 +212,12 @@ def _vanishes(order: int, terms: dict[int, int]) -> bool:
     polynomial of zeta_p.  A single nonzero term never vanishes.  Each
     step reads each term once, into class dicts of its own, and subtracts
     the smallest class from the others in place; ``terms`` is not changed.
+    Any k at least the number of terms chooses a valid step.
     """
     k = len(terms)
     if k < 2:
         return not k
-    m, r, sub = _step(order, k)
+    m, r, sub = step = _step(order, k)
     if sub == 1:
         return k == order and len(set(terms.values())) == 1
     classes: dict[int, dict[int, int]] = {}
@@ -210,20 +234,73 @@ def _vanishes(order: int, terms: dict[int, int]) -> bool:
             if cls is None:
                 classes[e % m] = cls = {}
             cls[e % sub] = c
-        if len(classes) == m:  # only a squarefree step meets all m classes
-            base = min(classes.values(), key=len)
-            for cls in classes.values():
-                if cls != base:
-                    pull = cls.get
-                    for e, c in base.items():
-                        c = pull(e, 0) - c
-                        if c:
-                            cls[e] = c
-                        else:
-                            del cls[e]
-                    if not _vanishes(sub, cls):
-                        return False
-            return True
+    return _classes_vanish(step, classes)
+
+
+def _counts_vanish(order: int, counts: Mapping[int, int]) -> bool:
+    """``_vanishes`` for a grid's counts: positive coefficients on
+    numerators not yet reduced mod ``order``.
+
+    The first step classes the numerators straight from the counts, with
+    k their number, which bounds the terms left after reduction.  Equal
+    residues merge as they are classed; the counts are positive, so no
+    zero term appears.  At order 1 the sum is the positive total.  A first
+    step to the base case reduces the counts first, into a total for each
+    residue: the sum vanishes iff all ``order`` totals are equal.  Its
+    order is a prime p <= k, or has no prime <= k, and then k < order, so
+    not every residue can occur."""
+    k = len(counts)
+    if k < 2:
+        return not k
+    if order == 1:
+        return False
+    m, r, sub = step = _step(order, k)
+    if sub == 1:
+        if k < order:
+            return False
+        totals = [0] * order  # order <= k
+        for n, c in counts.items():
+            totals[n % order] += c
+        return min(totals) == max(totals)
+    classes: dict[int, dict[int, int]] = {}
+    get = classes.get
+    if r:
+        for n, c in counts.items():
+            n %= order
+            cls = get(n % r)
+            if cls is None:
+                classes[n % r] = cls = {}
+            n //= r
+            cls[n] = cls.get(n, 0) + c
+    else:
+        for n, c in counts.items():
+            cls = get(n % m)
+            if cls is None:
+                classes[n % m] = cls = {}
+            n %= sub
+            cls[n] = cls.get(n, 0) + c
+    return _classes_vanish(step, classes)
+
+
+def _classes_vanish(step: tuple[int, int, int], classes: dict[int, dict[int, int]]) -> bool:
+    """Whether every sum the tower step ``step`` = (m, r, sub) passes down
+    vanishes at order ``sub``, for ``classes`` the terms classed by that
+    step (see ``_vanishes``)."""
+    m, r, sub = step
+    if not r and len(classes) == m:  # only a squarefree step meets all m classes
+        base = min(classes.values(), key=len)
+        for cls in classes.values():
+            if cls != base:
+                pull = cls.get
+                for e, c in base.items():
+                    c = pull(e, 0) - c
+                    if c:
+                        cls[e] = c
+                    else:
+                        del cls[e]
+                if not _vanishes(sub, cls):
+                    return False
+        return True
     for cls in classes.values():
         if len(cls) == 1:
             return False
@@ -239,8 +316,12 @@ def root_sum_is_zero(s: CycSum) -> bool:
 
     Works on the terms alone: the cost grows with the number of terms and
     the primes up to it, not with the order N, and Phi_N is never built.
+    A grid's sum reaches the tower as its counts, unreduced.
     """
-    return _vanishes(s.order, s.coeffs)
+    counts = s._counts
+    if counts is None:
+        return _vanishes(s.order, s._coeffs)
+    return _counts_vanish(s.order, counts)
 
 
 def rational(x) -> Fraction:
@@ -276,10 +357,10 @@ class RationalPhases:
     at rational t.  Python ints and Fractions of Python ints are read as
     they are, every other point through ``rational``.  The count of each
     numerator, which only ``root_sum`` reads, is taken once, on its first
-    call.  As it is built, the grid counts its cost in 64-bit words
-    against ``GRID_WORK_BUDGET``: words(D) * words(d) for each step of the
-    lcm D over the distinct denominators d, least first, then
-    floor(bits(D) / 64) per numerator."""
+    call, and shared by every sum it returns.  As it is built, the grid
+    counts its cost in 64-bit words against ``GRID_WORK_BUDGET``:
+    words(D) * words(d) for each step of the lcm D over the distinct
+    denominators d, least first, then floor(bits(D) / 64) per numerator."""
 
     __slots__ = ("denominator", "numerators", "_counts")
 
@@ -316,20 +397,18 @@ class RationalPhases:
         sum is sum_x zeta_M^{n_x w} with w = u / gcd(u, D v) prime to M,
         and zeta_M -> zeta_M^w is an automorphism of Q(zeta_M).
 
-        One pass over the distinct numerators into a new dict, so every
-        call returns a fresh sum; the counts are positive, so no
-        coefficient is zero."""
+        The sum holds the grid's numerator counts as they are, so a call
+        costs no pass over them: ``root_sum_is_zero`` reduces them mod
+        the order as its first tower step classes them, and ``coeffs``
+        is formed from them, into a new dict for every sum, on its first
+        read."""
         counts = self._counts
         if counts is None:
             counts = self._counts = Counter(self.numerators)
         if type(order) is not int or order < 1:
             return CycSum(order, counts)  # converts the order, or refuses it
-        reduced: dict[int, int] = {}
-        get = reduced.get
-        for n, c in counts.items():
-            n %= order
-            reduced[n] = get(n, 0) + c
         s = CycSum.__new__(CycSum)
         s.order = order
-        s.coeffs = reduced
+        s._coeffs = None
+        s._counts = counts
         return s

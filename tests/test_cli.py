@@ -642,6 +642,24 @@ SECONDS_CASES = {
         ],
         0, {"status": "not_found"},
     ),
+    # The search budget's edge, where a search that built and sorted a
+    # Fraction per candidate took about 3 s.  At qmax 255 the first pair
+    # pass goes over the budget.
+    "find_spectrum_budget_edge": (
+        lambda tmp: [
+            "find-spectrum", "--set", data("set_012.json"), "--qmax", "254", "--span", "10",
+        ],
+        0, {"status": "ok", "spectrum": ["0", "1/3", "2/3"]},
+    ),
+    "find_spectrum_over_budget_edge": (
+        lambda tmp: [
+            "find-spectrum", "--set", data("set_012.json"), "--qmax", "255", "--span", "10",
+        ],
+        1, {
+            "reason": "too_large",
+            "message": "spectrum search needs at least 524599 units of work, over its budget of 524288",
+        },
+    ),
     # The closure grows about quadratically with --budget.
     "arrow_close_too_large": (
         lambda tmp: [

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from spectrapairs.exact import (
     CycSum,
     RationalPhases,
     _split_order,
+    _step,
     cyclotomic_polynomial,
     integer,
     rational,
@@ -282,9 +284,12 @@ def test_line_pair_orders_agree_with_phi_division(n):
     order=st.integers(1, 72),
 )
 def test_root_sum_agrees_with_phi_division(points, order):
-    # Repeated points included: a FiniteRep's eigenvalues may repeat.
+    # Repeated points included: a FiniteRep's eigenvalues may repeat.  The
+    # first test reads the grid's counts, unreduced; reading s.coeffs then
+    # forms the reduced sum that CycSum builds and Phi_N divides.
     s = RationalPhases(points).root_sum(order)
-    assert root_sum_is_zero(s) == _phi_divides(s)
+    verdict = root_sum_is_zero(s)
+    assert verdict == root_sum_is_zero(CycSum(order, s.coeffs)) == _phi_divides(s)
 
 
 def test_root_sum_counts_repeated_points():
@@ -292,6 +297,68 @@ def test_root_sum_counts_repeated_points():
     s = RationalPhases([0, 0, Fraction(1, 2)]).root_sum(2)
     assert s == CycSum(2, {0: 2, 1: 1})
     assert not root_sum_is_zero(s)
+
+
+def _first_step(order, k):
+    """The kind of the first tower step for k terms at ``order``."""
+    if order == 1:
+        return "order 1"
+    m, r, sub = _step(order, k)
+    if sub == 1:
+        return "base case"
+    if r:
+        return "not squarefree"
+    if max(sympy.primefactors(order)) > k:
+        return "prime above the terms"
+    return "squarefree"
+
+
+# Grids whose numerators collide mod the order, so that the first step
+# merges equal residues, by the first step that the distinct numerators
+# reach; each kind but order 1 meets both verdicts.
+_COLLIDING_GRIDS = [
+    ("not squarefree", 12, [0, 12, 4, 8]),
+    ("not squarefree", 12, [0, 12, 4, 16, 8, 20]),
+    ("not squarefree", 12, [-12, 3, 15, 27, 6, 18]),
+    ("not squarefree", 12, [0, 12, 4, 16, 8, 20, 1, 13, 5, 17, 9, 21]),
+    ("not squarefree", 72, [0, 72, 24, 48, 120]),
+    ("not squarefree", 72, [0, 72, 24, 96, 48, 120]),
+    ("prime above the terms", 21, [0, 7, 14, 21, 28]),
+    ("prime above the terms", 21, [0, 7, 14, 21, 28, 35]),
+    ("prime above the terms", 22, [0, 11, 22]),
+    ("prime above the terms", 22, [0, 11, -22, 33]),
+    ("squarefree", 6, [0, 6, 2, 4]),
+    ("squarefree", 6, [0, 6, 2, 8, 4, 10]),
+    ("squarefree", 30, [0, 6, 12, 18, 24, 30]),
+    ("squarefree", 30, [0, 6, 12, 18, 24, 30, 36, 42, 48, 54]),
+    ("base case", 5, [0, 1, 2, 3, 4, 5]),
+    ("base case", 5, list(range(10))),
+    ("base case", 7, [0, 7, 14]),
+    ("base case", 7, list(range(-7, 7))),
+    ("order 1", 1, [0, 1, 2]),
+    ("order 1", 1, [5, 6]),
+]
+
+
+def test_colliding_numerators_agree_with_phi_division():
+    verdicts = {}
+    for kind, order, numerators in _COLLIDING_GRIDS:
+        k = len(set(numerators))
+        assert len({n % order for n in numerators}) < k  # they collide
+        assert _first_step(order, k) == kind
+        if kind == "squarefree":  # every class mod the step's prime is met
+            m = _step(order, k)[0]
+            assert len({n % m for n in numerators}) == m
+        verdict = root_sum_is_zero(RationalPhases(numerators).root_sum(order))
+        assert verdict == _phi_divides(CycSum(order, Counter(numerators))), (order, numerators)
+        verdicts.setdefault(kind, set()).add(verdict)
+    assert verdicts == {
+        "not squarefree": {True, False},
+        "prime above the terms": {True, False},
+        "squarefree": {True, False},
+        "base case": {True, False},
+        "order 1": {False},
+    }
 
 
 def _base_case_sums(order, p, rng):

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from spectrapairs import spectral
 from spectrapairs.errors import InvalidInputError
 from spectrapairs.exact import CycSum, root_sum_is_zero
 from spectrapairs.sets import (
@@ -337,6 +338,20 @@ class TestSearchSpectrum:
         sets = (FiniteRationalSet((0, *c)) for c in itertools.combinations(sorted(grid), len(A) - 1))
         assert search_spectrum(A, q_max, span) == next((B for B in sets if is_spectral_pair(A, B)), None)
 
+    def test_builds_fractions_only_for_the_hit(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(spectral, "Fraction", counted)
+        assert search_spectrum(fset(0, 1, 2), 3, 1) == fset(0, "1/3", "2/3")
+        assert built == [(0, 1), (1, 3), (2, 3)]
+        built.clear()
+        assert search_spectrum(fset(0, 1, 3), 12, 2) is None
+        assert built == []
+
     def test_agrees_with_three_point_criterion(self):
         # Small slice of the oracle-agreement invariant (full grid lives in
         # the acceptance suite).
@@ -345,3 +360,41 @@ class TestSearchSpectrum:
             verdict = decide_line_set(3, a).verdict
             found = search_spectrum(fset(0, 1, a), 3 * q, q)
             assert (found is not None) == (verdict == "spectral")
+
+
+def _fraction_candidates(q_max, span):
+    """The search's candidates as it once built them: a set of Fractions,
+    sorted, over the q that give a p/q in (0, span)."""
+    q_min = span.denominator // span.numerator + 1
+    candidates = {Fraction(p, q) for q in range(q_min, q_max + 1) for p in range(1, math.ceil(span * q))}
+    return [c.as_integer_ratio() for c in sorted(candidates)]
+
+
+@st.composite
+def _walk_bounds(draw):
+    """q_max up to 40, often 1, and a span below 1 / q_max, equal to 1,
+    integral above 1, fractional above 1 or anywhere up to 6."""
+    q_max = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    share = st.fractions(min_value=0, max_value=1, max_denominator=50).filter(lambda x: 0 < x < 1)
+    kind = draw(st.sampled_from(["tiny", "one", "integral", "fractional", "any"]))
+    if kind == "tiny":
+        return q_max, draw(share) / q_max
+    if kind == "one":
+        return q_max, Fraction(1)
+    if kind == "integral":
+        return q_max, Fraction(draw(st.integers(2, 6)))
+    if kind == "fractional":
+        return q_max, draw(st.integers(1, 5)) + draw(share)
+    return q_max, 6 * draw(share)
+
+
+@given(_walk_bounds())
+@example((1, Fraction(5, 2)))
+@example((7, Fraction(1, 8)))
+@example((200, Fraction(1)))
+@example((120, Fraction(7, 3)))
+@example((500, Fraction(1, 5)))
+@settings(max_examples=300, deadline=None)
+def test_farey_walk_matches_the_sorted_fractions(bounds):
+    q_max, span = bounds
+    assert spectral._candidates(q_max, span) == _fraction_candidates(q_max, span)
