@@ -13,6 +13,7 @@ import contextlib
 import math
 import sys
 from functools import lru_cache
+from itertools import repeat
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -284,11 +285,34 @@ def _vanishing_level(mu: IFSMeasure, u: int, v: int, depth: int) -> int:
     return 0
 
 
-def _ifs_kernel(
-    mu: IFSMeasure, nums: Sequence[int], dens: Sequence[int], eps: float, symbolic: bool
-) -> IFSTransforms:
-    """mu_hat(t) = prod_{k=1}^{K} mean_d e^{2 pi i d t / R^k} for each
-    t = nums[j] / dens[j], with certified error <= eps.
+class _Terms(NamedTuple):
+    """The arguments t = nums[j] / dens[j] of a transform batch, as integer
+    arrays with dens positive: int64 where every value is below
+    ``_CAP64`` in magnitude, else Python ints.  Their bounds come with
+    them, so that the kernel runs no reduction over them."""
+
+    nums: np.ndarray
+    dens: np.ndarray
+    top_num: int  # max |nums|, 0 for no terms
+    top_den: int  # max dens, 1 for no terms
+    least_den: int  # min dens, 1 for no terms
+
+
+def _int_array(values, top: int) -> np.ndarray:
+    return np.array(values, np.int64 if top < _CAP64 else object)
+
+
+def _terms(nums: Sequence[int], dens: Sequence[int]) -> _Terms:
+    """The terms nums[j] / dens[j] for lists of Python ints."""
+    top_num, top_den = max(map(abs, nums), default=0), max(dens, default=1)
+    return _Terms(
+        _int_array(nums, top_num), _int_array(dens, top_den), top_num, top_den, min(dens, default=1)
+    )
+
+
+def _ifs_kernel(mu: IFSMeasure, batch: _Terms, eps: float, symbolic: bool) -> IFSTransforms:
+    """mu_hat(t) = prod_{k=1}^{K} mean_d e^{2 pi i d t / R^k} for each term
+    t = u / v of the batch, with certified error <= eps.
 
     Depth: |m_D(s) - 1| <= 2 pi max|d| |s|, so the tail of the product
     past K is within exp(delta) - 1 of 1 with
@@ -304,10 +328,14 @@ def _ifs_kernel(
 
     Phases: with digits a / D and t = u / v, digit a turns by
     a u / (D v R^k) at level k, reduced exactly to the remainder of a u
-    by D v R^k with the sign of a u, then divided in floats.  Moduli are
-    capped near ``cap``: a capped modulus exceeds cap / 2, which is at
-    least every |a u| and twice every |(a2 - a1) u|, so it leaves a u
-    unreduced, as the true one would, and no factor vanishes there.
+    by D v R^k with the sign of a u, then divided in floats.  The
+    remainder is taken only on the levels that can wrap, those with
+    D R^k times the batch's least v at most its largest |a u|: every
+    later level divides a u itself, which is its own remainder there, so
+    the float is the same.  Moduli are capped near ``cap``: a capped
+    modulus exceeds cap / 2, which is at least every |a u| and twice
+    every |(a2 - a1) u|, so it leaves a u unreduced, as the true one
+    would, and no factor vanishes there.
     Where D v R^K >= 2^1000, as past the table, the float divisors may
     overflow: each remainder is divided by its uncapped modulus in Python
     ints instead.  A phase below one turn keeps its sign, so mu_hat(-t) is
@@ -334,16 +362,16 @@ def _ifs_kernel(
     c = 2 * math.pi * (top_digit / D)
     scale_powers = _powers(R)
     floats = scale_powers.floats
-    top_u, top_v = max(map(abs, nums), default=0), max(dens, default=1)
+    U, V, top_u, top_v, least_v = batch
     cap = max(_CAP64, 2 * reach * top_u, 2 * D * top_v)
     dtype = np.int64 if cap == _CAP64 else object
-    U, V = np.array(nums, dtype), np.array(dens, dtype)
+    U, V = U.astype(dtype, copy=False), V.astype(dtype, copy=False)
     thresholds = _depth_thresholds(R, eps)
     if top_u < 2**53 and top_v < 2**53:
         # Every |u| and v is a float: one division rounds as abs(u) / v.
         ratios = abs(U) / V
     else:
-        ratios = np.array([_ratio(u, v) for u, v in zip(nums, dens)])
+        ratios = np.array([_ratio(u, v) for u, v in zip(U.tolist(), V.tolist())])
     # Below the normal range c has lost its precision, or is 0, so it
     # bounds no delta; at eps = inf, log1p(eps) R^k = inf certifies depth 0.
     coarse = not c >= sys.float_info.min
@@ -359,12 +387,13 @@ def _ifs_kernel(
         redo = np.flatnonzero(U) if coarse else (depths == least).nonzero()[0]
         for j in redo.tolist():
             depths[j] = _least_power(
-                abs(nums[j]) * rate.numerator, dens[j] * rate.denominator, R, least
+                abs(int(U[j])) * rate.numerator, int(V[j]) * rate.denominator, R, least
             )
     DV = D * V
     hits = levels = []
     if symbolic and n > 2:
-        zeros = [(j, _vanishing_level(mu, nums[j], dens[j], K)) for j, K in enumerate(depths.tolist()) if K]
+        args = zip(U.tolist(), V.tolist(), depths.tolist())
+        zeros = [(j, _vanishing_level(mu, u, v, K)) for j, (u, v, K) in enumerate(args) if K]
         hits, levels = [j for j, k in zeros if k], [k for _, k in zeros if k]
     elif symbolic:
         # Two digits: level k vanishes iff Z = Y / (D v), Y = 2 (a2 - a1) u,
@@ -382,10 +411,10 @@ def _ifs_kernel(
         level = np.minimum(twos.searchsorted(Z & -Z, "right"), depths)
         hits = ((Z * DV == Y) & (Z % twice[level] == power[level])).nonzero()[0]
         levels = level[hits]
-    if len(hits) == len(nums):
+    if len(hits) == len(U):
         # Every term is an exact zero: no values are evaluated.
-        return IFSTransforms(np.zeros(len(nums), dtype=complex), np.asarray(levels, dtype=np.int64))
-    values = np.empty(len(nums), dtype=complex)
+        return IFSTransforms(np.zeros(len(U), dtype=complex), np.asarray(levels, dtype=np.int64))
+    values = np.empty(len(U), dtype=complex)
     values.fill(1)
     live = depths.copy()
     if len(hits):
@@ -395,7 +424,7 @@ def _ifs_kernel(
     keys, groups = live, set(live.tolist()) - {0}
     if groups and cap * R ** max(groups) >= 2**1000:
         keys = np.array([
-            -K if D * v * R**K >= 2**1000 else K for K, v in zip(live.tolist(), dens)
+            -K if D * v * R**K >= 2**1000 else K for K, v in zip(live.tolist(), V.tolist())
         ])
         groups = set(keys.tolist()) - {0}
     if not groups:
@@ -403,6 +432,10 @@ def _ifs_kernel(
     # A digit at 0 turns by nothing: its root is exactly 1.
     moving = [y for y in a if y]
     step = np.array(moving, dtype)[:, None]
+    # R^k for k >= 1.  Level k can wrap only where D v R^k <= |a u|, so in
+    # every term at most the first ``wrap`` levels do.
+    table = (scale_powers.int64 if cap == _CAP64 else scale_powers.ints)[1:]
+    wrap = int(table.searchsorted(top_digit * top_u // (D * least_v), "right"))
     for key in groups:
         K, deep = abs(key), key < 0
         terms = (keys == key).nonzero()[0]
@@ -410,7 +443,8 @@ def _ifs_kernel(
         if deep:
             powers = np.array([R**k for k in range(1, K + 1)], dtype=object)
         else:
-            powers = (scale_powers.int64 if cap == _CAP64 else scale_powers.ints)[1 : K + 1]
+            w = min(wrap, K)
+            powers = table[:w]
         for lo in range(0, len(terms), rows):
             idx = terms[lo : lo + rows]
             u, Dv = U[idx], DV[idx]
@@ -424,9 +458,15 @@ def _ifs_kernel(
                 M = Dv.astype(object)[:, None] * powers
                 turns = (_fmod(N.astype(object), M) / M).astype(float)
             else:
-                M = Dv[:, None] * np.minimum(powers, (cap // Dv)[:, None])
-                turns = _fmod(N, M).astype(float) / (Dv.astype(float)[:, None] * floats[1 : K + 1])
-            mean = _exp_turns(turns).sum(axis=0)
+                turns = np.empty(N.shape[:2] + (K,))
+                turns[:, :, w:] = N
+                if w:
+                    M = Dv[:, None] * np.minimum(powers, (cap // Dv)[:, None])
+                    turns[:, :, :w] = _fmod(N, M)
+                turns /= Dv.astype(float)[:, None] * floats[1 : K + 1]
+            roots = _exp_turns(turns)
+            # One moving digit: its roots are the sum, as they are.
+            mean = roots[0] if len(moving) == 1 else roots.sum(axis=0)
             mean.real += n - len(moving)
             mean.view(float)[...] /= n
             values[idx] = mean.prod(axis=1)
@@ -442,7 +482,7 @@ def ifs_transforms(mu: IFSMeasure, ts: Iterable, eps: float, symbolic: bool = Tr
     value).
     """
     ts = [rational(t) for t in ts]
-    return _ifs_kernel(mu, [t.numerator for t in ts], [t.denominator for t in ts], eps, symbolic)
+    return _ifs_kernel(mu, _terms([t.numerator for t in ts], [t.denominator for t in ts]), eps, symbolic)
 
 
 def ifs_transform(mu: IFSMeasure, t, eps: float, symbolic: bool = True) -> IFSTransformValue:
@@ -454,7 +494,7 @@ def ifs_transform(mu: IFSMeasure, t, eps: float, symbolic: bool = True) -> IFSTr
     its binary value, as in ``ifs_transforms``.
     """
     t = rational(t)
-    values, depths = _ifs_kernel(mu, [t.numerator], [t.denominator], eps, symbolic)
+    values, depths = _ifs_kernel(mu, _terms([t.numerator], [t.denominator]), eps, symbolic)
     return IFSTransformValue(complex(values[0]), int(depths[0]))
 
 
@@ -473,14 +513,17 @@ def jp_spectrum(level: int) -> tuple[int, ...]:
 Measure = Union[AtomicMeasure, IFSMeasure]
 
 
-def _transforms(mu: Measure, nums: Sequence[int], den: int, eps: float, symbolic: bool = True) -> np.ndarray:
-    """mu_hat(nums[j] / den) for each j.  An atomic mu first counts its
-    |mu| * len(nums) phases against ``errors.WORK_BUDGET``."""
+def _transforms(mu: Measure, nums: np.ndarray, den: int, eps: float, symbolic: bool = True) -> np.ndarray:
+    """mu_hat(nums[j] / den) for each j, for integers ``nums`` as
+    ``_Terms`` holds them.  An atomic mu first counts its |mu| * len(nums)
+    phases against ``errors.WORK_BUDGET``."""
     if isinstance(mu, AtomicMeasure):
         size = len(mu.points)
         check_work(f"transforms of {size} atoms", size * len(nums), errors.WORK_BUDGET)
-        return _atomic_transforms(mu, nums, den)
-    return _ifs_kernel(mu, nums, [den] * len(nums), eps, symbolic).values
+        return _atomic_transforms(mu, nums.tolist(), den)
+    dens = np.full(len(nums), den, np.int64 if den < _CAP64 else object)
+    batch = _Terms(nums, dens, int(abs(nums).max(initial=0)), den, den)
+    return _ifs_kernel(mu, batch, eps, symbolic).values
 
 
 def gram_matrix(
@@ -504,7 +547,7 @@ def gram_matrix(
     i, j = np.triu_indices(n, 1)
     diff = p[j] - p[i]
     keys, index = np.unique(np.abs(diff), return_inverse=True)
-    upper = _transforms(mu, keys.tolist(), lam.denominator, eps, symbolic)[index]
+    upper = _transforms(mu, keys, lam.denominator, eps, symbolic)[index]
     upper = np.where(diff < 0, upper.conj(), upper)
     G[i, j] = upper
     G[j, i] = upper.conj()
@@ -542,14 +585,15 @@ def completeness_defect(mu: Measure, Lambda: Sequence, t, eps: float = 1e-10) ->
     if not lam.numerators:
         return 0.0
     t = rational(t)
-    u, v, D = t.numerator, t.denominator, lam.denominator
-    # t - lambda over the common denominator v D
-    values = _transforms(
-        mu, [u * D - v * p for p in lam.numerators], v * D, eps / len(lam.numerators)
-    )
+    u, v, D, p = t.numerator, t.denominator, lam.denominator, lam.numerators
+    # t - lambda over the common denominator v D, in int64 unless a
+    # difference may not fit
+    wide = abs(u * D) + v * max(map(abs, p)) >= _CAP64
+    values = _transforms(mu, u * D - v * np.array(p, object if wide else np.int64), v * D, eps / len(p))
     # np.hypot gives each modulus as Python's abs(complex) does (both are
-    # the C library's hypot).  The square stays Python's x ** 2, the C
-    # library's pow: x * x, as np.square computes it, rounds differently
-    # on about one value in a thousand.  np.abs on complex values differs
-    # from both on about a third of them, and with numpy's SIMD level.
-    return math.fsum(x ** 2 for x in np.hypot(values.real, values.imag).tolist())
+    # the C library's hypot).  The square is pow(x, 2), the C library's
+    # pow, as Python's x ** 2 is: x * x, as np.square computes it, rounds
+    # differently on about one value in a thousand.  np.abs on complex
+    # values differs from both on about a third of them, and with numpy's
+    # SIMD level.
+    return math.fsum(map(pow, np.hypot(values.real, values.imag).tolist(), repeat(2)))

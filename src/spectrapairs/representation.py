@@ -78,11 +78,20 @@ class FiniteRep:
 def multiplication_representation(mu: AtomicMeasure) -> FiniteRep:
     """Multiplication by e_t on L2(mu) in weighted coordinates: diagonal on
     the support points, with v0 the constant function 1.  Counts dim^2
-    against ``errors.WORK_BUDGET`` first."""
+    against ``errors.WORK_BUDGET`` first.
+
+    Built on the measure's own grid without ``FiniteRep``'s checks: V = I
+    is unitary, v0 = sqrt(w) is a unit vector as the weights sum to 1, and
+    the amplitudes V* v0 are v0 itself."""
     n = len(mu.points)
     check_work("multiplication representation", n * n, errors.WORK_BUDGET)
-    v0 = np.sqrt(np.array(mu.weights, dtype=float)).astype(complex)
-    return FiniteRep(mu.points, np.eye(n, dtype=complex), v0)
+    rep = FiniteRep.__new__(FiniteRep)
+    rep.eigenvalues = mu.points
+    rep.phases = mu.phases
+    rep.eigenvectors = np.eye(n, dtype=complex)
+    rep.v0 = np.sqrt(np.array(mu.weights, dtype=float)).astype(complex)
+    rep.amplitudes = rep.v0.copy()
+    return rep
 
 
 def evaluate_group_element(rep: FiniteRep, t) -> np.ndarray:

@@ -2,8 +2,10 @@
 bounds, and the completeness diagnostic."""
 
 import cmath
+import hashlib
 import math
 import random
+import struct
 import time
 from collections import Counter
 from fractions import Fraction
@@ -623,6 +625,58 @@ class TestBatchScale:
                 assert (value, depth) == ((0j, k) if k else (z, K)), (R, t)
                 at_depth += bool(k) and k == K
         assert at_depth or eps < 1e3
+
+
+# Digit sets of 2, 3 and 4 digits, with a digit at 0, negative digits and
+# rational digits, for the kernel's pinned bits.
+PINNED_MEASURES = (
+    IFSMeasure(4, (0, 2)),
+    IFSMeasure(3, (Fraction(-1, 2), 1)),
+    IFSMeasure(4, (0, 1, 2)),
+    IFSMeasure(5, (-1, 0, Fraction(2, 3))),
+    IFSMeasure(6, (Fraction(-3, 4), 0, 1, 2)),
+    IFSMeasure(2, (-2, Fraction(1, 3), 1, 3)),
+)
+# Every eps in plain floats; symbolic at two of them, as its exact zero
+# test costs a root sum per level on the terms past the table.
+PINNED_MODES = ((1e-15, False), (1e-12, False), (1e-12, True), (1e-6, False), (0.1, False), (0.1, True))
+# sha256 of the bytes below, recorded when the kernel took every level's
+# remainder by its modulus: a change that moves one bit of one value, or
+# one depth, changes it.
+PINNED_DIGEST = "bb3f2aada7d7048ab0534f0d3b13889ef2992cd5a0cc51a859c18b789a100718"
+
+
+def pinned_terms(rng, mu):
+    """The terms of two batches: one of small rationals, integers and exact
+    zeros of the measure, which the kernel takes in int64 and in more than
+    one chunk; and the same with terms whose integers overflow int64 and
+    terms past the depth table added."""
+    ts = [Fraction(rng.randrange(-(10**4), 10**4), rng.randrange(1, 400)) for _ in range(300)]
+    ts += [rng.randrange(-(4**7), 4**7) for _ in range(20)]
+    a, D = mu.phases.numerators, mu.phases.denominator
+    half = Fraction(D, 2 * (a[1] - a[0]))
+    ts += [mu.scale**k * m * half for k in (1, 2, 5) for m in (1, -3)]
+    wide = [Fraction(rng.randrange(2**61, 2**80) * rng.choice((1, -1)), rng.randrange(1, 50)) for _ in range(4)]
+    wide += [Fraction(rng.randrange(1, 2**90), 2**64 + rng.randrange(1000)) for _ in range(2)]
+    wide += [2**1001 + rng.randrange(10**6), -Fraction(3**640, 7), Fraction(10**400 + 1, 3 * 10**400)]
+    rng.shuffle(ts)
+    return ts, ts[:40] + wide
+
+
+def test_kernel_bits_are_pinned():
+    rng = random.Random(32)
+    digest = hashlib.sha256()
+    for mu in PINNED_MEASURES:
+        for ts in pinned_terms(rng, mu):
+            for eps, symbolic in PINNED_MODES:
+                batch = ifs_transforms(mu, ts, eps, symbolic)
+                digest.update(batch.values.tobytes())
+                digest.update(batch.depths.astype(np.int64).tobytes())
+    lam = jp_spectrum(8)
+    for t in (0, 3, Fraction(5, 97), Fraction(-7, 12), Fraction(4**9 + 1, 2)):
+        digest.update(struct.pack("<d", completeness_defect(cantor4_measure(), lam, t)))
+    digest.update(gram_matrix(cantor4_measure(), jp_spectrum(5), symbolic=False).tobytes())
+    assert digest.hexdigest() == PINNED_DIGEST
 
 
 class TestJpSpectrum:

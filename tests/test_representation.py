@@ -53,6 +53,30 @@ class TestMultiplicationRepresentation:
         point = multiplication_representation(uniform(0))
         assert point.dim == 1 and point.v0[0] == 1.0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_validated_construction(self, seed):
+        # The representation skips FiniteRep's checks; it must build the
+        # object they would, field by field and byte for byte.
+        rng = random.Random(seed)
+        for mu in (uniform(*range(seed + 1)), random_measure(rng), random_measure(rng, 40)):
+            n = len(mu.points)
+            rep = multiplication_representation(mu)
+            ref = FiniteRep(mu.points, np.eye(n, dtype=complex), np.sqrt(np.array(mu.weights)))
+            assert type(rep.eigenvalues) is tuple and rep.eigenvalues == ref.eigenvalues
+            assert rep.phases.denominator == ref.phases.denominator
+            assert rep.phases.numerators == ref.phases.numerators
+            for name in ("eigenvectors", "v0", "amplitudes"):
+                mine, theirs = getattr(rep, name), getattr(ref, name)
+                assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
+            assert not np.shares_memory(rep.v0, rep.amplitudes)
+
+    def test_finite_rep_still_validates(self):
+        I = np.eye(2, dtype=complex)
+        with pytest.raises(InvalidInputError, match="unit vector"):
+            FiniteRep([0, Fraction(1, 2)], I, [1.0, 1.0])
+        with pytest.raises(InvalidInputError, match="not unitary"):
+            FiniteRep([0, Fraction(1, 2)], [[1, 1], [0, 1]], [1.0, 0.0])
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             AtomicMeasure([0, 1], [0.5, 0.6])
