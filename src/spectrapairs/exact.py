@@ -14,8 +14,8 @@ here, with points put over a common denominator D by ``RationalPhases``:
 an exponential sum sum_x e^{2 pi i x t} at t = u / v is decided as
 ``root_sum(M)``, the sum of zeta_M^{n_x} over the numerators n_x, at its
 least order M = D v / gcd(u, D v), which the caller computes in integers.
-A grid counts its numerators once, on its first ``root_sum``, and each
-sum holds those counts unreduced until the zero test classes them.  Every
+A ``CycSum`` holds one terms mapping: reduced nonzero coefficients, or its
+grid's numerator counts, unreduced and shared by all the grid's sums.  Every
 point set takes its rationals through ``rational``, and every integer
 parameter goes through ``integer``, so no numpy integer reaches an exact
 product or count.  A grid counts its own size as it is built, against
@@ -107,14 +107,14 @@ def _reduce(order: int, terms) -> dict[int, int]:
 class CycSum:
     """Formal integer combination sum_e c_e zeta_N^e of N-th roots of unity.
 
-    Exponents are reduced mod N at construction; zero coefficients are
-    dropped.  A sum made by ``RationalPhases.root_sum`` holds its grid's
-    numerator counts as they are, unreduced: ``coeffs`` is formed from
-    them, into a dict of its own, on its first read, and
-    ``root_sum_is_zero`` reads the counts without forming it.
+    Its terms are one mapping: built here, the nonzero coefficients with
+    exponents reduced mod N; made by ``RationalPhases.root_sum``, the
+    grid's shared numerator counts, positive and unreduced.  ``coeffs``
+    reduces them into a new dict on every read, so no caller can change a
+    sum, or its grid, through it.
     """
 
-    __slots__ = ("order", "_coeffs", "_counts")
+    __slots__ = ("order", "_terms")
 
     def __init__(self, order: int, coeffs: Mapping[int, int]):
         index = operator.index
@@ -130,17 +130,12 @@ class CycSum:
             # A zero coefficient or a cancellation left a zero: drop it.
             reduced = {e: c for e, c in reduced.items() if c}
         self.order = order
-        self._coeffs = reduced
-        self._counts = None
+        self._terms = reduced
 
     @property
     def coeffs(self) -> dict[int, int]:
-        """The nonzero coefficients by exponent in [0, order)."""
-        coeffs = self._coeffs
-        if coeffs is None:  # a grid's counts are positive: no zero to drop
-            coeffs = self._coeffs = _reduce(self.order, self._counts.items())
-            self._counts = None
-        return coeffs
+        """The nonzero coefficients by exponent in [0, order), as a new dict."""
+        return _reduce(self.order, self._terms.items())
 
     def __eq__(self, other):
         return (
@@ -238,15 +233,15 @@ def _vanishes(order: int, terms: dict[int, int]) -> bool:
 
 
 def _counts_vanish(order: int, counts: Mapping[int, int]) -> bool:
-    """``_vanishes`` for a grid's counts: positive coefficients on
-    numerators not yet reduced mod ``order``.
+    """``_vanishes`` for a ``CycSum``'s terms: positive counts on exponents
+    not yet reduced mod ``order``, or nonzero coefficients on residues.
 
-    The first step classes the numerators straight from the counts, with
-    k their number, which bounds the terms left after reduction.  Equal
-    residues merge as they are classed; the counts are positive, so no
-    zero term appears.  At order 1 the sum is the positive total.  A first
-    step to the base case reduces the counts first, into a total for each
-    residue: the sum vanishes iff all ``order`` totals are equal.  Its
+    The first step classes the exponents straight from the terms, with k
+    their number, which bounds the terms left after reduction.  Equal
+    residues merge as they are classed, and no zero term appears (see
+    ``root_sum_is_zero``).  At order 1 the sum is the positive total.  A
+    first step to the base case reduces the terms first, into a total for
+    each residue: the sum vanishes iff all ``order`` totals are equal.  Its
     order is a prime p <= k, or has no prime <= k, and then k < order, so
     not every residue can occur."""
     k = len(counts)
@@ -316,12 +311,15 @@ def root_sum_is_zero(s: CycSum) -> bool:
 
     Works on the terms alone: the cost grows with the number of terms and
     the primes up to it, not with the order N, and Phi_N is never built.
-    A grid's sum reaches the tower as its counts, unreduced.
+    Every sum takes its first step in ``_counts_vanish``, merging equal
+    residues mod N as it classes the terms.  They are positive counts, or
+    nonzero coefficients on distinct residues, which every step's classes
+    keep apart, so no merge leaves a zero.  The later steps, where the
+    time goes, run ``_vanishes``, which merges nothing: its classes hold
+    distinct reduced exponents, so it stores each term as it reads it,
+    with no lookup or sum.
     """
-    counts = s._counts
-    if counts is None:
-        return _vanishes(s.order, s._coeffs)
-    return _counts_vanish(s.order, counts)
+    return _counts_vanish(s.order, s._terms)
 
 
 def rational(x) -> Fraction:
@@ -335,9 +333,10 @@ def rational(x) -> Fraction:
             x = Fraction(x)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise InvalidInputError(f"not a rational number: {reprlib.repr(x)}") from None
-    if type(x.numerator) is int and type(x.denominator) is int:
+    n, d = x.as_integer_ratio()  # one call; numerator and denominator are two
+    if type(n) is int and type(d) is int:
         return x
-    return Fraction(int(x.numerator), int(x.denominator))
+    return Fraction(int(n), int(d))
 
 
 def integer(x, name: str) -> int:
@@ -354,10 +353,10 @@ def integer(x, name: str) -> int:
 class RationalPhases:
     """A finite list of rationals x as Python-int numerators over one
     common denominator, for exact exponential sums sum_x e^{2 pi i x t}
-    at rational t.  Python ints and Fractions of Python ints are read as
-    they are, every other point through ``rational``.  The count of each
-    numerator, which only ``root_sum`` reads, is taken once, on its first
-    call, and shared by every sum it returns.  As it is built, the grid
+    at rational t.  A Python int is its own numerator over 1; every other
+    point goes through ``rational``.  The count of each numerator, which
+    only ``root_sum`` reads, is taken once, on its first call, and every
+    sum it returns holds it as its terms.  As it is built, the grid
     counts its cost in 64-bit words against ``GRID_WORK_BUDGET``:
     words(D) * words(d) for each step of the lcm D over the distinct
     denominators d, least first, then floor(bits(D) / 64) per numerator."""
@@ -370,9 +369,7 @@ class RationalPhases:
             if type(x) is int:
                 n, d = x, 1
             else:
-                n, d = (x if type(x) is Fraction else rational(x)).as_integer_ratio()
-                if type(n) is not int or type(d) is not int:  # a Fraction of numpy ints
-                    n, d = rational(x).as_integer_ratio()
+                n, d = rational(x).as_integer_ratio()
             nums.append(n)
             dens.append(d)
         budget = GRID_WORK_BUDGET  # compared inline; check_work only raises
@@ -397,11 +394,10 @@ class RationalPhases:
         sum is sum_x zeta_M^{n_x w} with w = u / gcd(u, D v) prime to M,
         and zeta_M -> zeta_M^w is an automorphism of Q(zeta_M).
 
-        The sum holds the grid's numerator counts as they are, so a call
-        costs no pass over them: ``root_sum_is_zero`` reduces them mod
-        the order as its first tower step classes them, and ``coeffs``
-        is formed from them, into a new dict for every sum, on its first
-        read."""
+        The sum's terms are the grid's numerator counts as they are, so a
+        call costs no pass over them: ``root_sum_is_zero`` reduces them
+        mod the order as its first tower step classes them, and every
+        read of ``coeffs`` reduces them into a new dict."""
         counts = self._counts
         if counts is None:
             counts = self._counts = Counter(self.numerators)
@@ -409,6 +405,5 @@ class RationalPhases:
             return CycSum(order, counts)  # converts the order, or refuses it
         s = CycSum.__new__(CycSum)
         s.order = order
-        s._coeffs = None
-        s._counts = counts
+        s._terms = counts
         return s

@@ -402,8 +402,8 @@ def test_prime_order_base_case_agrees_with_phi_division(order, p):
 
 def test_root_sum_is_fresh_at_every_order():
     # Points 0, 0, 1/3, 2/3, 1/2, 5 on the grid over 6: numerators
-    # 0, 0, 2, 4, 3, 30.  Orders interleave; a caller that changes a
-    # returned sum must not change the next one.
+    # 0, 0, 2, 4, 3, 30.  Orders interleave; a caller that writes to a
+    # returned sum's coeffs changes neither that sum nor the next one.
     grid = RationalPhases([0, 0, Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), 5])
     expected = {
         6: CycSum(6, {0: 3, 2: 1, 4: 1, 3: 1}),
@@ -414,11 +414,20 @@ def test_root_sum_is_fresh_at_every_order():
     for order in (6, 2, 6, 3, 1, 2, 3, 6):
         s = grid.root_sum(order)
         assert s == expected[order]
+        verdict = root_sum_is_zero(s)
         s.coeffs[0] = -7
         s.coeffs[5 % order] = 11
+        s.coeffs.clear()  # an empty sum would vanish
+        assert root_sum_is_zero(s) is verdict
+        assert s == expected[order]
     assert {order: grid.root_sum(order) for order in expected} == expected
     assert not root_sum_is_zero(grid.root_sum(6))
     assert root_sum_is_zero(RationalPhases([0, Fraction(1, 3), Fraction(2, 3)]).root_sum(3))
+    # A built sum too: 1 + zeta_6^3 = 0 gains no zero term through coeffs.
+    s = CycSum(6, {0: 1, 3: 1})
+    s.coeffs[1] = 0
+    assert root_sum_is_zero(s)
+    assert s.coeffs == {0: 1, 3: 1}
 
 
 def test_split_order_hands_out_immutable_values():
