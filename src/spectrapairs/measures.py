@@ -285,61 +285,45 @@ def _vanishing_level(mu: IFSMeasure, u: int, v: int, depth: int) -> int:
     return 0
 
 
-class _Terms(NamedTuple):
-    """The arguments t = nums[j] / dens[j] of a transform batch, as integer
-    arrays with dens positive: int64 where every value is below
-    ``_CAP64`` in magnitude, else Python ints.  Their bounds come with
-    them, so that the kernel runs no reduction over them."""
-
-    nums: np.ndarray
-    dens: np.ndarray
-    top_num: int  # max |nums|, 0 for no terms
-    top_den: int  # max dens, 1 for no terms
-    least_den: int  # min dens, 1 for no terms
+def _check_eps(eps: float) -> None:
+    if not eps > 0:
+        raise InvalidInputError("eps must be positive")
 
 
-def _int_array(values, top: int) -> np.ndarray:
-    return np.array(values, np.int64 if top < _CAP64 else object)
-
-
-def _terms(nums: Sequence[int], dens: Sequence[int]) -> _Terms:
-    """The terms nums[j] / dens[j] for lists of Python ints."""
-    top_num, top_den = max(map(abs, nums), default=0), max(dens, default=1)
-    return _Terms(
-        _int_array(nums, top_num), _int_array(dens, top_den), top_num, top_den, min(dens, default=1)
-    )
-
-
-def _ifs_kernel(mu: IFSMeasure, batch: _Terms, eps: float, symbolic: bool) -> IFSTransforms:
-    """mu_hat(t) = prod_{k=1}^{K} mean_d e^{2 pi i d t / R^k} for each term
-    t = u / v of the batch, with certified error <= eps.
+def _ifs_kernel(
+    mu: IFSMeasure, nums: Sequence[int], top_u: int, v: int, eps: float, symbolic: bool
+) -> IFSTransforms:
+    """mu_hat(t) = prod_{k=1}^{K} mean_d e^{2 pi i d t / R^k} for each
+    t = u / v, u in ``nums`` (integers, as a list or an integer array) and
+    v one positive int, with certified error <= eps; top_u is max |u|, 0
+    for no terms.  eps is checked by the public entry points.
 
     Depth: |m_D(s) - 1| <= 2 pi max|d| |s|, so the tail of the product
     past K is within exp(delta) - 1 of 1 with
     delta = 2 pi max|d| |t| / (R^K (R-1)); K is the least depth with
     delta <= log1p(eps).  It is found by one ``searchsorted`` of
     c |t| / (R - 1), c = 2 pi max|d|, in the cached float table
-    log1p(eps) R^k for R^k < 2^1000.  Where every |u| and v of t = u / v
-    is below 2^53, the |t| are one array division, which rounds as each
+    log1p(eps) R^k for R^k < 2^1000.  Where every |u| and v is below
+    2^53, the |t| are one array division, which rounds as each
     abs(u) / v does.  Past the table, and for |t| past the float range,
     the same inequality, on the same float constants, is solved in
     integers, so the error bound holds at any |t|.  Where c is below the
     normal floats, every depth is solved so, with 2 pi < 710/113.
 
-    Phases: with digits a / D and t = u / v, digit a turns by
-    a u / (D v R^k) at level k, reduced exactly to the remainder of a u
-    by D v R^k with the sign of a u, then divided in floats.  The
-    remainder is taken only on the levels that can wrap, those with
-    D R^k times the batch's least v at most its largest |a u|: every
-    later level divides a u itself, which is its own remainder there, so
-    the float is the same.  Moduli are capped near ``cap``: a capped
-    modulus exceeds cap / 2, which is at least every |a u| and twice
-    every |(a2 - a1) u|, so it leaves a u unreduced, as the true one
-    would, and no factor vanishes there.
-    Where D v R^K >= 2^1000, as past the table, the float divisors may
-    overflow: each remainder is divided by its uncapped modulus in Python
-    ints instead.  A phase below one turn keeps its sign, so mu_hat(-t) is
-    the exact conjugate of mu_hat(t).
+    Phases: with digits a / D, digit a turns by a u / (D v R^k) at level
+    k, reduced exactly to the remainder of a u by D v R^k with the sign
+    of a u, then divided in floats.  The remainder is taken only on the
+    levels that can wrap, those with D v R^k at most the largest |a u|:
+    every later level divides a u itself, which is its own remainder
+    there, so the float is the same.  Moduli are capped near ``cap``: a
+    capped modulus exceeds cap / 2, which is at least every |a u| and
+    twice every |(a2 - a1) u|, so it leaves a u unreduced, as the true
+    one would, and no factor vanishes there.  A depth K with
+    D v R^K >= 2^1000, as every depth past the table has, may overflow
+    its float divisors: its remainders are divided by their uncapped
+    moduli in Python ints instead, while every other depth divides by the
+    one vector float(D v) R^k, k = 1..K.  A phase below one turn keeps its
+    sign, so mu_hat(-t) is the exact conjugate of mu_hat(t).
 
     With ``symbolic``, a level k <= K whose factor vanishes exactly makes
     the value an exact zero of depth k.  Two digits vanish at level k iff
@@ -353,8 +337,6 @@ def _ifs_kernel(mu: IFSMeasure, batch: _Terms, eps: float, symbolic: bool) -> IF
     depth and evaluated in chunks, and each term's value and depth depend
     on that term alone, whatever the batch.
     """
-    if not eps > 0:
-        raise InvalidInputError("eps must be positive")
     R, n = mu.scale, len(mu.digits)
     D, a = mu.phases.denominator, mu.phases.numerators
     top_digit = max(map(abs, a))
@@ -362,16 +344,15 @@ def _ifs_kernel(mu: IFSMeasure, batch: _Terms, eps: float, symbolic: bool) -> IF
     c = 2 * math.pi * (top_digit / D)
     scale_powers = _powers(R)
     floats = scale_powers.floats
-    U, V, top_u, top_v, least_v = batch
-    cap = max(_CAP64, 2 * reach * top_u, 2 * D * top_v)
+    cap = max(_CAP64, 2 * reach * top_u, 2 * D * v)
     dtype = np.int64 if cap == _CAP64 else object
-    U, V = U.astype(dtype, copy=False), V.astype(dtype, copy=False)
+    U = np.asarray(nums, dtype)
     thresholds = _depth_thresholds(R, eps)
-    if top_u < 2**53 and top_v < 2**53:
+    if top_u < 2**53 and v < 2**53:
         # Every |u| and v is a float: one division rounds as abs(u) / v.
-        ratios = abs(U) / V
+        ratios = abs(U) / v
     else:
-        ratios = np.array([_ratio(u, v) for u, v in zip(U.tolist(), V.tolist())])
+        ratios = np.array([_ratio(u, v) for u in U.tolist()])
     # Below the normal range c has lost its precision, or is 0, so it
     # bounds no delta; at eps = inf, log1p(eps) R^k = inf certifies depth 0.
     coarse = not c >= sys.float_info.min
@@ -386,14 +367,12 @@ def _ifs_kernel(mu: IFSMeasure, batch: _Terms, eps: float, symbolic: bool) -> IF
         least = 0 if coarse else len(floats)
         redo = np.flatnonzero(U) if coarse else (depths == least).nonzero()[0]
         for j in redo.tolist():
-            depths[j] = _least_power(
-                abs(int(U[j])) * rate.numerator, int(V[j]) * rate.denominator, R, least
-            )
-    DV = D * V
+            depths[j] = _least_power(abs(int(U[j])) * rate.numerator, v * rate.denominator, R, least)
+    Dv = D * v
     hits = levels = []
     if symbolic and n > 2:
-        args = zip(U.tolist(), V.tolist(), depths.tolist())
-        zeros = [(j, _vanishing_level(mu, u, v, K)) for j, (u, v, K) in enumerate(args) if K]
+        args = zip(U.tolist(), depths.tolist())
+        zeros = [(j, _vanishing_level(mu, u, v, K)) for j, (u, K) in enumerate(args) if K]
         hits, levels = [j for j, k in zeros if k], [k for _, k in zeros if k]
     elif symbolic:
         # Two digits: level k vanishes iff Z = Y / (D v), Y = 2 (a2 - a1) u,
@@ -404,12 +383,12 @@ def _ifs_kernel(mu: IFSMeasure, batch: _Terms, eps: float, symbolic: bool) -> IF
         # Z = 0 fails it too, and Z D v != Y marks a Z that is no integer.
         z = 2 * (a[1] - a[0])
         Y = z * U
-        Z = Y // DV
+        Z = Y // Dv
         # A cap past int64 differs from call to call: its table is not kept.
         table = _level_table if cap == _CAP64 else _level_table.__wrapped__
         twos, power, twice = table(R, cap)
         level = np.minimum(twos.searchsorted(Z & -Z, "right"), depths)
-        hits = ((Z * DV == Y) & (Z % twice[level] == power[level])).nonzero()[0]
+        hits = ((Z * Dv == Y) & (Z % twice[level] == power[level])).nonzero()[0]
         levels = level[hits]
     if len(hits) == len(U):
         # Every term is an exact zero: no values are evaluated.
@@ -419,51 +398,42 @@ def _ifs_kernel(mu: IFSMeasure, batch: _Terms, eps: float, symbolic: bool) -> IF
     live = depths.copy()
     if len(hits):
         values[hits], depths[hits], live[hits] = 0, levels, 0
-    # A term with D v R^K >= 2^1000, as every term past the table has, may
-    # overflow its float divisors: it divides in Python ints, keyed -K.
-    keys, groups = live, set(live.tolist()) - {0}
-    if groups and cap * R ** max(groups) >= 2**1000:
-        keys = np.array([
-            -K if D * v * R**K >= 2**1000 else K for K, v in zip(live.tolist(), V.tolist())
-        ])
-        groups = set(keys.tolist()) - {0}
+    groups = set(live.tolist()) - {0}
     if not groups:
         return IFSTransforms(values, depths)
     # A digit at 0 turns by nothing: its root is exactly 1.
     moving = [y for y in a if y]
     step = np.array(moving, dtype)[:, None]
-    # R^k for k >= 1.  Level k can wrap only where D v R^k <= |a u|, so in
-    # every term at most the first ``wrap`` levels do.
+    # R^k for k >= 1.  Level k can wrap only where D v R^k <= |a u|, so at
+    # most the first ``wrap`` levels do.
     table = (scale_powers.int64 if cap == _CAP64 else scale_powers.ints)[1:]
-    wrap = int(table.searchsorted(top_digit * top_u // (D * least_v), "right"))
-    for key in groups:
-        K, deep = abs(key), key < 0
-        terms = (keys == key).nonzero()[0]
+    wrap = int(table.searchsorted(top_digit * top_u // Dv, "right"))
+    for K in groups:
+        terms = (live == K).nonzero()[0]
         rows = max(1, _CHUNK // (K * len(moving)))
+        deep = Dv * R**K >= 2**1000
         if deep:
-            powers = np.array([R**k for k in range(1, K + 1)], dtype=object)
+            M = np.array([Dv * R**k for k in range(1, K + 1)], dtype=object)
         else:
             w = min(wrap, K)
-            powers = table[:w]
+            M = Dv * np.minimum(table[:w], cap // Dv)
+            divisors = float(Dv) * floats[1 : K + 1]
         for lo in range(0, len(terms), rows):
             idx = terms[lo : lo + rows]
-            u, Dv = U[idx], DV[idx]
             # Arrays are (digit, term, level): digits are summed slab by
             # slab, and each term's product runs along its own row in level
             # order.  numpy's vectorized complex multiply rounds unlike its
             # scalar loop, so a product across terms would make a value
             # depend on its batch.
-            N = (step * u)[:, :, None]
+            N = (step * U[idx])[:, :, None]
             if deep:
-                M = Dv.astype(object)[:, None] * powers
                 turns = (_fmod(N.astype(object), M) / M).astype(float)
             else:
                 turns = np.empty(N.shape[:2] + (K,))
                 turns[:, :, w:] = N
                 if w:
-                    M = Dv[:, None] * np.minimum(powers, (cap // Dv)[:, None])
                     turns[:, :, :w] = _fmod(N, M)
-                turns /= Dv.astype(float)[:, None] * floats[1 : K + 1]
+                turns /= divisors
             roots = _exp_turns(turns)
             # One moving digit: its roots are the sum, as they are.
             mean = roots[0] if len(moving) == 1 else roots.sum(axis=0)
@@ -479,10 +449,19 @@ def ifs_transforms(mu: IFSMeasure, ts: Iterable, eps: float, symbolic: bool = Tr
     rational t.
 
     Each t is taken at its exact rational value (a float at its binary
-    value).
+    value).  The t are grouped by reduced denominator v, and the kernel
+    runs once per group, over that one v.
     """
+    _check_eps(eps)
     ts = [rational(t) for t in ts]
-    return _ifs_kernel(mu, _terms([t.numerator for t in ts], [t.denominator for t in ts]), eps, symbolic)
+    values, depths = np.empty(len(ts), dtype=complex), np.empty(len(ts), dtype=np.int64)
+    groups: dict[int, list[int]] = {}
+    for j, t in enumerate(ts):
+        groups.setdefault(t.denominator, []).append(j)
+    for v, idx in groups.items():
+        nums = [ts[j].numerator for j in idx]
+        values[idx], depths[idx] = _ifs_kernel(mu, nums, max(map(abs, nums)), v, eps, symbolic)
+    return IFSTransforms(values, depths)
 
 
 def ifs_transform(mu: IFSMeasure, t, eps: float, symbolic: bool = True) -> IFSTransformValue:
@@ -493,8 +472,10 @@ def ifs_transform(mu: IFSMeasure, t, eps: float, symbolic: bool = True) -> IFSTr
     arithmetic and short-circuits to an exact zero; a float t is taken at
     its binary value, as in ``ifs_transforms``.
     """
+    _check_eps(eps)
     t = rational(t)
-    values, depths = _ifs_kernel(mu, _terms([t.numerator], [t.denominator]), eps, symbolic)
+    u = t.numerator
+    values, depths = _ifs_kernel(mu, [u], abs(u), t.denominator, eps, symbolic)
     return IFSTransformValue(complex(values[0]), int(depths[0]))
 
 
@@ -514,16 +495,14 @@ Measure = Union[AtomicMeasure, IFSMeasure]
 
 
 def _transforms(mu: Measure, nums: np.ndarray, den: int, eps: float, symbolic: bool = True) -> np.ndarray:
-    """mu_hat(nums[j] / den) for each j, for integers ``nums`` as
-    ``_Terms`` holds them.  An atomic mu first counts its |mu| * len(nums)
-    phases against ``errors.WORK_BUDGET``."""
+    """mu_hat(nums[j] / den) for each j, for an integer array ``nums``.
+    An atomic mu first counts its |mu| * len(nums) phases against
+    ``errors.WORK_BUDGET``."""
     if isinstance(mu, AtomicMeasure):
         size = len(mu.points)
         check_work(f"transforms of {size} atoms", size * len(nums), errors.WORK_BUDGET)
         return _atomic_transforms(mu, nums.tolist(), den)
-    dens = np.full(len(nums), den, np.int64 if den < _CAP64 else object)
-    batch = _Terms(nums, dens, int(abs(nums).max(initial=0)), den, den)
-    return _ifs_kernel(mu, batch, eps, symbolic).values
+    return _ifs_kernel(mu, nums, int(abs(nums).max(initial=0)), den, eps, symbolic).values
 
 
 def gram_matrix(
@@ -537,6 +516,7 @@ def gram_matrix(
     ``errors.WORK_BUDGET`` before any array is built, and for an atomic mu
     |mu| times the distinct differences before their phases are formed.
     """
+    _check_eps(eps)
     lam = RationalPhases(Lambda)
     n = len(lam.numerators)
     check_work(f"a Gram matrix of {n} points", n * n, errors.WORK_BUDGET)
@@ -581,11 +561,15 @@ def completeness_defect(mu: Measure, Lambda: Sequence, t, eps: float = 1e-10) ->
     each transform is evaluated to accuracy eps / |Lambda|.  An atomic mu
     counts |mu| * |Lambda| against ``errors.WORK_BUDGET`` first.
     """
+    _check_eps(eps)
     lam = RationalPhases(Lambda)
     if not lam.numerators:
         return 0.0
     t = rational(t)
     u, v, D, p = t.numerator, t.denominator, lam.denominator, lam.numerators
+    # A subnormal eps can round to 0 once split over the points.
+    if not eps / len(p) > 0:
+        raise InvalidInputError(f"eps / |Lambda| underflows to 0 for eps = {eps!r}")
     # t - lambda over the common denominator v D, in int64 unless a
     # difference may not fit
     wide = abs(u * D) + v * max(map(abs, p)) >= _CAP64

@@ -79,7 +79,11 @@ class FiniteRationalSet:
         return iter(self.elements)
 
     def __contains__(self, x) -> bool:
-        return rational(x) in self.elements
+        # What is no rational number is in no set, as in a tuple.
+        try:
+            return rational(x) in self.elements
+        except InvalidInputError:
+            return False
 
     def __eq__(self, other) -> bool:
         return (

@@ -318,11 +318,12 @@ class TestTransformKernel:
 
     def test_batch_of_exact_zeros_matches_mixed_batch(self):
         # A batch of three-digit exact zeros returns before any batch array
-        # is built; it must read as the same terms inside a mixed batch.
+        # is built; it must read as the same terms inside a mixed batch,
+        # one whose nonzero 5/3 shares their denominator.
         mu = IFSMeasure(4, (0, 1, 2))
         zeros = [Fraction(16, 3), Fraction(4 * 7, 3), Fraction(-16 * 5, 3)]
         alone = ifs_transforms(mu, zeros, 1e-12)
-        mixed = ifs_transforms(mu, [Fraction(5, 7), *zeros, 0], 1e-12)
+        mixed = ifs_transforms(mu, [Fraction(5, 3), *zeros, 0], 1e-12)
         assert alone.values.dtype == complex and alone.depths.dtype == np.int64
         assert alone.values.tobytes() == mixed.values[1:4].tobytes() == bytes(16 * 3)
         assert alone.depths.tolist() == mixed.depths[1:4].tolist() == [1, 1, 1]
@@ -791,16 +792,36 @@ class TestFrameBounds:
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda mu, eps: ifs_transform(mu, Fraction(1, 3), eps),
-        lambda mu, eps: gram_matrix(mu, [0, 1, 4], eps=eps),
-        lambda mu, eps: completeness_defect(mu, jp_spectrum(2), Fraction(1, 3), eps=eps),
+        lambda eps: ifs_transform(cantor4_measure(), Fraction(1, 3), eps),
+        lambda eps: gram_matrix(cantor4_measure(), [0, 1, 4], eps=eps),
+        lambda eps: completeness_defect(cantor4_measure(), jp_spectrum(2), Fraction(1, 3), eps=eps),
+        # The atomic path never reads eps; a one-point or empty Lambda, and
+        # an empty batch, evaluate no transform at all.
+        lambda eps: gram_matrix(uniform(0, "1/2"), [0, 1], eps=eps),
+        lambda eps: completeness_defect(uniform(0, "1/2"), [0, 1], Fraction(1, 3), eps=eps),
+        lambda eps: gram_matrix(cantor4_measure(), [3], eps=eps),
+        lambda eps: completeness_defect(cantor4_measure(), [], Fraction(1, 3), eps=eps),
+        lambda eps: ifs_transforms(cantor4_measure(), [], eps),
+        lambda eps: ifs_transforms(cantor4_measure(), [Fraction(1, 3), 5, Fraction(-7, 12)], eps),
     ],
-    ids=["ifs_transform", "gram_matrix", "completeness_defect"],
+    ids=[
+        "ifs_transform", "gram_matrix", "completeness_defect", "gram_matrix_atomic",
+        "completeness_defect_atomic", "gram_matrix_one_point", "completeness_defect_empty",
+        "ifs_transforms_empty", "ifs_transforms_mixed_denominators",
+    ],
 )
 def test_eps_must_be_positive_wherever_a_transform_uses_it(evaluate, eps):
     # NaN fails the check too: every comparison with it is false.
     with pytest.raises(InvalidInputError, match="eps must be positive"):
-        evaluate(cantor4_measure(), eps)
+        evaluate(eps)
+
+
+def test_eps_split_over_lambda_must_stay_positive():
+    # Q(t) takes each transform to eps / |Lambda|, which rounds to 0 for
+    # the least subnormal eps.
+    with pytest.raises(InvalidInputError, match="underflows"):
+        completeness_defect(cantor4_measure(), jp_spectrum(2), Fraction(1, 3), eps=5e-324)
+    assert completeness_defect(cantor4_measure(), [0], Fraction(1, 3), eps=5e-324) >= 0
 
 
 class TestCompletenessDefect:

@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 from spectrapairs.arrows import Affine, PermutationAction, symbol
-from spectrapairs.measures import FrameReport, IFSMeasure, cantor4_measure
+from spectrapairs.exact import CycSum, RationalPhases
+from spectrapairs.measures import AtomicMeasure, FrameReport, IFSMeasure, cantor4_measure
 from spectrapairs.representation import WanderingReport
-from spectrapairs.sets import Irrational
+from spectrapairs.sets import FiniteRationalSet, Irrational
 from spectrapairs.spectral import PairCertificate, SpectralDecision
 
 
@@ -54,6 +55,20 @@ def test_reprs():
     )
     assert repr(PairCertificate(True)) == "PairCertificate(is_pair=True, exact=True)"
     assert repr(PairCertificate(False, False)) == "PairCertificate(is_pair=False, exact=False)"
+    assert repr(AtomicMeasure([3, "1/2", 0], [0.5, 0.3, 0.2])) == (
+        "AtomicMeasure(points=(Fraction(0, 1), Fraction(1, 2), Fraction(3, 1)),"
+        " weights=(0.2, 0.3, 0.5))"
+    )
+    # A sum shows its reduced nonzero coefficients, whether built here or
+    # made from a grid's unreduced counts (42 = 0 mod 6).
+    assert repr(CycSum(6, {0: 1, 3: 1, 9: -1, 7: 2})) == "CycSum(order=6, coeffs={0: 1, 1: 2})"
+    assert repr(CycSum(6, {})) == "CycSum(order=6, coeffs={})"
+    assert repr(RationalPhases([0, Fraction(1, 2), Fraction(1, 3), 7]).root_sum(6)) == (
+        "CycSum(order=6, coeffs={0: 2, 3: 1, 2: 1})"
+    )
+    assert repr(FiniteRationalSet([Fraction(2, 3), 0, -1, "5/4"])) == (
+        "FiniteRationalSet({-1, 0, 2/3, 5/4})"
+    )
 
 
 @pytest.mark.parametrize(

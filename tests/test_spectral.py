@@ -135,6 +135,15 @@ class TestFiniteRationalSet:
         s = fset(0, "1/3", "2/3")
         assert FiniteRationalSet.from_strings(s.to_strings()) == s
 
+    def test_membership_of_what_is_no_rational_is_false(self):
+        # As in a tuple or a frozenset: no error, only False.
+        s = fset(0, "1/2", 1)
+        for x in (None, math.nan, math.inf, "abc", [1], 1j, "1" * 5000):
+            assert x not in s and x not in s.elements
+        for x in ("1/2", 0.5, Fraction(2, 4), np.int64(1), 0):
+            assert x in s
+        assert "1/3" not in s and 0.25 not in s
+
 
 class TestIsSpectralPair:
     def test_examples(self):
