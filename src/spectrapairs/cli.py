@@ -92,15 +92,15 @@ def _cmd_perm_rep(args) -> dict:
         generator_shift,
         measure_from_representation,
         permutation_representation,
-        shift_for_time,
     )
 
     s = generator_shift(args.n, args.p, args.q)
     rep = permutation_representation(args.n, args.p, args.q)
+    # U(j/q) shifts by j s mod n (``shift_for_time``).
     return {
         "generator_shift": s,
-        "shift_at_1": shift_for_time(args.n, args.p, args.q, args.q),
-        "shift_at_a": shift_for_time(args.n, args.p, args.q, args.p),
+        "shift_at_1": args.q * s % args.n,
+        "shift_at_a": args.p * s % args.n,
         "eigenvalues": [str(g) for g in rep.eigenvalues],
         "spectrum_points": sorted(str(p) for p in measure_from_representation(rep).points),
     }
@@ -168,7 +168,7 @@ def _cmd_frame_bounds(args) -> dict:
     mu, lam = load("frame-bounds", getattr(args, "lambda"), measure=args.measure)
     from .measures import frame_bounds
 
-    report = frame_bounds(mu, lam.elements)
+    report = frame_bounds(mu, lam)
     return {"lower": report.lower, "upper": report.upper}
 
 

@@ -353,17 +353,25 @@ def integer(x, name: str) -> int:
 class RationalPhases:
     """A finite list of rationals x as Python-int numerators over one
     common denominator, for exact exponential sums sum_x e^{2 pi i x t}
-    at rational t.  A Python int is its own numerator over 1; every other
-    point goes through ``rational``.  The count of each numerator, which
-    only ``root_sum`` reads, is taken once, on its first call, and every
-    sum it returns holds it as its terms.  As it is built, the grid
-    counts its cost in 64-bit words against ``GRID_WORK_BUDGET``:
+    at rational t.  A Python int is its own numerator over 1, and points
+    that are all Python ints are their own numerators, taken as one list
+    copy; every other point goes through ``rational``.  The count of each
+    numerator, which only ``root_sum`` reads, is taken once, on its first
+    call, and every sum it returns holds it as its terms.  As it is built,
+    the grid counts its cost in 64-bit words against ``GRID_WORK_BUDGET``:
     words(D) * words(d) for each step of the lcm D over the distinct
-    denominators d, least first, then floor(bits(D) / 64) per numerator."""
+    denominators d, least first, then floor(bits(D) / 64) per numerator.
+    Over denominator 1 that is one word in all, so points that are all
+    Python ints are not counted."""
 
     __slots__ = ("denominator", "numerators", "_counts")
 
     def __init__(self, points: Iterable):
+        points = list(points)
+        self._counts = None
+        if set(map(type, points)) == {int}:
+            self.denominator, self.numerators = 1, points
+            return
         nums, dens = [], []
         for x in points:
             if type(x) is int:
@@ -384,7 +392,6 @@ class RationalPhases:
             check_work("common-denominator grid", work, budget)
         self.denominator = D
         self.numerators = [n * (D // d) for n, d in zip(nums, dens)]
-        self._counts = None
 
     def root_sum(self, order: int) -> CycSum:
         """sum_x zeta_order^{n_x}, over the numerators n_x with repeats.

@@ -13,7 +13,6 @@ import contextlib
 import math
 import sys
 from functools import lru_cache
-from itertools import repeat
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -22,6 +21,7 @@ import numpy as np
 from . import errors
 from .errors import InvalidInputError, check_work
 from .exact import RationalPhases, integer, rational, root_sum_is_zero
+from .sets import FiniteRationalSet
 
 __all__ = [
     "AtomicMeasure",
@@ -333,9 +333,11 @@ def _ifs_kernel(
     R, and k = e / s with R^k | Z for even R: a fixed number of array
     operations over all terms.  More digits go through
     ``_vanishing_level``, term by term.  A batch of exact zeros returns
-    before any value is evaluated.  The remaining terms are grouped by
-    depth and evaluated in chunks, and each term's value and depth depend
-    on that term alone, whatever the batch.
+    before any value is evaluated.  The remaining terms of depths that
+    divide in floats are evaluated in one pass, in chunks, at the deepest
+    of their depths, and each term's product runs over its own levels
+    only; each deep depth is a pass of its own.  Each term's value and
+    depth depend on that term alone, whatever the batch.
     """
     R, n = mu.scale, len(mu.digits)
     D, a = mu.phases.denominator, mu.phases.numerators
@@ -408,8 +410,18 @@ def _ifs_kernel(
     # most the first ``wrap`` levels do.
     table = (scale_powers.int64 if cap == _CAP64 else scale_powers.ints)[1:]
     wrap = int(table.searchsorted(top_digit * top_u // Dv, "right"))
-    for K in groups:
-        terms = (live == K).nonzero()[0]
+    # Passes (K, terms, runs).  Of two or more depths, those whose divisors
+    # D v R^k stay below 2^1000 share one pass at the deepest of them: its
+    # terms sorted by depth, each run (start, stop, k) of them of depth k.
+    # Every other depth is a pass of its own, with runs None.
+    shallow = sorted(K for K in groups if Dv * R**K < 2**1000) if len(groups) > 1 else []
+    passes = [(K, (live == K).nonzero()[0], None) for K in groups.difference(shallow)]
+    if shallow:
+        order = live.argsort(kind="stable")
+        at = live[order].searchsorted([*shallow, shallow[-1] + 1]).tolist()
+        runs = [(i - at[0], j - at[0], k) for i, j, k in zip(at, at[1:], shallow)]
+        passes.append((shallow[-1], order[at[0] : at[-1]], runs))
+    for K, terms, runs in passes:
         rows = max(1, _CHUNK // (K * len(moving)))
         deep = Dv * R**K >= 2**1000
         if deep:
@@ -439,7 +451,16 @@ def _ifs_kernel(
             mean = roots[0] if len(moving) == 1 else roots.sum(axis=0)
             mean.real += n - len(moving)
             mean.view(float)[...] /= n
-            values[idx] = mean.prod(axis=1)
+            if runs is None:
+                values[idx] = mean.prod(axis=1)
+                continue
+            # Each term's product stops at its own depth.  A factor 1 past
+            # it would not be exact: it turns the sign of a zero part, as
+            # (-1)(-1) = 1 - 0i but (1 - 0i) * 1 = 1 + 0i.
+            for start, stop, k in runs:
+                start, stop = max(start, lo), min(stop, lo + rows)
+                if start < stop:
+                    values[terms[start:stop]] = mean[start - lo : stop - lo, :k].prod(axis=1)
     return IFSTransforms(values, depths)
 
 
@@ -494,6 +515,11 @@ def jp_spectrum(level: int) -> tuple[int, ...]:
 Measure = Union[AtomicMeasure, IFSMeasure]
 
 
+def _grid(Lambda) -> RationalPhases:
+    """The grid of Lambda: a ``FiniteRationalSet``'s own, built with it."""
+    return Lambda.phases if isinstance(Lambda, FiniteRationalSet) else RationalPhases(Lambda)
+
+
 def _transforms(mu: Measure, nums: np.ndarray, den: int, eps: float, symbolic: bool = True) -> np.ndarray:
     """mu_hat(nums[j] / den) for each j, for an integer array ``nums``.
     An atomic mu first counts its |mu| * len(nums) phases against
@@ -517,7 +543,7 @@ def gram_matrix(
     |mu| times the distinct differences before their phases are formed.
     """
     _check_eps(eps)
-    lam = RationalPhases(Lambda)
+    lam = _grid(Lambda)
     n = len(lam.numerators)
     check_work(f"a Gram matrix of {n} points", n * n, errors.WORK_BUDGET)
     G = np.eye(n, dtype=complex)
@@ -545,7 +571,7 @@ def frame_bounds(mu: AtomicMeasure, Lambda: Sequence) -> FrameReport:
         raise InvalidInputError("frame bounds require an atomic measure")
     size = len(mu.points)
     check_work("frame bounds", 2 * size * (size + len(Lambda)), errors.WORK_BUDGET)
-    lam = RationalPhases(Lambda)
+    lam = _grid(Lambda)
     if not lam.numerators:
         return FrameReport(0.0, 0.0)
     roots = _unit_roots(mu.phases, lam.numerators, lam.denominator)
@@ -562,7 +588,7 @@ def completeness_defect(mu: Measure, Lambda: Sequence, t, eps: float = 1e-10) ->
     counts |mu| * |Lambda| against ``errors.WORK_BUDGET`` first.
     """
     _check_eps(eps)
-    lam = RationalPhases(Lambda)
+    lam = _grid(Lambda)
     if not lam.numerators:
         return 0.0
     t = rational(t)
@@ -575,9 +601,9 @@ def completeness_defect(mu: Measure, Lambda: Sequence, t, eps: float = 1e-10) ->
     wide = abs(u * D) + v * max(map(abs, p)) >= _CAP64
     values = _transforms(mu, u * D - v * np.array(p, object if wide else np.int64), v * D, eps / len(p))
     # np.hypot gives each modulus as Python's abs(complex) does (both are
-    # the C library's hypot).  The square is pow(x, 2), the C library's
-    # pow, as Python's x ** 2 is: x * x, as np.square computes it, rounds
-    # differently on about one value in a thousand.  np.abs on complex
-    # values differs from both on about a third of them, and with numpy's
-    # SIMD level.
-    return math.fsum(map(pow, np.hypot(values.real, values.imag).tolist(), repeat(2)))
+    # the C library's hypot).  np.float_power(x, 2) squares it with the C
+    # library's pow, as Python's x ** 2 does, with or without numpy's
+    # SIMD targets: x * x, as np.square computes it, rounds differently on
+    # about one value in a thousand.  np.abs on complex values differs
+    # from both on about a third of them, and with numpy's SIMD level.
+    return math.fsum(np.float_power(np.hypot(values.real, values.imag), 2).tolist())

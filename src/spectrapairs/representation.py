@@ -184,12 +184,17 @@ def permutation_representation(n: int, p: int, q: int) -> FiniteRep:
     each phase m i reduced mod n exactly; the spectral point of f_m is
     (-m s mod n) * q / n, placed in [0, q).  Counts n^2 against
     ``errors.WORK_BUDGET`` after the preconditions.
-    """
+
+    Built without ``FiniteRep``'s checks: v0 = delta_0 is a unit vector,
+    and V is the Fourier basis, unitary to rounding."""
     s = generator_shift(n, p, q)
     n, q = integer(n, "n"), integer(q, "q")
     check_work("permutation representation", n * n, errors.WORK_BUDGET)
-    V = _unit_roots(RationalPhases(range(n)), range(n), n) / math.sqrt(n)
-    eigenvalues = [Fraction(((-m * s) % n) * q, n) for m in range(n)]
-    v0 = np.zeros(n, dtype=complex)
-    v0[0] = 1.0
-    return FiniteRep(eigenvalues, V, v0)
+    rep = FiniteRep.__new__(FiniteRep)
+    rep.eigenvalues = tuple(Fraction(((-m * s) % n) * q, n) for m in range(n))
+    rep.phases = RationalPhases(rep.eigenvalues)
+    rep.eigenvectors = _unit_roots(RationalPhases(range(n)), range(n), n) / math.sqrt(n)
+    rep.v0 = np.zeros(n, dtype=complex)
+    rep.v0[0] = 1.0
+    rep.amplitudes = rep.eigenvectors.conj().T @ rep.v0
+    return rep

@@ -495,6 +495,34 @@ def test_grid_holds_python_ints_whatever_the_input(points, denominator, numerato
         assert type(r) is Fraction and type(r.numerator) is int and type(r.denominator) is int
 
 
+@pytest.mark.parametrize(
+    "ints", [[0, 1, 2], [0, 5, -3, 5, 2**70, -(2**64)], list(range(-20, 21, 4)), [7], []]
+)
+def test_grid_of_python_ints_is_the_grid_of_their_fractions(ints):
+    grid, ref = RationalPhases(ints), RationalPhases([Fraction(x) for x in ints])
+    assert (grid.denominator, grid.numerators) == (ref.denominator, ref.numerators) == (1, ints)
+    for order in (1, 2, 3, 4, 6, 8, 12, 2**64 + 13):
+        assert root_sum_is_zero(grid.root_sum(order)) == root_sum_is_zero(ref.root_sum(order))
+
+
+@pytest.mark.parametrize(
+    "points", [[0, np.int64(3), 5], [True, 2, False], [4, np.int64(2**62), np.uint8(1)], (7, True)]
+)
+def test_numpy_and_bool_points_among_ints_go_through_rational(points):
+    grid = RationalPhases(points)
+    assert (grid.denominator, grid.numerators) == (1, [int(x) for x in points])
+    assert all(type(n) is int for n in grid.numerators)
+
+
+def test_grid_of_ints_keeps_no_view_of_the_callers_list():
+    points = [0, 1, 2]
+    grid = RationalPhases(points)
+    points[0] = 9
+    points.append(3)
+    assert grid.numerators == [0, 1, 2] and grid.numerators is not points
+    assert root_sum_is_zero(grid.root_sum(3))
+
+
 @pytest.mark.parametrize("x", [7, np.int64(7), np.uint8(7), np.int32(7)])
 def test_integer_gives_a_python_int(x):
     assert (integer(x, "x"), type(integer(x, "x"))) == (7, int)

@@ -603,6 +603,41 @@ class TestBatchScale:
         for mu in (cantor4_measure(), IFSMeasure(6, (0, 1)), IFSMeasure(4, (0, 1, 2))):
             assert_batch_equals_single(mu, ts, 1e-12, symbolic)
 
+    def test_one_kernel_pass_per_call(self, monkeypatch):
+        # Q(t) at level 10 spreads its 2048 terms over many depths; they
+        # share one pass, in chunks of _CHUNK phases at the deepest depth.
+        mu, lam, t, eps = cantor4_measure(), jp_spectrum(10), Fraction(37, 97), 1e-10
+        depths = ifs_transforms(mu, [t - x for x in lam], eps / len(lam)).depths
+        assert len(set(depths.tolist())) > 5
+        top = int(depths.max())
+        calls = []
+        exp_turns = measures._exp_turns
+        monkeypatch.setattr(measures, "_exp_turns", lambda turns: calls.append(1) or exp_turns(turns))
+        completeness_defect(mu, lam, t, eps)
+        assert 0 < len(calls) <= -(-len(lam) // (measures._CHUNK // top))
+
+    @pytest.mark.parametrize("symbolic", [True, False])
+    def test_one_pass_over_zeros_shallow_deepest_and_past_the_table(self, symbolic):
+        # Exact zeros (t = 4^(k-1) times odd vanishes at level k), depths
+        # from shallow to the deepest shared one, and terms whose divisors
+        # pass 2^1000, in one batch of integers.
+        mu = cantor4_measure()
+        ts = [1, -12, 2, 6, -10, 2 * 4**9 + 2, -(2 * 4**30 + 6), 0, 2 * 4**490 + 2, -(2 * 4**500 + 6)]
+        batch = assert_batch_equals_single(mu, ts, 1e-12, symbolic)
+        assert len(set(batch.depths.tolist())) >= 7
+        assert [z == 0 for z in batch.values[:2].tolist()] == [symbolic] * 2
+        assert batch.depths[:2].tolist() == [1, 2] or not symbolic
+
+    def test_one_pass_keeps_the_sign_of_zero_parts(self):
+        # Digits {-1, 1} give real factors cos(2 pi t / 3^k), so t = 9/2 at
+        # eps = 10 is (-1)(-1) = 1 - 0i at depth 2.  A factor 1 for the
+        # deeper terms' levels would make it 1 + 0i.
+        mu = IFSMeasure(3, (-1, 1))
+        ts = [Fraction(9, 2), 1000, Fraction(27, 2), 7, Fraction(-9, 2)]
+        batch = assert_batch_equals_single(mu, ts, 10.0, False)
+        assert bits(batch.values[0]) == bits(complex(1, -0.0))
+        assert batch.depths.tolist()[:2] == [2, 7]
+
     @pytest.mark.parametrize("eps", [1e-12, 0.5, 1e3])
     def test_closed_form_matches_division_by_scale(self, eps):
         # Digits {0, 1/2} make Z = t for integer t.  Each batch holds one
@@ -822,6 +857,23 @@ def test_eps_split_over_lambda_must_stay_positive():
     with pytest.raises(InvalidInputError, match="underflows"):
         completeness_defect(cantor4_measure(), jp_spectrum(2), Fraction(1, 3), eps=5e-324)
     assert completeness_defect(cantor4_measure(), [0], Fraction(1, 3), eps=5e-324) >= 0
+
+
+def test_a_finite_rational_set_lends_its_grid(monkeypatch):
+    S = FiniteRationalSet([3, Fraction(1, 2), 0, Fraction(-7, 4), 12])
+    mu, cantor, t = uniform(0, "1/2"), cantor4_measure(), Fraction(1, 3)
+    expected = (
+        gram_matrix(cantor, S.elements).tobytes(),
+        frame_bounds(mu, S.elements),
+        bits(completeness_defect(cantor, S.elements, t)),
+    )
+
+    def unreachable(points):
+        raise AssertionError("the grid of the set was built again")
+
+    monkeypatch.setattr(measures, "RationalPhases", unreachable)
+    got = (gram_matrix(cantor, S).tobytes(), frame_bounds(mu, S), bits(completeness_defect(cantor, S, t)))
+    assert got == expected
 
 
 class TestCompletenessDefect:

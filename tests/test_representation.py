@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from spectrapairs.errors import InvalidInputError
-from spectrapairs.measures import AtomicMeasure, atomic_transform
+from spectrapairs.exact import RationalPhases
+from spectrapairs.measures import AtomicMeasure, _unit_roots, atomic_transform
 from spectrapairs.representation import (
     FiniteRep,
     correlation,
@@ -280,6 +281,27 @@ class TestPermutationRepresentation:
         mu = measure_from_representation(rep)
         A = FiniteRationalSet(list(range(n - 1)) + [Fraction(p, q)])
         assert is_spectral_pair(A, FiniteRationalSet(mu.points))
+
+    def test_equals_the_validated_construction(self):
+        # The representation skips FiniteRep's checks; it must build the
+        # object they would, field by field and byte for byte.
+        for n in range(3, 65):
+            q = next(q for q in range(n // 2 + 1, 3 * n) if math.gcd(q, n) == 1)
+            p, s = n - q, pow(q, -1, n)
+            rep = permutation_representation(n, p, q)
+            eigs = [Fraction(((-m * s) % n) * q, n) for m in range(n)]
+            V = _unit_roots(RationalPhases(range(n)), range(n), n) / math.sqrt(n)
+            ref = FiniteRep(eigs, V, [1.0] + [0.0] * (n - 1))
+            assert type(rep.eigenvalues) is tuple and rep.eigenvalues == ref.eigenvalues
+            assert rep.phases.denominator == ref.phases.denominator
+            assert rep.phases.numerators == ref.phases.numerators
+            for name in ("eigenvectors", "v0", "amplitudes"):
+                mine, theirs = getattr(rep, name), getattr(ref, name)
+                assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
+            assert not np.shares_memory(rep.v0, rep.amplitudes)
+        V[:, 0] *= 1 + 1e-9
+        with pytest.raises(InvalidInputError, match="not unitary"):
+            FiniteRep(eigs, V, [1.0] + [0.0] * (n - 1))
 
     def test_fourier_basis_matches_float_phase_reference(self):
         for n in range(3, 65):
