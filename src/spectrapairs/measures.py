@@ -141,6 +141,10 @@ _CAP64 = 2**60
 # transform kernel takes its terms in chunks of this size, so its memory
 # does not grow with the number of terms.
 _CHUNK = 1 << 13
+# Terms of several depths share a kernel pass at the deepest of them while
+# that pass's phases, its terms times its depth, stay within this factor
+# of the phases their own depths need.
+_PAD = 2
 
 
 def _exp_turns(turns: np.ndarray) -> np.ndarray:
@@ -333,11 +337,12 @@ def _ifs_kernel(
     R, and k = e / s with R^k | Z for even R: a fixed number of array
     operations over all terms.  More digits go through
     ``_vanishing_level``, term by term.  A batch of exact zeros returns
-    before any value is evaluated.  The remaining terms of depths that
-    divide in floats are evaluated in one pass, in chunks, at the deepest
-    of their depths, and each term's product runs over its own levels
-    only; each deep depth is a pass of its own.  Each term's value and
-    depth depend on that term alone, whatever the batch.
+    before any value is evaluated.  The remaining terms are evaluated in
+    passes, in chunks: the depths that divide in floats share a pass at
+    the deepest of them, as long as that pads their phases by at most a
+    factor ``_PAD``, and each deep depth is a pass of its own.  Each
+    term's product runs over its own levels only, so its value and depth
+    depend on that term alone, whatever the batch.
     """
     R, n = mu.scale, len(mu.digits)
     D, a = mu.phases.denominator, mu.phases.numerators
@@ -410,18 +415,25 @@ def _ifs_kernel(
     # most the first ``wrap`` levels do.
     table = (scale_powers.int64 if cap == _CAP64 else scale_powers.ints)[1:]
     wrap = int(table.searchsorted(top_digit * top_u // Dv, "right"))
-    # Passes (K, terms, runs).  Of two or more depths, those whose divisors
-    # D v R^k stay below 2^1000 share one pass at the deepest of them: its
-    # terms sorted by depth, each run (start, stop, k) of them of depth k.
-    # Every other depth is a pass of its own, with runs None.
-    shallow = sorted(K for K in groups if Dv * R**K < 2**1000) if len(groups) > 1 else []
-    passes = [(K, (live == K).nonzero()[0], None) for K in groups.difference(shallow)]
-    if shallow:
-        order = live.argsort(kind="stable")
-        at = live[order].searchsorted([*shallow, shallow[-1] + 1]).tolist()
-        runs = [(i - at[0], j - at[0], k) for i, j, k in zip(at, at[1:], shallow)]
-        passes.append((shallow[-1], order[at[0] : at[-1]], runs))
-    for K, terms, runs in passes:
+    # The live terms sorted by depth, and the runs (start, stop, k) of
+    # them of each depth k.  A depth joins the pass of the depths below it
+    # while the pass's divisors D v R^k stay below 2^1000 and its padded
+    # phases stay within _PAD times their own; else it starts a pass.
+    order = live.argsort(kind="stable")
+    ks = sorted(groups)
+    at = live[order].searchsorted([*ks, ks[-1] + 1]).tolist()
+    passes: list[list[tuple[int, int, int]]] = []
+    for start, stop, k in zip(at, at[1:], ks):
+        own = (stop - start) * k
+        if passes and Dv * R**k < 2**1000 and (stop - passes[-1][0][0]) * k <= _PAD * (work + own):
+            passes[-1].append((start, stop, k))
+            work += own
+        else:
+            passes.append([(start, stop, k)])
+            work = own
+    for runs in passes:
+        first, K = runs[0][0], runs[-1][2]
+        terms = order[first : runs[-1][1]]
         rows = max(1, _CHUNK // (K * len(moving)))
         deep = Dv * R**K >= 2**1000
         if deep:
@@ -451,14 +463,11 @@ def _ifs_kernel(
             mean = roots[0] if len(moving) == 1 else roots.sum(axis=0)
             mean.real += n - len(moving)
             mean.view(float)[...] /= n
-            if runs is None:
-                values[idx] = mean.prod(axis=1)
-                continue
             # Each term's product stops at its own depth.  A factor 1 past
             # it would not be exact: it turns the sign of a zero part, as
             # (-1)(-1) = 1 - 0i but (1 - 0i) * 1 = 1 + 0i.
             for start, stop, k in runs:
-                start, stop = max(start, lo), min(stop, lo + rows)
+                start, stop = max(start - first, lo), min(stop - first, lo + rows)
                 if start < stop:
                     values[terms[start:stop]] = mean[start - lo : stop - lo, :k].prod(axis=1)
     return IFSTransforms(values, depths)

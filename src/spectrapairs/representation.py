@@ -70,6 +70,16 @@ class FiniteRep:
         self.v0 = v0
         self.amplitudes = V.conj().T @ v0
 
+    @classmethod
+    def _trusted(cls, eigenvalues, phases, eigenvectors, v0, amplitudes) -> "FiniteRep":
+        """A representation of parts its builder vouches for: a tuple of
+        rationals and their grid, a unitary V, a unit v0 and V* v0.
+        Nothing is checked or counted."""
+        rep = cls.__new__(cls)
+        rep.eigenvalues, rep.phases, rep.eigenvectors = eigenvalues, phases, eigenvectors
+        rep.v0, rep.amplitudes = v0, amplitudes
+        return rep
+
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
@@ -85,13 +95,8 @@ def multiplication_representation(mu: AtomicMeasure) -> FiniteRep:
     the amplitudes V* v0 are v0 itself."""
     n = len(mu.points)
     check_work("multiplication representation", n * n, errors.WORK_BUDGET)
-    rep = FiniteRep.__new__(FiniteRep)
-    rep.eigenvalues = mu.points
-    rep.phases = mu.phases
-    rep.eigenvectors = np.eye(n, dtype=complex)
-    rep.v0 = np.sqrt(np.array(mu.weights, dtype=float)).astype(complex)
-    rep.amplitudes = rep.v0.copy()
-    return rep
+    v0 = np.sqrt(np.array(mu.weights, dtype=float)).astype(complex)
+    return FiniteRep._trusted(mu.points, mu.phases, np.eye(n, dtype=complex), v0, v0.copy())
 
 
 def evaluate_group_element(rep: FiniteRep, t) -> np.ndarray:
@@ -190,11 +195,8 @@ def permutation_representation(n: int, p: int, q: int) -> FiniteRep:
     s = generator_shift(n, p, q)
     n, q = integer(n, "n"), integer(q, "q")
     check_work("permutation representation", n * n, errors.WORK_BUDGET)
-    rep = FiniteRep.__new__(FiniteRep)
-    rep.eigenvalues = tuple(Fraction(((-m * s) % n) * q, n) for m in range(n))
-    rep.phases = RationalPhases(rep.eigenvalues)
-    rep.eigenvectors = _unit_roots(RationalPhases(range(n)), range(n), n) / math.sqrt(n)
-    rep.v0 = np.zeros(n, dtype=complex)
-    rep.v0[0] = 1.0
-    rep.amplitudes = rep.eigenvectors.conj().T @ rep.v0
-    return rep
+    eigenvalues = tuple(Fraction(((-m * s) % n) * q, n) for m in range(n))
+    V = _unit_roots(RationalPhases(range(n)), range(n), n) / math.sqrt(n)
+    v0 = np.zeros(n, dtype=complex)
+    v0[0] = 1.0
+    return FiniteRep._trusted(eigenvalues, RationalPhases(eigenvalues), V, v0, V.conj().T @ v0)

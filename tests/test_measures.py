@@ -616,6 +616,20 @@ class TestBatchScale:
         completeness_defect(mu, lam, t, eps)
         assert 0 < len(calls) <= -(-len(lam) // (measures._CHUNK // top))
 
+    def test_far_depth_does_not_pad_the_shallow_ones(self, monkeypatch):
+        # 1000 terms near depth 21 and one at 4^400 + 2, depth 421: a
+        # shared pass at the deepest depth would take 20 times the phases
+        # the terms need.  Passes pad by at most _PAD.
+        mu, ts = cantor4_measure(), [*range(1, 1001), 4**400 + 2]
+        phases = []
+        exp_turns = measures._exp_turns
+        monkeypatch.setattr(measures, "_exp_turns", lambda turns: phases.append(turns.size) or exp_turns(turns))
+        batch = ifs_transforms(mu, ts, 1e-12, symbolic=False)
+        monkeypatch.undo()
+        assert batch.depths.max() > 20 * batch.depths.min()
+        assert sum(phases) <= measures._PAD * batch.depths.sum()
+        assert_batch_equals_single(mu, ts, 1e-12, False)
+
     @pytest.mark.parametrize("symbolic", [True, False])
     def test_one_pass_over_zeros_shallow_deepest_and_past_the_table(self, symbolic):
         # Exact zeros (t = 4^(k-1) times odd vanishes at level k), depths
